@@ -8,6 +8,7 @@ log-kernel convolution quartic, by constrained descent on the Nehari set
 
 from .barycenter import BarycenterWork, barycenter_work, beta, local_mass
 from .errors import (
+    DESCENT_ERRORS,
     AdmissibilityError,
     BarycenterUndefinedError,
     ChoquardError,
@@ -47,9 +48,12 @@ from .functionals import (
     cos2d_potential,
     energy,
     fiber,
+    in_nzero,
     lambda_map,
     make_potential,
     nehari_project,
+    nehari_scale,
+    nehari_terms,
     phi_prime,
     q_a_bilinear,
     radial_well_potential,
@@ -70,7 +74,6 @@ from .metric import (
     inner_u,
     metric_context,
     metric_context_at,
-    n_lower_bound,
     norm_u,
     riesz_gradient,
     solve_metric_system,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .barycenter import beta as barycenter_beta
 from .errors import (
+    DESCENT_ERRORS,
     AdmissibilityError,
     ChoquardError,
     ConfigError,
@@ -557,7 +558,13 @@ def cmd_solve(args) -> int:
         u0 = make_bump_family(0, action, pot, table, cfg).start(0)
     outputs = ["solution.chq", "trace.csv"]
     write_manifest(args.out, "solve", extra["pairs"], outputs)
-    res = descend(u0, action, pot, table, cfg)
+    try:
+        res = descend(u0, action, pot, table, cfg)
+    except DESCENT_ERRORS as exc:
+        res = getattr(exc, "result", None)
+        if res is None:
+            raise
+        print("%s: %s" % (exc.code, exc), file=sys.stderr)
     save_field(os.path.join(args.out, "solution.chq"), res.u)
     write_trace(os.path.join(args.out, "trace.csv"), res.trace)
     _print_result(res)

@@ -90,3 +90,12 @@ class AdmissibilityError(ChoquardError):
 
 class GroundStateError(ChoquardError):
     code = "E-GROUND-STATE"
+
+
+# raised by a descent that has started; each carries .result with the last iterate
+DESCENT_ERRORS = (
+    LineSearchError,
+    RieszSolveError,
+    DegenerateNehariError,
+    OutsideScalingRegionError,
+)

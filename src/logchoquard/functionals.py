@@ -95,14 +95,20 @@ def q_a_bilinear(u: Field, v: Field, pot: Potential) -> float:
     return grad_inner(u, v) + weighted
 
 
-def energy(u: Field, pot: Potential, table: KernelTable) -> EnergyBreakdown:
-    """Full breakdown from one k0 convolution; V2 comes from the exact splitting."""
+def nehari_terms(u: Field, pot: Potential, table: KernelTable):
+    """(q_a, V0, w0 = log * u^2): the terms of Phi and J from one k0 convolution."""
     grid = same_grid(u, pot.a)
     u_sq = Field(grid, u.values * u.values)
     w0 = log_potential(u_sq, table)
     v0 = float(grid.h * grid.h * np.sum(u_sq.values * w0.values))
+    return q_a_bilinear(u, u, pot), v0, w0
+
+
+def energy(u: Field, pot: Potential, table: KernelTable) -> EnergyBreakdown:
+    """Full breakdown: nehari_terms plus one B1 form; V2 comes from the exact splitting."""
+    qa, v0, _ = nehari_terms(u, pot, table)
+    u_sq = Field(u.grid, u.values * u.values)
     v1 = b_form(u_sq, u_sq, "B1", table)
-    qa = q_a_bilinear(u, u, pot)
     return EnergyBreakdown(
         q_a=qa,
         v0=v0,
@@ -139,24 +145,33 @@ def fiber(t: float, cached: EnergyBreakdown) -> float:
     return 0.5 * t2 * cached.q_a + 0.25 * t2 * t2 * cached.v0
 
 
+def in_nzero(v0: float, l2_sq: float) -> bool:
+    """|V0| <= NZERO_FACTOR |u|_2^4: no transverse Nehari direction (the set N_0)."""
+    return abs(v0) <= NZERO_FACTOR * l2_sq * l2_sq
+
+
 def classify(cached: EnergyBreakdown, l2_sq: float) -> NehariClass:
     violation = abs(cached.nehari_j) / max(abs(cached.q_a), abs(cached.v0), 1.0)
     if violation > NEHARI_REL_TOL:
         return NehariClass("OffNehari", violation)
-    if abs(cached.v0) <= NZERO_FACTOR * l2_sq * l2_sq:
+    if in_nzero(cached.v0, l2_sq):
         return NehariClass("Nzero", violation)
     return NehariClass("Nminus" if cached.v0 < 0 else "Nplus", violation)
 
 
-def nehari_project(u: Field, cached: EnergyBreakdown) -> Field:
-    """sigma(u) = t_u u with t_u = sqrt(-q_a/V0); requires q_a * V0 < 0."""
-    if not (cached.q_a * cached.v0 < 0):
+def nehari_scale(q_a: float, v0: float) -> float:
+    """t_u = sqrt(-q_a/V0), the ray factor onto {J = 0}; requires q_a * V0 < 0."""
+    if not (q_a * v0 < 0):
         raise OutsideScalingRegionError(
             "outside O: q_a=%.6g, V0=%.6g have q_a*V0 >= 0; rescale via scale_Tt first"
-            % (cached.q_a, cached.v0)
+            % (q_a, v0)
         )
-    t_u = np.sqrt(-cached.q_a / cached.v0)
-    return Field(u.grid, t_u * u.values)
+    return float(np.sqrt(-q_a / v0))
+
+
+def nehari_project(u: Field, cached: EnergyBreakdown) -> Field:
+    """sigma(u) = t_u u with t_u = nehari_scale(q_a, V0)."""
+    return Field(u.grid, nehari_scale(cached.q_a, cached.v0) * u.values)
 
 
 def scale_Tt(u: Field, t: float) -> Field:

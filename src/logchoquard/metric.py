@@ -128,7 +128,3 @@ def riesz_gradient(u: Field, pot: Potential, table: KernelTable, tol: float = 1e
     g = Field(u.grid, g_vals)
     return g, norm_u(ctx, g)
 
-
-def n_lower_bound(u: Field) -> float:
-    """|u|_2 — the computable lower surrogate for the geodesic functional N."""
-    return lp_norm(u, 2)

@@ -19,11 +19,11 @@ from scipy.ndimage import binary_dilation
 
 from .barycenter import beta as barycenter_beta
 from .errors import (
+    DESCENT_ERRORS,
     AdmissibilityError,
     DegenerateNehariError,
     GroundStateError,
     LineSearchError,
-    OutsideScalingRegionError,
     RieszSolveError,
     ScalingClipError,
     StartFamilyError,
@@ -33,12 +33,16 @@ from .functionals import (
     EnergyBreakdown,
     NehariClass,
     Potential,
+    cerami_weight,
     classify,
     energy,
+    in_nzero,
+    nehari_scale,
+    nehari_terms,
     q_a_bilinear,
     scale_Tt,
 )
-from .logkernel import KernelTable, b_form, log_potential, padded_convolve
+from .logkernel import KernelTable, b_form, padded_convolve
 from .metric import (
     MetricContext,
     inner_u,
@@ -152,49 +156,133 @@ class StartFamily:
 TRACE_COLUMNS = ("iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2")
 
 
-def tangent_project(
-    u: Field,
-    g: Field,
-    ctx: MetricContext,
-    pot: Potential,
-    table: KernelTable,
-    riesz_tol: float = 1e-10,
-) -> Field:
-    """Remove from g its metric component along the Riesz representative of J'."""
-    grid = u.grid
-    w0 = log_potential(Field(grid, u.values * u.values), table)
-    r = neg_laplacian(u.values, grid.h) + (pot.a.values + w0.values) * u.values
-    j_field = 2.0 * r + 2.0 * w0.values * u.values
-    eta_vals, rel = solve_metric_system(ctx, j_field, riesz_tol)
-    if rel > riesz_tol:
-        raise RieszSolveError("constraint-gradient solve stalled at %.3g" % rel, residual=rel)
-    eta = Field(grid, eta_vals)
+def tangent_project(ctx: MetricContext, g: Field, eta: Field) -> Field:
+    """Remove from g its metric component along eta, the Riesz representative of J'(u)."""
     denom = inner_u(ctx, eta, eta)
     if denom <= 1e-28:
         raise DegenerateNehariError("degenerate constraint gradient: ||J'||_u ~ 0")
-    coeff = inner_u(ctx, g, eta) / denom
-    return Field(grid, g.values - coeff * eta.values)
+    return Field(ctx.grid, g.values - (inner_u(ctx, g, eta) / denom) * eta.values)
 
 
-def _lean_energy(vals: np.ndarray, pot: Potential, table: KernelTable):
-    """(q_a, V0, w0) with a single convolution, on raw samples."""
-    grid = pot.a.grid
-    h = grid.h
-    d1 = np.diff(vals, axis=0, prepend=0.0, append=0.0) / h
-    d2 = np.diff(vals, axis=1, prepend=0.0, append=0.0) / h
-    u_sq = vals * vals
-    qa = h * h * (np.sum(d1 * d1) + np.sum(d2 * d2) + np.sum(pot.a.values * u_sq))
-    w0 = padded_convolve(grid, u_sq, table.k0_hat)
-    v0 = h * h * np.sum(u_sq * w0)
-    return float(qa), float(v0), w0
+class _Iterate:
+    """A descent iterate u with q_a(u), V0(u), w0 = log * u^2 and Phi(u)."""
+
+    def __init__(self, u: np.ndarray, pot: Potential, table: KernelTable):
+        self.grid = pot.a.grid
+        self.u = u
+        self.refresh(pot, table)
+
+    def refresh(self, pot: Potential, table: KernelTable) -> None:
+        """Recompute q_a, V0 and w0 from u, which caps their drift; then onto_nehari."""
+        qa, v0, w0 = nehari_terms(Field(self.grid, self.u), pot, table)
+        self.qa, self.v0, self.w0 = qa, v0, w0.values
+        self.onto_nehari()
+
+    def onto_nehari(self, phi: Optional[float] = None) -> None:
+        """Rescale along the ray onto {J = 0}, exactly: q_a ~ t^2, V0 ~ t^4, w0 ~ t^2.
+
+        Phi is recomputed from q_a and V0 unless given; the line search
+        computes it without the cancellation of that sum.
+        """
+        t = nehari_scale(self.qa, self.v0)
+        self.u = t * self.u
+        self.qa, self.v0, self.w0 = t * t * self.qa, t ** 4 * self.v0, t * t * self.w0
+        self.phi = 0.5 * self.qa + 0.25 * self.v0 if phi is None else phi
+        h = self.grid.h
+        if in_nzero(self.v0, h * h * float(np.sum(self.u * self.u))):
+            raise DegenerateNehariError(
+                "degenerate Nehari direction: |V0| = %.3g below threshold" % abs(self.v0)
+            )
 
 
-def _nzero_guard(v0: float, vals: np.ndarray, h: float):
-    l2_sq = h * h * np.sum(vals * vals)
-    if abs(v0) <= 1e-8 * l2_sq * l2_sq:
-        raise DegenerateNehariError(
-            "degenerate Nehari direction: |V0| = %.3g below threshold" % abs(v0)
+def _riesz(ctx: MetricContext, rhs, x0, free, action: GroupAction, tol: float, what: str):
+    """Solve A_u x = rhs warm from x0 on the free cells: (x, x on the invariant fields)."""
+    vals, rel = solve_metric_system(ctx, rhs, tol, x0=x0, free=free)
+    if rel > tol:
+        raise RieszSolveError("%s solve stalled at %.3g" % (what, rel), residual=rel)
+    x = Field(ctx.grid, vals)
+    return vals, project_invariant(x, action) if action.has_projection else x
+
+
+class _Lbfgs:
+    """Curvature pairs (s, y, 1/s.y) of the iterates and their tangent gradients w.
+
+    The wells of a structured potential make the on-manifold curvature
+    strongly anisotropic and plain preconditioned descent crawls along the
+    soft modes, so the step direction comes from an L-BFGS two-loop over
+    the newest LBFGS_MEMORY pairs; the Armijo test still guarantees
+    monotone decrease, and any non-descent proposal falls back to w.
+    """
+
+    def __init__(self):
+        self.pairs: List[tuple] = []
+        self.last = None
+
+    def push(self, u: np.ndarray, w: np.ndarray) -> None:
+        if self.last is not None:
+            s_vec = (u - self.last[0]).ravel()
+            y_vec = (w - self.last[1]).ravel()
+            sy = float(np.dot(s_vec, y_vec))
+            if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
+                self.pairs.append((s_vec, y_vec, 1.0 / sy))
+                if len(self.pairs) > LBFGS_MEMORY:
+                    self.pairs.pop(0)
+        self.last = (u, w)
+
+    def direction(self, ctx: MetricContext, w: Field, eta: Field):
+        """Tangent step direction d and <w, d>_u."""
+        wn2 = inner_u(ctx, w, w)
+        if not self.pairs:
+            return w, wn2
+        d = tangent_project(ctx, Field(ctx.grid, _lbfgs_two_loop(w.values, self.pairs)), eta)
+        dw = inner_u(ctx, w, d)
+        if not dw > 1e-10 * np.sqrt(wn2 * inner_u(ctx, d, d)):
+            return w, wn2
+        return d, dw
+
+
+def _line_search(st: _Iterate, d: Field, dw: float, alpha: float, pot, table, cfg) -> float:
+    """Armijo backtracking along u - alpha*d; moves st to sigma of the accepted point.
+
+    q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
+    decrease from these exact coefficients avoids the large-scale
+    cancellation that floors a direct re-evaluation of Phi. Returns alpha.
+    """
+    grid = st.grid
+    h2 = grid.h * grid.h
+    c1 = q_a_bilinear(Field(grid, st.u), d, pot)
+    c2 = q_a_bilinear(d, d, pot)
+    cross = st.u * d.values
+    wsq = d.values * d.values
+    kcross = padded_convolve(grid, cross, table.k0_hat)
+    kwsq = padded_convolve(grid, wsq, table.k0_hat)
+    b0c = h2 * float(np.sum(cross * st.w0))
+    b0w = h2 * float(np.sum(wsq * st.w0))
+    bcc = h2 * float(np.sum(cross * kcross))
+    bcw = h2 * float(np.sum(wsq * kcross))
+    bww = h2 * float(np.sum(wsq * kwsq))
+    qa, v0 = st.qa, st.v0
+    for _ in range(60):
+        dq = -2.0 * alpha * c1 + alpha * alpha * c2
+        dv = (
+            -4.0 * alpha * b0c
+            + alpha * alpha * (4.0 * bcc + 2.0 * b0w)
+            - 4.0 * alpha ** 3 * bcw
+            + alpha ** 4 * bww
         )
+        qa_t, v0_t = qa + dq, v0 + dv
+        if qa_t > 0 and v0_t < 0:
+            # Phi(sigma(x)) = -q_a(x)^2 / (4 V0(x)); difference without
+            # squaring the large baselines
+            dphi = (-2.0 * qa * v0 * dq - v0 * dq * dq + qa * qa * dv) / (4.0 * v0_t * v0)
+            if dphi <= -cfg.armijo_c * alpha * dw:
+                st.u = st.u - alpha * d.values
+                st.w0 = st.w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq
+                st.qa, st.v0 = qa_t, v0_t
+                st.onto_nehari(st.phi + dphi)
+                return alpha
+        alpha *= cfg.backtrack_factor
+    raise LineSearchError("Armijo backtracking exhausted after 60 halvings")
 
 
 def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> SolveResult:
@@ -221,197 +309,66 @@ def descend(
 ) -> SolveResult:
     """Constrained descent from u0; see module docstring for the iteration.
 
-    Under a projecting action the metric systems for the gradient g and the
-    constraint gradient eta are solved on the cells that the action
-    preserves (symmetry.preserved_cells), the others held at zero. There
-    A_u commutes with the action, so the group average of the solution is
-    the Riesz gradient of Phi restricted to invariant fields, and its
-    metric pairing with an invariant direction is Phi'(u) of that
-    direction; critical points found this way are critical in the full
-    space by symmetric criticality.
+    Each iteration: Riesz solves for the gradient g and the constraint
+    gradient eta, tangent projection, L-BFGS direction, exact-ray Armijo
+    line search with Nehari re-projection, and every REPROJECT_EVERY steps
+    a refresh of the tracked scalars (and invariance). An error raised
+    after the start carries .result with the last iterate.
+
+    Under a projecting action the metric systems for g and eta are solved
+    on the cells that the action preserves (symmetry.preserved_cells), the
+    others held at zero. There A_u commutes with the action, so the group
+    average of the solution is the Riesz gradient of Phi restricted to
+    invariant fields, and its metric pairing with an invariant direction is
+    Phi'(u) of that direction; critical points found this way are critical
+    in the full space by symmetric criticality.
     """
     grid = pot.a.grid
-    h = grid.h
     project = action.has_projection
     free = preserved_cells(grid, action) if project else None
-
-    u = u0.values.copy()
+    u = u0.values
     if project:
-        u = project_invariant(Field(grid, u), action).values
-        if np.sqrt(np.sum(u * u)) * h <= 1e-14:
+        u = project_invariant(u0, action).values
+        if np.sqrt(np.sum(u * u)) * grid.h <= 1e-14:
             raise DegenerateNehariError("invariant projection annihilated the start")
-
-    qa, v0, w0 = _lean_energy(u, pot, table)
-    if not (qa * v0 < 0):
-        raise OutsideScalingRegionError(
-            "start outside O: q_a=%.6g, V0=%.6g; rescale via scale_Tt first" % (qa, v0)
-        )
-    _nzero_guard(v0, u, h)
-    t = np.sqrt(-qa / v0)
-    u *= t
-    qa, v0, w0 = t * t * qa, t ** 4 * v0, t * t * w0
-    phi = 0.5 * qa + 0.25 * v0
+    st = _Iterate(u, pot, table)
 
     trace: List[tuple] = []
-    g_prev = None
-    eta_prev = None
-    u_last = None
-    w_last = None
-    pairs: List[tuple] = []
-    alpha = cfg.step_init
-    cerami = np.inf
-    accepted = 0
+    lbfgs = _Lbfgs()
+    g_prev = eta_prev = None
+    alpha, cerami, accepted = cfg.step_init, np.inf, 0
+    try:
+        for it in range(cfg.max_iters):
+            ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
+            r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
+            g_prev, g = _riesz(ctx, r, g_prev, free, action, cfg.riesz_tol, "metric")
+            cerami = cerami_weight(Field(grid, st.u), norm_u(ctx, g))
+            res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
+            trace.append((it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2))
+            if cerami <= cfg.cerami_tol:
+                return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-    for it in range(cfg.max_iters):
-        center = barycenter_beta(Field(grid, u))
-        ctx = metric_context_at(grid, center)
-
-        r = neg_laplacian(u, h) + (pot.a.values + w0) * u
-        res_l2 = float(np.sqrt(np.sum(r * r)) * h)
-
-        g_vals, rel = solve_metric_system(ctx, r, cfg.riesz_tol, x0=g_prev, free=free)
-        if rel > cfg.riesz_tol:
-            err = RieszSolveError("metric solve stalled at %.3g" % rel, residual=rel)
-            err.result = _finish(u, pot, table, action, cerami, accepted, False, trace)
-            raise err
-        g_prev = g_vals
-        g = Field(grid, g_vals)
-        if project:
-            g = project_invariant(g, action)
-
-        l2_u = float(np.sqrt(np.sum(u * u)) * h)
-        cerami = norm_u(ctx, g) * (1.0 + l2_u)
-        trace.append((it, phi, qa, v0, qa + v0, cerami, res_l2))
-
-        if cerami <= cfg.cerami_tol:
-            return _finish(u, pot, table, action, cerami, accepted, True, trace)
-
-        j_field = 2.0 * r + 2.0 * w0 * u
-        eta_vals, rel = solve_metric_system(
-            ctx, j_field, cfg.riesz_tol, x0=eta_prev, free=free
-        )
-        if rel > cfg.riesz_tol:
-            err = RieszSolveError("constraint solve stalled at %.3g" % rel, residual=rel)
-            err.result = _finish(u, pot, table, action, cerami, accepted, False, trace)
-            raise err
-        eta_prev = eta_vals
-        eta = Field(grid, eta_vals)
-        if project:
-            eta = project_invariant(eta, action)
-
-        denom = inner_u(ctx, eta, eta)
-        if denom <= 1e-28:
-            err = DegenerateNehariError("degenerate constraint gradient along the path")
-            err.result = _finish(u, pot, table, action, cerami, accepted, False, trace)
-            raise err
-        w = g.values - (inner_u(ctx, g, eta) / denom) * eta.values
-        wn2 = inner_u(ctx, Field(grid, w), Field(grid, w))
-
-        # the wells of a structured potential make the on-manifold curvature
-        # strongly anisotropic and plain preconditioned descent crawls along
-        # the soft modes, so the step direction comes from an L-BFGS two-loop
-        # over recent (s, y) pairs; the Armijo test below still guarantees
-        # monotone decrease, and any non-descent proposal falls back to w.
-        if u_last is not None:
-            s_vec = (u - u_last).ravel()
-            y_vec = (w - w_last).ravel()
-            sy = float(np.dot(s_vec, y_vec))
-            if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
-                pairs.append((s_vec, y_vec, 1.0 / sy))
-                if len(pairs) > LBFGS_MEMORY:
-                    pairs.pop(0)
-        u_last = u.copy()
-        w_last = w.copy()
-
-        d = w
-        dw = wn2
-        if pairs:
-            d = _lbfgs_two_loop(w, pairs)
-            d = d - (inner_u(ctx, Field(grid, d), eta) / denom) * eta.values
-            dn2 = inner_u(ctx, Field(grid, d), Field(grid, d))
-            dw = inner_u(ctx, Field(grid, w), Field(grid, d))
-            if not dw > 1e-10 * np.sqrt(wn2 * dn2):
-                d = w
-                dw = wn2
-
-        # exact expansions along the ray u - alpha*d:
-        #   q_a: quadratic in alpha; V0: quartic in alpha. Evaluating the
-        # on-manifold decrease from these coefficients avoids the large-scale
-        # cancellation that floors a direct re-evaluation of Phi.
-        d1u = np.diff(u, axis=0, prepend=0.0, append=0.0)
-        d2u = np.diff(u, axis=1, prepend=0.0, append=0.0)
-        d1w = np.diff(d, axis=0, prepend=0.0, append=0.0)
-        d2w = np.diff(d, axis=1, prepend=0.0, append=0.0)
-        c1 = float(np.sum(d1u * d1w) + np.sum(d2u * d2w)) + h * h * float(
-            np.sum(pot.a.values * u * d)
-        )
-        c2 = float(np.sum(d1w * d1w) + np.sum(d2w * d2w)) + h * h * float(
-            np.sum(pot.a.values * d * d)
-        )
-        cross = u * d
-        wsq = d * d
-        kcross = padded_convolve(grid, cross, table.k0_hat)
-        kwsq = padded_convolve(grid, wsq, table.k0_hat)
-        h2 = h * h
-        b0c = h2 * float(np.sum(cross * w0))
-        b0w = h2 * float(np.sum(wsq * w0))
-        bcc = h2 * float(np.sum(cross * kcross))
-        bcw = h2 * float(np.sum(wsq * kcross))
-        bww = h2 * float(np.sum(wsq * kwsq))
-
-        alpha = cfg.step_init if len(pairs) > 0 else min(
-            cfg.step_init, alpha / cfg.backtrack_factor
-        )
-        accepted_step = False
-        for _ in range(60):
-            dq = -2.0 * alpha * c1 + alpha * alpha * c2
-            qa_t = qa + dq
-            dv = (
-                -4.0 * alpha * b0c
-                + alpha * alpha * (4.0 * bcc + 2.0 * b0w)
-                - 4.0 * alpha ** 3 * bcw
-                + alpha ** 4 * bww
+            j_field = 2.0 * r + 2.0 * st.w0 * st.u
+            eta_prev, eta = _riesz(
+                ctx, j_field, eta_prev, free, action, cfg.riesz_tol, "constraint"
             )
-            v0_t = v0 + dv
-            if qa_t > 0 and v0_t < 0:
-                # Phi(sigma(x)) = -q_a(x)^2 / (4 V0(x)); difference without
-                # squaring the large baselines
-                dphi = (-2.0 * qa * v0 * dq - v0 * dq * dq + qa * qa * dv) / (
-                    4.0 * v0_t * v0
-                )
-                if dphi <= -cfg.armijo_c * alpha * dw:
-                    tt = np.sqrt(-qa_t / v0_t)
-                    u = tt * (u - alpha * d)
-                    w0 = tt * tt * (w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq)
-                    qa, v0 = tt * tt * qa_t, tt ** 4 * v0_t
-                    phi += dphi
-                    accepted_step = True
-                    accepted += 1
-                    break
-            alpha *= cfg.backtrack_factor
-        if not accepted_step:
-            err = LineSearchError("Armijo backtracking exhausted after 60 halvings")
-            err.result = _finish(u, pot, table, action, cerami, accepted, False, trace)
-            raise err
+            w = tangent_project(ctx, g, eta)
+            lbfgs.push(st.u, w.values)
+            d, dw = lbfgs.direction(ctx, w, eta)
+            alpha = cfg.step_init if lbfgs.pairs else min(
+                cfg.step_init, alpha / cfg.backtrack_factor
+            )
+            alpha = _line_search(st, d, dw, alpha, pot, table, cfg)
+            accepted += 1
 
-        _nzero_guard(v0, u, h)
-
-        if (it + 1) % REPROJECT_EVERY == 0:
-            # refresh the incrementally tracked scalars (and the invariant
-            # subspace membership) to cap floating-point drift
-            if project:
-                u = project_invariant(Field(grid, u), action).values
-            qa, v0, w0 = _lean_energy(u, pot, table)
-            if not (qa * v0 < 0):
-                err = OutsideScalingRegionError("reprojection left O")
-                err.result = _finish(u, pot, table, action, cerami, accepted, False, trace)
-                raise err
-            t = np.sqrt(-qa / v0)
-            u *= t
-            qa, v0, w0 = t * t * qa, t ** 4 * v0, t * t * w0
-            phi = 0.5 * qa + 0.25 * v0
-
-    return _finish(u, pot, table, action, cerami, accepted, False, trace)
+            if (it + 1) % REPROJECT_EVERY == 0:
+                if project:
+                    st.u = project_invariant(Field(grid, st.u), action).values
+                st.refresh(pot, table)
+    except DESCENT_ERRORS as err:
+        err.result = _finish(st.u, pot, table, action, cerami, accepted, False, trace)
+        raise
+    return _finish(st.u, pot, table, action, cerami, accepted, False, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +615,7 @@ def multistart_search(
     for idx in range(len(family.simplex_samples)):
         try:
             res = descend(family.start(idx), action, pot, table, cfg)
-        except (LineSearchError, RieszSolveError, DegenerateNehariError, OutsideScalingRegionError) as exc:
+        except DESCENT_ERRORS as exc:
             res = getattr(exc, "result", None)
             if res is None:
                 continue
@@ -706,7 +663,7 @@ def ground_state(
             continue
         try:
             gauss_result = descend(g0, action, pot, table, cfg)
-        except (LineSearchError, RieszSolveError, DegenerateNehariError) as exc:
+        except DESCENT_ERRORS as exc:
             gauss_result = getattr(exc, "result", None)
         break
     if gauss_result is not None:

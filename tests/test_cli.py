@@ -193,6 +193,19 @@ def test_solve_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
+def test_solve_descent_error_writes_outputs_and_exits_3(tmp_path, capsys):
+    # an unreachable Riesz tolerance fails the first metric solve
+    cfg = write_config(tmp_path, "box = 6\nn = 32\nriesz_tol = 1e-300\n")
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "E-RIESZ" in capsys.readouterr().err
+    assert (out / "manifest.json").exists()
+    assert load_field(str(out / "solution.chq")).grid.n == 32
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+
+
 # ------------------------------------------------------------------ battery
 
 

@@ -23,7 +23,6 @@ from logchoquard import (
     make_kernel_table,
     metric_context,
     metric_context_at,
-    n_lower_bound,
     norm_u,
     norms,
     phi_prime,
@@ -234,7 +233,3 @@ def test_riesz_zero_field_rejected(grid32, table32, pot32):
     with pytest.raises(BarycenterUndefinedError):
         riesz_gradient(Field(grid32, np.zeros((32, 32))), pot32, table32)
 
-
-def test_n_lower_bound(grid32):
-    u = gaussian_field(grid32, width=0.7, amplitude=1.3)
-    assert n_lower_bound(u) == lp_norm(u, 2)

@@ -12,6 +12,7 @@ from scipy.ndimage import binary_dilation
 from scipy.optimize import minimize
 
 from logchoquard import (
+    DESCENT_ERRORS,
     Field,
     Grid,
     GroundStateError,
@@ -27,6 +28,7 @@ from logchoquard import (
     gaussian_field,
     ground_state,
     lattice_translation,
+    log_potential,
     lp_norm,
     make_bump_family,
     make_kernel_table,
@@ -36,8 +38,10 @@ from logchoquard import (
     q_a_bilinear,
     radial_action,
     radial_average,
+    residual_field,
     riesz_gradient,
     rotation_zeta,
+    solve_metric_system,
     tangent_project,
     trivial_action,
 )
@@ -188,6 +192,33 @@ def test_descend_budget_exhaustion_is_not_an_error(grid64, table64, pot64):
     assert len(res.trace) == 3
 
 
+@pytest.mark.parametrize("error", DESCENT_ERRORS, ids=lambda e: e.__name__)
+def test_descend_errors_after_the_start_carry_the_result(
+    monkeypatch, grid64, table64, pot64, error
+):
+    import logchoquard.solver as solver_mod
+
+    real_step = solver_mod._line_search
+    steps = []
+
+    def step_then_fail(*args):
+        if len(steps) == 3:
+            raise error("forced on a later iteration")
+        steps.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver_mod, "_line_search", step_then_fail)
+    with pytest.raises(error) as info:
+        descend(gaussian_field(grid64, width=0.7), trivial_action(), pot64, table64, SolveConfig())
+    res = info.value.result
+    assert res.iters == 3
+    assert len(res.trace) == 4
+    assert not res.converged
+    # multistart keeps the result of every descent that fails after its start
+    results = multistart_search(0, trivial_action(), pot64, table64, SolveConfig())
+    assert results and not any(r.converged for r in results)
+
+
 def test_descend_ground_state_invariants(ground64, grid64, table64, pot64):
     res = ground64
     assert res.converged
@@ -240,7 +271,11 @@ def test_tangent_project_is_metric_orthogonal_to_constraint(grid64, table64, pot
     u = nehari_project(u0, energy(u0, pot64, table64))
     g, _ = riesz_gradient(u, pot64, table64)
     ctx = metric_context(u)
-    tp = tangent_project(u, g, ctx, pot64, table64)
+    # eta, the Riesz representative of J'(u) = 2 r + 2 (log * u^2) u
+    w0 = log_potential(Field(grid64, u.values ** 2), table64)
+    j_field = 2.0 * residual_field(u, pot64, table64).values + 2.0 * w0.values * u.values
+    eta = Field(grid64, solve_metric_system(ctx, j_field, 1e-10)[0])
+    tp = tangent_project(ctx, g, eta)
     # J'(u) v = 2 q_a(u,v) + 4 B0(u^2, uv) must vanish along the projection
     usq = Field(grid64, u.values ** 2)
     uv = Field(grid64, u.values * tp.values)

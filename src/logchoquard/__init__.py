@@ -6,7 +6,7 @@ log-kernel convolution quartic, by constrained descent on the Nehari set
 {q_a + V0 = 0, V0 < 0} in a barycenter-recentered metric.
 """
 
-from .barycenter import BarycenterWork, barycenter_work, beta, local_mass
+from .barycenter import barycenter_work, beta
 from .errors import (
     DESCENT_ERRORS,
     AdmissibilityError,
@@ -49,7 +49,6 @@ from .functionals import (
     energy,
     fiber,
     in_nzero,
-    lambda_map,
     make_potential,
     nehari_project,
     nehari_scale,

@@ -24,6 +24,8 @@ from .errors import (
     ChoquardError,
     ConfigError,
     DegenerateNehariError,
+    FieldDataError,
+    GridResolutionError,
     GroundStateError,
     LineSearchError,
     OutsideScalingRegionError,
@@ -108,18 +110,6 @@ _DEFAULTS = {
     "seed": "0",
 }
 
-_SOLVER_KEYS = (
-    "max_iters",
-    "cerami_tol",
-    "riesz_tol",
-    "step_init",
-    "backtrack_factor",
-    "armijo_c",
-    "tau_split",
-    "seed",
-)
-
-
 def _parse_lines(text: str) -> dict:
     pairs = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -139,6 +129,20 @@ def _parse_lines(text: str) -> dict:
     return pairs
 
 
+def _read_field(path: str, grid: Optional[Grid] = None) -> Field:
+    """load_field with a missing, corrupt or (given grid) mismatched file as a ConfigError."""
+    try:
+        u = load_field(path)
+    except (OSError, FieldDataError, GridResolutionError) as exc:
+        raise ConfigError("cannot read field %r: %s" % (path, exc))
+    if grid is not None and u.grid != grid:
+        raise ConfigError(
+            "field %r grid (L=%g, n=%d) does not match config grid (L=%g, n=%d)"
+            % (path, u.grid.L, u.grid.n, grid.L, grid.n)
+        )
+    return u
+
+
 def _build_potential(grid: Grid, spec: str) -> Potential:
     kind, _, rest = spec.partition(":")
     try:
@@ -151,14 +155,8 @@ def _build_potential(grid: Grid, spec: str) -> Potential:
             depth, radius = (float(s) for s in rest.split(","))
             return radial_well_potential(grid, depth, radius)
         if kind == "file":
-            a = load_field(rest)
-            if (a.grid.L, a.grid.n) != (grid.L, grid.n):
-                raise ConfigError(
-                    "potential file grid (L=%g, n=%d) does not match config (L=%g, n=%d)"
-                    % (a.grid.L, a.grid.n, grid.L, grid.n)
-                )
-            return make_potential(a)
-    except (ValueError, OSError) as exc:
+            return make_potential(_read_field(rest, grid))
+    except ValueError as exc:
         raise ConfigError("bad potential spec %r: %s" % (spec, exc))
     raise ConfigError("unknown potential kind %r" % kind)
 
@@ -274,16 +272,7 @@ def _load_table(grid: Grid, cfg: SolveConfig) -> KernelTable:
     if os.environ.get("LOGCHOQUARD_CORRUPT_KERNEL"):
         k1 = table.k1.copy()
         k1[0, 0] += 1e-6  # corrupt the smooth kernel's origin cell
-        table = KernelTable(
-            grid=table.grid,
-            tau=table.tau,
-            k0=table.k0,
-            k1=k1,
-            k2=table.k2,
-            k0_hat=table.k0_hat,
-            k1_hat=kernel_fft(k1),
-            k2_hat=table.k2_hat,
-        )
+        vars(table).update(k1=k1, k1_hat=kernel_fft(k1))  # overwrite the cached kernel
     return table
 
 
@@ -551,9 +540,7 @@ def cmd_solve(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
     table = _load_table(grid, cfg)
     if args.start:
-        u0 = load_field(args.start)
-        if (u0.grid.L, u0.grid.n) != (grid.L, grid.n):
-            raise ConfigError("start field grid does not match config grid")
+        u0 = _read_field(args.start, grid)
     else:
         u0 = make_bump_family(0, action, pot, table, cfg).start(0)
     outputs = ["solution.chq", "trace.csv"]
@@ -614,10 +601,9 @@ def cmd_multistart(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    u = load_field(args.infile)
+    u = _read_field(args.infile)
     grid = u.grid
-    table = make_kernel_table(grid, args.tau)
-    khat = {"k0": table.k0_hat, "k1": table.k1_hat, "k2": table.k2_hat}[args.kernel]
+    khat = getattr(make_kernel_table(grid, args.tau), args.kernel + "_hat")
     pairs = dict(_DEFAULTS)
     pairs["box"] = repr(grid.L)
     pairs["n"] = str(grid.n)
@@ -637,9 +623,7 @@ def cmd_info(args) -> int:
     print("symmetry: %s  admissible=%s (%s)" % (action.describe(), ok, reason))
     print("config_hash: %s" % config_hash(extra["pairs"]))
     if args.infile:
-        u = load_field(args.infile)
-        if (u.grid.L, u.grid.n) != (grid.L, grid.n):
-            raise ConfigError("field grid does not match config grid")
+        u = _read_field(args.infile, grid)
         rep = norms(u)
         table = make_kernel_table(grid, cfg.tau_split)
         bk = energy(u, pot, table)

@@ -10,6 +10,7 @@ parts is exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -208,6 +209,10 @@ def load_field(path) -> Field:
         if len(header) != 12:
             raise FieldDataError("truncated field dump header in %s" % path)
         n, L = struct.unpack("<Id", header)
+        # size the read only after the file is known to hold it: a corrupt n
+        # would otherwise ask for up to 8 * (2^32)^2 bytes
+        if os.fstat(fh.fileno()).st_size - 16 < 8 * n * n:
+            raise FieldDataError("truncated field dump payload in %s" % path)
         raw = fh.read(8 * n * n)
         if len(raw) != 8 * n * n:
             raise FieldDataError("truncated field dump payload in %s" % path)

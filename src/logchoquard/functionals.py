@@ -15,11 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .errors import (
-    FieldDataError,
-    OutsideScalingRegionError,
-    ScalingClipError,
-)
+from .errors import OutsideScalingRegionError, ScalingClipError
 from .field import (
     Field,
     Grid,
@@ -28,7 +24,7 @@ from .field import (
     neg_laplacian,
     same_grid,
 )
-from .logkernel import KernelTable, b_form, log_potential
+from .logkernel import KernelTable, log_potential
 
 NEHARI_REL_TOL = 1e-10  # |J| <= tol * max(|q_a|, |V0|, 1) counts as on-manifold
 NZERO_FACTOR = 1e-8  # |V0| <= factor * |u|_2^4 counts as degenerate (N_0)
@@ -74,11 +70,8 @@ def radial_well_potential(grid: Grid, depth: float, radius: float) -> Potential:
 class EnergyBreakdown:
     q_a: float
     v0: float
-    v1_tau: float
-    v2_tau: float
     phi: float
     nehari_j: float
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -105,19 +98,9 @@ def nehari_terms(u: Field, pot: Potential, table: KernelTable):
 
 
 def energy(u: Field, pot: Potential, table: KernelTable) -> EnergyBreakdown:
-    """Full breakdown: nehari_terms plus one B1 form; V2 comes from the exact splitting."""
+    """Phi and J from nehari_terms: one k0 convolution."""
     qa, v0, _ = nehari_terms(u, pot, table)
-    u_sq = Field(u.grid, u.values * u.values)
-    v1 = b_form(u_sq, u_sq, "B1", table)
-    return EnergyBreakdown(
-        q_a=qa,
-        v0=v0,
-        v1_tau=v1,
-        v2_tau=v1 - v0,
-        phi=0.5 * qa + 0.25 * v0,
-        nehari_j=qa + v0,
-        tau=table.tau,
-    )
+    return EnergyBreakdown(q_a=qa, v0=v0, phi=0.5 * qa + 0.25 * v0, nehari_j=qa + v0)
 
 
 def phi_prime(u: Field, v: Field, pot: Potential, table: KernelTable) -> float:
@@ -198,24 +181,6 @@ def scale_Tt(u: Field, t: float) -> Field:
     coords = np.broadcast_arrays(ci[:, None], ci[None, :])
     vals = scale * map_coordinates(u.values, coords, order=3, mode="constant", cval=0.0)
     return Field(grid, vals)
-
-
-def lambda_map(u: Field, table: KernelTable) -> Field:
-    """Normalize to |u|_2 = 1, then scale along T_t to kill V0: t = -V0(u_hat).
-
-    Output lies on Lambda = {|u|_2 = 1, V0(u) = 0} up to an O(h^2)
-    resampling residual (|V0| ~ 1e-3 at h = 0.125 for a narrow Gaussian);
-    the map is odd by construction.
-    """
-    l2 = lp_norm(u, 2)
-    if l2 <= 1e-14:
-        raise FieldDataError("lambda_map undefined at 0")
-    uhat = Field(u.grid, u.values / l2)
-    usq = Field(u.grid, uhat.values * uhat.values)
-    w0 = log_potential(usq, table)
-    v0 = float(u.grid.h ** 2 * np.sum(usq.values * w0.values))
-    scaled = scale_Tt(uhat, -v0)
-    return Field(u.grid, scaled.values / lp_norm(scaled, 2))
 
 
 def cerami_weight(u: Field, grad_norm_u: float) -> float:

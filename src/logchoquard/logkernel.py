@@ -10,12 +10,16 @@ computed by adaptive quadrature of the polar form. The origin cell of
 log(1 + e^tau/r) is then fixed as k1(0) - k0(0), which makes the
 splitting k1 - k2 = k0 hold pointwise at every offset; the difference
 from the true cell mean of that kernel is O(h) and only affects the
-V2 diagnostic split, never B0 itself.
+B2 form, never B0 itself.
+
+A table builds k0 and its FFT; the tau-split kernels k1, k2 are built on
+first read, since only the invariant checks and `convolve` use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,7 +27,7 @@ from scipy.integrate import quad
 from .errors import FieldDataError, GridMismatchError, GridResolutionError
 from .field import Field, Grid, same_grid
 
-_B_NAMES = ("B0", "B1", "B2")
+_KERNEL_NAMES = {"B0": "k0", "B1": "k1", "B2": "k2"}
 
 
 def origin_cell_log_mean(h: float) -> float:
@@ -67,11 +71,27 @@ class KernelTable:
     grid: Grid
     tau: float
     k0: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    k0_hat: np.ndarray = dc_field(repr=False, default=None)
-    k1_hat: np.ndarray = dc_field(repr=False, default=None)
-    k2_hat: np.ndarray = dc_field(repr=False, default=None)
+    k0_hat: np.ndarray = dc_field(repr=False)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        # smooth; sample directly, k1(0) = tau
+        return np.log(np.exp(self.tau) + offset_lattice(self.grid))
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        ro = offset_lattice(self.grid)
+        k2 = np.log1p(np.exp(self.tau) / np.where(ro == 0.0, 1.0, ro))
+        k2[0, 0] = self.tau - self.k0[0, 0]  # k1 - k2 = k0 at the origin cell
+        return k2
+
+    @cached_property
+    def k1_hat(self) -> np.ndarray:
+        return kernel_fft(self.k1)
+
+    @cached_property
+    def k2_hat(self) -> np.ndarray:
+        return kernel_fft(self.k2)
 
 
 def make_kernel_table(grid: Grid, tau: float = 0.0) -> KernelTable:
@@ -79,24 +99,8 @@ def make_kernel_table(grid: Grid, tau: float = 0.0) -> KernelTable:
         raise ValueError("tau must be >= 0")
     ro = offset_lattice(grid)
     origin = ro == 0.0
-    c0 = origin_cell_log_mean(grid.h)
-    et = np.exp(tau)
-
-    safe = np.where(origin, 1.0, ro)
-    k0 = np.where(origin, c0, np.log(safe))
-    k1 = np.log(et + ro)  # smooth; sample directly, k1(0) = tau
-    k2 = np.where(origin, tau - c0, np.log1p(et / safe))
-
-    return KernelTable(
-        grid=grid,
-        tau=float(tau),
-        k0=k0,
-        k1=k1,
-        k2=k2,
-        k0_hat=kernel_fft(k0),
-        k1_hat=kernel_fft(k1),
-        k2_hat=kernel_fft(k2),
-    )
+    k0 = np.where(origin, origin_cell_log_mean(grid.h), np.log(np.where(origin, 1.0, ro)))
+    return KernelTable(grid=grid, tau=float(tau), k0=k0, k0_hat=kernel_fft(k0))
 
 
 def _check_table(u: Field, table: KernelTable):
@@ -114,26 +118,19 @@ def log_potential(u_sq: Field, table: KernelTable) -> Field:
     return Field(u_sq.grid, padded_convolve(u_sq.grid, u_sq.values, table.k0_hat))
 
 
-def _khat(table: KernelTable, which: str) -> np.ndarray:
-    if which == "B0":
-        return table.k0_hat
-    if which == "B1":
-        return table.k1_hat
-    if which == "B2":
-        return table.k2_hat
-    raise ValueError("which must be one of %s, got %r" % (_B_NAMES, which))
+def _kernel(table: KernelTable, which: str, suffix: str = "") -> np.ndarray:
+    """The kernel samples (suffix "") or their FFT (suffix "_hat") of form `which`."""
+    if which not in _KERNEL_NAMES:
+        raise ValueError("which must be one of %s, got %r" % (tuple(_KERNEL_NAMES), which))
+    return getattr(table, _KERNEL_NAMES[which] + suffix)
 
 
 def b_form(f: Field, g: Field, which: str, table: KernelTable) -> float:
     """h^2 sum f . (K * g) with the selected kernel; symmetric in (f, g)."""
     grid = same_grid(f, g)
     _check_table(f, table)
-    conv = padded_convolve(grid, g.values, _khat(table, which))
+    conv = padded_convolve(grid, g.values, _kernel(table, which, "_hat"))
     return float(grid.h * grid.h * np.sum(f.values * conv))
-
-
-def _ktab(table: KernelTable, which: str) -> np.ndarray:
-    return {"B0": table.k0, "B1": table.k1, "B2": table.k2}[which]
 
 
 def direct_oracle(f: Field, g: Field, which: str, table: KernelTable) -> float:
@@ -147,9 +144,7 @@ def direct_oracle(f: Field, g: Field, which: str, table: KernelTable) -> float:
     n = grid.n
     if n > 64:
         raise GridResolutionError("direct_oracle is O(n^4); refusing n=%d > 64" % n)
-    if which not in _B_NAMES:
-        raise ValueError("which must be one of %s, got %r" % (_B_NAMES, which))
-    ktab = _ktab(table, which)
+    ktab = _kernel(table, which)
     idx = np.arange(n)
     total = 0.0
     for ix in range(n):

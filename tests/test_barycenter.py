@@ -16,10 +16,9 @@ from logchoquard import (
     beta,
     bump_field,
     gaussian_field,
-    local_mass,
     shift_cells,
 )
-from logchoquard.barycenter import barycenter_work
+from logchoquard.barycenter import barycenter_work, local_mass
 from logchoquard.symmetry import rotate
 
 from conftest import confined_field

@@ -276,6 +276,39 @@ def test_solve_start_field_grid_mismatch_exits_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def _bad_field_file(tmp_path, kind):
+    path = tmp_path / "field.chq"
+    if kind == "missing":
+        return str(path)
+    save_field(str(path), gaussian_field(Grid(L=6.0, n=32), width=0.6))
+    raw = path.read_bytes()
+    if kind == "truncated":
+        path.write_bytes(raw[:100])
+    elif kind == "bad-magic":
+        path.write_bytes(b"XXXX" + raw[4:])
+    else:  # header n names no valid grid, or more samples than the file holds
+        n = {"bad-n": 15, "huge-n": 2**32 - 1}[kind]
+        path.write_bytes(raw[:4] + n.to_bytes(4, "little") + raw[8:])
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "truncated", "bad-magic", "bad-n", "huge-n"])
+@pytest.mark.parametrize("site", ["solve-start", "info-in", "convolve-in", "potential-file"])
+def test_bad_input_field_file_exits_2(tmp_path, capsys, site, kind):
+    path = _bad_field_file(tmp_path, kind)
+    out = str(tmp_path / "o")
+    argv = {
+        "solve-start": ["solve", "--n", "32", "--out", out, "--start", path],
+        "info-in": ["info", "--n", "32", "--in", path],
+        "convolve-in": ["convolve", "--in", path, "--out", out],
+        "potential-file": ["info", "--config", write_config(tmp_path, "n = 32\na = file:%s\n" % path)],
+    }[site]
+    rc = main(argv)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "E-CONFIG" in err and "field.chq" in err
+
+
 def test_multistart_writes_results_csv(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["multistart", "--out", str(out), "--n", "32", "--k", "0"])

@@ -1,4 +1,4 @@
-"""Energy breakdown, fiber maps, Nehari projection, T_t scaling, lambda map.
+"""Energy breakdown, fiber maps, Nehari projection, T_t scaling.
 
 Oracles: finite differences for the derivative, fresh energy evaluations
 for the fiber map, the analytic Gaussian image of T_t, and exact
@@ -11,7 +11,6 @@ import pytest
 from logchoquard import (
     EnergyBreakdown,
     Field,
-    FieldDataError,
     Grid,
     OutsideScalingRegionError,
     ScalingClipError,
@@ -23,9 +22,7 @@ from logchoquard import (
     fiber,
     gaussian_field,
     grad_norm_sq,
-    lambda_map,
     lp_norm,
-    make_kernel_table,
     make_potential,
     nehari_project,
     norms,
@@ -82,8 +79,6 @@ def test_energy_composition(grid32, table32, pot32):
     bk = energy(u, pot32, table32)
     assert bk.phi == pytest.approx(0.5 * bk.q_a + 0.25 * bk.v0, rel=1e-15)
     assert bk.nehari_j == pytest.approx(bk.q_a + bk.v0, rel=1e-15)
-    assert bk.v2_tau == bk.v1_tau - bk.v0
-    assert bk.tau == table32.tau
 
 
 def test_energy_matches_forms(grid32, table32, pot32):
@@ -93,7 +88,6 @@ def test_energy_matches_forms(grid32, table32, pot32):
     usq = Field(grid32, u.values ** 2)
     assert bk.q_a == pytest.approx(q_a_bilinear(u, u, pot32), rel=1e-13)
     assert bk.v0 == pytest.approx(b_form(usq, usq, "B0", table32), rel=1e-12)
-    assert bk.v1_tau == pytest.approx(b_form(usq, usq, "B1", table32), rel=1e-12)
 
 
 def test_homogeneity_exact_fp(grid32, table32, pot32):
@@ -191,7 +185,7 @@ def test_nehari_project_formula():
     # q_a = 2, V0 = -8 gives t_u = 1/2
     g = Grid(L=6.0, n=16)
     u = Field(g, np.ones((16, 16)))
-    bk = EnergyBreakdown(q_a=2.0, v0=-8.0, v1_tau=0.0, v2_tau=8.0, phi=0.0, nehari_j=-6.0, tau=0.0)
+    bk = EnergyBreakdown(q_a=2.0, v0=-8.0, phi=0.0, nehari_j=-6.0)
     s = nehari_project(u, bk)
     assert np.all(s.values == 0.5)
 
@@ -228,10 +222,7 @@ def test_on_nehari_energy_identity(grid32, table32, pot32):
 
 
 def _bk(q_a, v0):
-    return EnergyBreakdown(
-        q_a=q_a, v0=v0, v1_tau=0.0, v2_tau=-v0, phi=0.5 * q_a + 0.25 * v0,
-        nehari_j=q_a + v0, tau=0.0,
-    )
+    return EnergyBreakdown(q_a=q_a, v0=v0, phi=0.5 * q_a + 0.25 * v0, nehari_j=q_a + v0)
 
 
 def test_classify_labels():
@@ -304,31 +295,6 @@ def test_scale_gradient_transform_law():
         base = grad_norm_sq(u)
         scaled = grad_norm_sq(scale_Tt(u, t))
         assert scaled == pytest.approx(np.exp(-2 * t) * base, rel=1e-4)
-
-
-# --------------------------------------------------------------- lambda map
-
-
-def test_lambda_map_lands_on_constraint_set():
-    g = Grid(L=8.0, n=192)
-    tb = make_kernel_table(g)
-    u = gaussian_field(g, width=0.6, amplitude=1.3)
-    lam = lambda_map(u, tb)
-    assert lp_norm(lam, 2) == pytest.approx(1.0, rel=1e-12)
-    lsq = Field(g, lam.values ** 2)
-    assert abs(b_form(lsq, lsq, "B0", tb)) <= 1e-3
-
-
-def test_lambda_map_odd_bitwise(grid32, table32):
-    u = gaussian_field(grid32, width=0.6, amplitude=1.3)
-    lam = lambda_map(u, table32)
-    lam_neg = lambda_map(Field(grid32, -u.values), table32)
-    assert np.array_equal(lam_neg.values, -lam.values)
-
-
-def test_lambda_map_zero_raises(grid32, table32):
-    with pytest.raises(FieldDataError):
-        lambda_map(Field(grid32, np.zeros((32, 32))), table32)
 
 
 # ------------------------------------------------------------- cerami weight

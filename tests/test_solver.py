@@ -219,6 +219,21 @@ def test_descend_errors_after_the_start_carry_the_result(
     assert results and not any(r.converged for r in results)
 
 
+def test_solve_path_builds_no_split_kernel(grid32, pot32):
+    # only check and convolve read k1/k2; the descent, energy and multistart
+    # work with k0 alone, so a fresh table never builds the split kernels
+    table = make_kernel_table(grid32)
+    cfg = SolveConfig(max_iters=5)
+    u0 = make_bump_family(0, trivial_action(), pot32, table, cfg).start(0)
+    res = descend(u0, trivial_action(), pot32, table, cfg)
+    energy(res.u, pot32, table)
+    multistart_search(0, trivial_action(), pot32, table, cfg)
+    split = ("k1", "k2", "k1_hat", "k2_hat")
+    assert not any(name in vars(table) for name in split)
+    k1 = table.k1
+    assert vars(table)["k1"] is k1
+
+
 def test_descend_ground_state_invariants(ground64, grid64, table64, pot64):
     res = ground64
     assert res.converged

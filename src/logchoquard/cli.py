@@ -601,6 +601,8 @@ def cmd_multistart(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    if args.tau < 0:
+        raise ConfigError("--tau must be >= 0, got %g" % args.tau)
     u = _read_field(args.infile)
     grid = u.grid
     khat = getattr(make_kernel_table(grid, args.tau), args.kernel + "_hat")

@@ -340,6 +340,16 @@ def test_convolve_matches_library(tmp_path, capsys):
     assert "convolved" in capsys.readouterr().out
 
 
+def test_convolve_negative_tau_exits_2(tmp_path, capsys):
+    src = tmp_path / "u.chq"
+    save_field(str(src), gaussian_field(Grid(L=6.0, n=32), width=0.7))
+    out = tmp_path / "o"
+    rc = main(["convolve", "--in", str(src), "--out", str(out), "--tau", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "E-CONFIG" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_info_reports_config_and_field(tmp_path, capsys):
     grid = Grid(L=6.0, n=32)
     u = gaussian_field(grid, width=0.6, center=(0.75, 0.0))

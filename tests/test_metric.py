@@ -207,6 +207,39 @@ def test_restricted_solve_is_equivariant(grid32, make_action):
         assert abs(inner_u(ctx, g, v) - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("make_action", [
+    lambda g: rotation_zeta(2),
+    lambda g: glide_reflection(g, 1.0, zeta_nontrivial=True),
+], ids=["rot-zeta:2", "glide"])
+def test_restricted_solve_matches_dense_solve(make_action):
+    # the restricted system is the compression of A_u to the free cells
+    g = Grid(L=4.0, n=24)
+    free = preserved_cells(g, make_action(g))
+    ctx = metric_context_at(g, (0.5, -0.3))
+    rhs = confined_field(g, np.random.default_rng(10))
+    keep = free.ravel()
+    A = dense_metric_matrix(ctx)[np.ix_(keep, keep)]
+    exact = np.zeros(g.n * g.n)
+    exact[keep] = np.linalg.solve(A, rhs.ravel()[keep])
+    exact = exact.reshape(g.n, g.n)
+    x, rel = solve_metric_system(ctx, rhs, tol=1e-12, free=free)
+    assert rel <= 1e-12
+    assert np.max(np.abs(x - exact)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
+def test_cold_solve_iterations_are_mesh_independent(n, restricted):
+    # the fast Poisson preconditioner removes the h^-2 spread of -Delta, so
+    # a cold solve needs about as many iterations at every n
+    g = Grid(L=12.0, n=n)
+    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
+    ctx = metric_context_at(g, (1.3, -2.1))
+    rhs = confined_field(g, np.random.default_rng(11))
+    _, rel = solve_metric_system(ctx, rhs, tol=1e-10, max_iter=25, free=free)
+    assert rel <= 1e-10
+
+
 # ------------------------------------------------------------ Riesz gradient
 
 

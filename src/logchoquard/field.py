@@ -151,14 +151,25 @@ def x_inner(u: Field, v: Field) -> float:
     return grad_inner(u, v) + weighted
 
 
+def neighbour_sum(vals: np.ndarray) -> np.ndarray:
+    """Sum of the four lattice neighbours with zero extension: the 5-point stencil's off-diagonal.
+
+    Each axis pair is summed with one np.add into its own buffer; slice-wise
+    accumulation into one zeroed array takes twice as long.
+    """
+    vert = np.empty_like(vals)
+    np.add(vals[:-2], vals[2:], out=vert[1:-1])
+    vert[0], vert[-1] = vals[1], vals[-2]
+    horz = np.empty_like(vals)
+    np.add(vals[:, :-2], vals[:, 2:], out=horz[:, 1:-1])
+    horz[:, 0], horz[:, -1] = vals[:, 1], vals[:, -2]
+    vert += horz
+    return vert
+
+
 def neg_laplacian(vals: np.ndarray, h: float) -> np.ndarray:
     """5-point -Delta with zero Dirichlet extension; adjoint-exact for grad_norm_sq."""
-    out = 4.0 * vals.copy()
-    out[:-1, :] -= vals[1:, :]
-    out[1:, :] -= vals[:-1, :]
-    out[:, :-1] -= vals[:, 1:]
-    out[:, 1:] -= vals[:, :-1]
-    return out / (h * h)
+    return (4.0 * vals - neighbour_sum(vals)) / (h * h)
 
 
 def shift_cells(u: Field, di: int, dj: int) -> Field:

@@ -19,7 +19,6 @@ from .errors import OutsideScalingRegionError, ScalingClipError
 from .field import (
     Field,
     Grid,
-    grad_inner,
     lp_norm,
     neg_laplacian,
     same_grid,
@@ -81,11 +80,14 @@ class NehariClass:
 
 
 def q_a_bilinear(u: Field, v: Field, pot: Potential) -> float:
-    """h^2 sum (Du . Dv + a u v); the quadratic part of the energy."""
+    """h^2 sum (Du . Dv + a u v); the quadratic part of the energy.
+
+    Computed as h^2 <u, -Delta_h v + a v>, equal by exact summation by parts.
+    """
     grid = same_grid(u, v)
     same_grid(u, pot.a)
-    weighted = float(grid.h * grid.h * np.sum(pot.a.values * u.values * v.values))
-    return grad_inner(u, v) + weighted
+    av = neg_laplacian(v.values, grid.h) + pot.a.values * v.values
+    return float(grid.h * grid.h * np.vdot(u.values, av))
 
 
 def nehari_terms(u: Field, pot: Potential, table: KernelTable):

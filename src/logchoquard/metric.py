@@ -10,6 +10,11 @@ A_u g = r,  A_u = -Delta + 1 + log(1+|x-beta(u)|),  r = residual_field(u),
 by conjugate gradients preconditioned with a fast Poisson solver: the exact
 inverse of -Delta + 1 + c, c the mean log weight, which the sine transform
 (DST-I) diagonalises (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+
+A_u is the 5-point stencil of field.neg_laplacian with the diagonal
+4/h^2 + 1 + weight cached in the context. The inner product is
+<v, w>_u = h^2 <v, A_u w>: summation by parts is exact for the zero-extended
+staggered gradient, so this equals the gradient form of the X product.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .barycenter import beta as barycenter_beta
 from .errors import BarycenterUndefinedError, RieszSolveError
-from .field import Field, Grid, grad_inner, lp_norm, neg_laplacian, same_grid
+from .field import Field, Grid, lp_norm, neighbour_sum, same_grid
 from .functionals import Potential, residual_field
 from .logkernel import KernelTable
 
@@ -31,12 +36,14 @@ class MetricContext:
     grid: Grid
     center: np.ndarray  # beta(u), 2-vector
     weight: Field  # log(1 + |x - center|)
+    diag: np.ndarray  # 4/h^2 + 1 + weight, the diagonal of A_u
 
 
 def metric_context_at(grid: Grid, center) -> MetricContext:
     center = np.asarray(center, dtype=float)
-    dist = np.hypot(grid.x1 - center[0], grid.x2 - center[1])
-    return MetricContext(grid=grid, center=center, weight=Field(grid, np.log1p(dist)))
+    weight = np.log1p(np.hypot(grid.x1 - center[0], grid.x2 - center[1]))
+    diag = (4.0 / (grid.h * grid.h) + 1.0) + weight
+    return MetricContext(grid=grid, center=center, weight=Field(grid, weight), diag=diag)
 
 
 def metric_context(u: Field) -> MetricContext:
@@ -44,10 +51,14 @@ def metric_context(u: Field) -> MetricContext:
 
 
 def inner_u(ctx: MetricContext, v: Field, w: Field) -> float:
-    grid = same_grid(v, w)
-    vw = v.values * w.values
-    weighted = float(grid.h * grid.h * np.sum((1.0 + ctx.weight.values) * vw))
-    return grad_inner(v, w) + weighted
+    """h^2 <v, A_u w>, with the stencil of apply_metric_operator written out.
+
+    The solve counts its CG iterations by calls of apply_metric_operator, so
+    the inner product does not call it.
+    """
+    h = same_grid(v, w).h
+    vv, wv = v.values, w.values
+    return float(h * h * np.vdot(vv, ctx.diag * wv) - np.vdot(vv, neighbour_sum(wv)))
 
 
 def norm_u(ctx: MetricContext, v: Field) -> float:
@@ -55,8 +66,9 @@ def norm_u(ctx: MetricContext, v: Field) -> float:
 
 
 def apply_metric_operator(ctx: MetricContext, vals: np.ndarray) -> np.ndarray:
-    """A_u v = -Delta v + v + weight * v on raw samples."""
-    return neg_laplacian(vals, ctx.grid.h) + (1.0 + ctx.weight.values) * vals
+    """A_u v = -Delta v + v + weight * v on raw samples: diag * v - (neighbour sum) / h^2."""
+    h = ctx.grid.h
+    return ctx.diag * vals - neighbour_sum(vals) / (h * h)
 
 
 @lru_cache(maxsize=8)
@@ -85,7 +97,8 @@ def _fast_poisson(ctx: MetricContext, box):
 
     Exact for the 5-point Laplacian with zero extension, whose eigenvectors
     on a rectangle are products of sines; dense sine matrices beat an FFT
-    DST at these sizes (2n+2 = 258 has the factor 43).
+    DST at these sizes (2n+2 = 258 has the factor 43). On the full grid the
+    result needs no zero fill outside the box.
     """
     s1, lam1 = _sine_basis(box[0].stop - box[0].start)
     s2, lam2 = _sine_basis(box[1].stop - box[1].start)
@@ -94,8 +107,13 @@ def _fast_poisson(ctx: MetricContext, box):
     inv = 1.0 / ((lam1[:, None] + lam2[None, :]) / h2 + mass)
 
     def apply(r):
+        t = s1 @ r[box] @ s2
+        t *= inv
+        zb = s1 @ t @ s2
+        if zb.shape == r.shape:
+            return zb
         z = np.zeros_like(r)
-        z[box] = s1 @ ((s1 @ r[box] @ s2) * inv) @ s2
+        z[box] = zb
         return z
 
     return apply
@@ -137,34 +155,37 @@ def solve_metric_system(
     def apply(vals):
         return mask(apply_metric_operator(ctx, vals))
 
+    def norm(vals):
+        return float(np.sqrt(np.vdot(vals, vals)))
+
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     rhs, x = mask(rhs), mask(x)
     r = rhs - apply(x)
-    rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
+    rhs_norm = norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    rel = float(np.sqrt(np.sum(r * r))) / rhs_norm
+    rel = norm(r) / rhs_norm
     precondition = _fast_poisson(ctx, _box(free, grid.n))
     z = mask(precondition(r))
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = float(np.vdot(r, z))
     for _ in range(max_iter):
         if rel <= tol or not rz > 0.0:
             break
         Ap = apply(p)
-        pAp = float(np.sum(p * Ap))
+        pAp = float(np.vdot(p, Ap))
         if not pAp > 0.0:
             break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rel = float(np.sqrt(np.sum(r * r))) / rhs_norm
+        rel = norm(r) / rhs_norm
         z = mask(precondition(r))
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    true_r = rhs - apply(x)
-    return x, float(np.sqrt(np.sum(true_r * true_r))) / rhs_norm
+    return x, norm(rhs - apply(x)) / rhs_norm
 
 
 def riesz_gradient(u: Field, pot: Potential, table: KernelTable, tol: float = 1e-10):

@@ -24,6 +24,7 @@ from logchoquard import (
     origin_cell_log_mean,
     padded_convolve,
 )
+from logchoquard.barycenter import _disc_hat
 from logchoquard.field import shift_cells
 from logchoquard.logkernel import offset_lattice
 
@@ -120,6 +121,21 @@ def test_convolution_translation_equivariance(grid32, table32):
     assert np.max(np.abs(ws[8:-8, 8:-8] - shift_cells(Field(grid32, w), 4, -3).values[8:-8, 8:-8])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_pruned_convolve_is_bit_identical_to_full_padding(n):
+    # the pruned transform skips only rows that are known zeros or
+    # discarded, so it must reproduce the full 2n x 2n transform pair exactly
+    g = Grid(L=6.0, n=n)
+    t = make_kernel_table(g, tau=0.7)
+    rng = np.random.default_rng(n)
+    for khat in (t.k0_hat, t.k1_hat, t.k2_hat, _disc_hat(g)):
+        vals = rng.standard_normal((n, n))
+        padded = np.zeros((2 * n, 2 * n))
+        padded[:n, :n] = vals
+        full = np.fft.irfft2(np.fft.rfft2(padded) * khat, s=(2 * n, 2 * n))
+        assert np.array_equal(padded_convolve(g, vals, khat), g.h * g.h * full[:n, :n])
+
+
 def test_b_form_symmetry_and_bilinearity(grid32, table32):
     rng = np.random.default_rng(7)
     f = Field(grid32, confined_field(grid32, rng))
@@ -204,6 +220,13 @@ def test_grid_mismatch_between_field_and_table(grid32):
     other = make_kernel_table(Grid(L=6.0, n=64))
     with pytest.raises(GridMismatchError):
         log_potential(gaussian_field(grid32), other)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 33)], ids=["half", "extra-column"])
+def test_padded_convolve_rejects_wrong_shape(grid32, table32, shape):
+    # the transform lengths would silently pad or truncate a wrong-size array
+    with pytest.raises(GridMismatchError):
+        padded_convolve(grid32, np.ones(shape), table32.k0_hat)
 
 
 def test_direct_oracle_refuses_large_grids():

@@ -32,7 +32,9 @@ from logchoquard import (
     shift_cells,
     solve_metric_system,
 )
-from logchoquard.field import x_inner
+from logchoquard import metric
+from logchoquard.field import grad_inner, neg_laplacian, x_inner
+from logchoquard.functionals import cos2d_potential, q_a_bilinear
 from logchoquard.metric import apply_metric_operator
 from logchoquard.symmetry import preserved_cells
 
@@ -132,6 +134,43 @@ def test_operator_is_adjoint_of_inner(grid32):
     w = Field(grid32, confined_field(grid32, rng))
     pairing = grid32.h ** 2 * np.sum(apply_metric_operator(ctx, v.values) * w.values)
     assert pairing == pytest.approx(inner_u(ctx, v, w), rel=1e-12)
+
+
+def test_stencil_forms_match_gradient_forms(grid32):
+    # the one-stencil operator, inner product and q_a against the old
+    # expressions: neg_laplacian + (1 + w) v, and the np.diff gradient forms
+    rng = np.random.default_rng(12)
+    ctx = metric_context_at(grid32, (1.7, -0.9))
+    pot = cos2d_potential(grid32, 1.0, 0.5, 1.0, 1.0)
+    h2 = grid32.h ** 2
+    # nonzero on the box edge, where the zero extension of the stencil acts
+    u, v, w = (Field(grid32, rng.standard_normal((32, 32)) + 0.5) for _ in range(3))
+    old_op = neg_laplacian(v.values, grid32.h) + (1.0 + ctx.weight.values) * v.values
+    new_op = apply_metric_operator(ctx, v.values)
+    assert np.max(np.abs(new_op - old_op)) <= 1e-13 * np.max(np.abs(old_op))
+    for a, b in ((v, w), (u, u), (w, u)):
+        old_inner = grad_inner(a, b) + h2 * np.sum((1.0 + ctx.weight.values) * a.values * b.values)
+        assert inner_u(ctx, a, b) == pytest.approx(old_inner, rel=1e-13)
+        assert inner_u(ctx, a, b) == pytest.approx(inner_u(ctx, b, a), rel=1e-13)
+        old_qa = grad_inner(a, b) + h2 * np.sum(pot.a.values * a.values * b.values)
+        assert q_a_bilinear(a, b, pot) == pytest.approx(old_qa, rel=1e-13)
+
+
+def test_solve_applies_operator_once_per_iteration(grid32, monkeypatch):
+    # the perfbench tracer counts CG iterations as operator calls minus 2
+    # (the start residual and the recomputed true residual)
+    calls = []
+
+    def counted(ctx, vals):
+        calls.append(1)
+        return apply_metric_operator(ctx, vals)
+
+    monkeypatch.setattr(metric, "apply_metric_operator", counted)
+    ctx = metric_context_at(grid32, (0.4, -0.2))
+    rhs = confined_field(grid32, np.random.default_rng(13))
+    _, rel = solve_metric_system(ctx, rhs, tol=1e-300, max_iter=3)
+    assert rel > 0.0
+    assert len(calls) == 3 + 2
 
 
 def dense_metric_matrix(ctx):

@@ -1,9 +1,10 @@
-"""Command-line front end: config parsing, reproducible runs, invariant battery.
+"""Command-line front end: config parsing, reproducible runs, and `check`.
 
 Configs are plain key=value text (sorted canonicalization, sha256 hash).
 Every run writes a manifest.json before any other output so interrupted
-runs are detectable. Exit codes: 0 ok, 2 config error, 3 non-convergence,
-4 invariant failure.
+runs are detectable. `check` prints one line per check of checks.battery,
+which defines the invariants, their inputs and their tolerances. Exit
+codes: 0 ok, 2 config error, 3 non-convergence, 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .barycenter import beta as barycenter_beta
+from .checks import battery
 from .errors import (
     DESCENT_ERRORS,
     AdmissibilityError,
@@ -35,12 +37,10 @@ from .errors import (
 from .field import (
     Field,
     Grid,
-    gaussian_field,
     lp_norm,
     load_field,
     norms,
     save_field,
-    shift_cells,
 )
 from .functionals import (
     Potential,
@@ -48,27 +48,14 @@ from .functionals import (
     const_potential,
     cos2d_potential,
     energy,
-    fiber,
     make_potential,
-    nehari_project,
-    phi_prime,
     radial_well_potential,
-    scale_Tt,
 )
 from .logkernel import (
     KernelTable,
-    b_form,
-    direct_oracle,
     kernel_fft,
     make_kernel_table,
     padded_convolve,
-)
-from .metric import (
-    inner_u,
-    metric_context,
-    metric_context_at,
-    norm_u,
-    riesz_gradient,
 )
 from .solver import (
     SolveConfig,
@@ -305,206 +292,21 @@ def _load_config(args):
 # invariant battery
 
 
-def _battery(grid: Grid, table: KernelTable, rng: np.random.Generator):
-    """Yield (name, passed, detail) for the named invariant checks."""
-    h = grid.h
-    n = grid.n
-
-    def rand_field(nonneg=False):
-        vals = rng.standard_normal((n, n))
-        if nonneg:
-            vals = np.abs(vals)
-        vals *= np.exp(-(grid.r ** 2))  # confine support away from the boundary
-        return Field(grid, vals)
-
-    # kernel splitting B1 - B2 = B0 across tau values
-    worst = 0.0
-    for tau in (0.0, 0.5, 1.0):
-        tab = make_kernel_table(grid, tau) if tau != table.tau else table
-        f, g = rand_field(True), rand_field(True)
-        b0 = b_form(f, g, "B0", tab)
-        b1 = b_form(f, g, "B1", tab)
-        b2 = b_form(f, g, "B2", tab)
-        worst = max(worst, abs(b1 - b2 - b0) / (1.0 + abs(b0)))
-    yield "B0-splitting", worst <= 1e-12, "max rel defect %.3g" % worst
-
-    # pointwise splitting of the supplied table (catches corrupted tables)
-    pw = float(np.max(np.abs(table.k1 - table.k2 - table.k0)))
-    yield "kernel-table-pointwise", pw <= 1e-12, "max |k1-k2-k0| = %.3g" % pw
-
-    f, g = rand_field(True), rand_field(True)
-    sym = abs(b_form(f, g, "B0", table) - b_form(g, f, "B0", table))
-    yield "B0-symmetry", sym <= 1e-12 * (1 + abs(b_form(f, g, "B0", table))), "defect %.3g" % sym
-
-    if n <= 32:
-        exact = direct_oracle(f, g, "B0", table)
-        fast = b_form(f, g, "B0", table)
-        rel = abs(fast - exact) / (1.0 + abs(exact))
-        yield "B0-oracle", rel <= 1e-10, "rel err %.3g" % rel
-
-    tab1 = make_kernel_table(grid, 1.0)
-    ok = True
-    worst = np.inf
-    for _ in range(3):
-        u = rand_field(True)
-        usq = Field(grid, u.values * u.values)
-        v1 = b_form(usq, usq, "B1", tab1)
-        bound = 1.0 * lp_norm(u, 2) ** 4
-        margin = v1 - bound * (1 - 1e-12)
-        worst = min(worst, margin)
-        ok = ok and margin >= 0
-    yield "V1-lower-bound", ok, "min margin %.3g" % worst
-
-    # barycenter equivariance under integer shifts and scalings
-    u = gaussian_field(grid, width=0.6, center=(0.4, -0.2))
-    b = barycenter_beta(u)
-    cells = (3, -2)
-    shifted = shift_cells(u, cells[0], cells[1])
-    b_sh = barycenter_beta(shifted)
-    want = b + np.array([cells[0] * h, cells[1] * h])
-    err = float(np.max(np.abs(b_sh - want)))
-    yield "barycenter-shift", err <= 1e-12, "defect %.3g" % err
-
-    # t = -1, 0.5 and |u| rescale every intermediate by an exact power of two
-    # (bitwise identical); t = 3 perturbs the input representation itself.
-    exact = max(
-        float(np.max(np.abs(barycenter_beta(Field(grid, t * u.values)) - b)))
-        for t in (-1.0, 0.5)
-    )
-    exact = max(exact, float(np.max(np.abs(barycenter_beta(Field(grid, np.abs(u.values))) - b))))
-    near = float(np.max(np.abs(barycenter_beta(Field(grid, 3.0 * u.values)) - b)))
-    yield "barycenter-scale", exact == 0.0 and near <= 1e-12, (
-        "pow2 defect %.3g, t=3 defect %.3g" % (exact, near)
-    )
-
-    # metric M1: norm equivalence ratios stay bounded for offset centers
-    v = rand_field()
-    x2 = norms(v).x_sq
-    ratios = []
-    for kappa in (0.0, 2.0, 5.0):
-        ctx = metric_context_at(grid, np.array([kappa, 0.0]))
-        ratios.append(norm_u(ctx, v) ** 2 / x2)
-    ok = all(0.05 < r < 20.0 for r in ratios)
-    yield "metric-M1", ok, "ratio range [%.3g, %.3g]" % (min(ratios), max(ratios))
-
-    # metric M3: exact invariance under integer shifts
-    ctx0 = metric_context(u)
-    w = rand_field()
-    val0 = inner_u(ctx0, v, w)
-    ctx1 = metric_context(shifted)
-    val1 = inner_u(
-        ctx1, shift_cells(v, cells[0], cells[1]), shift_cells(w, cells[0], cells[1])
-    )
-    rel = abs(val1 - val0) / (1.0 + abs(val0))
-    yield "metric-M3", rel <= 1e-12, "rel defect %.3g" % rel
-
-    # metric M4: continuity in the barycenter
-    ok = True
-    worst = 0.0
-    for _ in range(5):
-        c1 = rng.uniform(-1, 1, size=2)
-        c2 = rng.uniform(-1, 1, size=2)
-        va, wa = rand_field(), rand_field()
-        d = abs(
-            inner_u(metric_context_at(grid, c1), va, wa)
-            - inner_u(metric_context_at(grid, c2), va, wa)
-        )
-        bound = float(np.hypot(*(c1 - c2))) * h * h * float(
-            np.sum(np.abs(va.values * wa.values))
-        )
-        ok = ok and d <= bound * (1 + 1e-12) + 1e-14
-        worst = max(worst, d - bound)
-    yield "metric-M4", ok, "max excess %.3g" % worst
-
-    # gradient check: finite differences of Phi against phi_prime
-    pot = const_potential(grid)
-    base = gaussian_field(grid, width=0.8)
-    direction = rand_field()
-    p = phi_prime(base, direction, pot, table)
-    eps = 1e-4
-    fp = (
-        energy(Field(grid, base.values + eps * direction.values), pot, table).phi
-        - energy(Field(grid, base.values - eps * direction.values), pot, table).phi
-    ) / (2 * eps)
-    rel = abs(fp - p) / (1.0 + abs(p))
-    yield "gradient-fd", rel <= 1e-5, "rel err %.3g" % rel
-
-    # Riesz defining relation
-    gvec, _ = riesz_gradient(base, pot, table, tol=1e-10)
-    ctx = metric_context(base)
-    ok = True
-    worst = 0.0
-    for _ in range(3):
-        probe = rand_field()
-        lhs = inner_u(ctx, gvec, probe)
-        rhs = phi_prime(base, probe, pot, table)
-        d = abs(lhs - rhs) / (1.0 + abs(rhs))
-        worst = max(worst, d)
-        ok = ok and d <= 1e-8
-    yield "riesz-identity", ok, "max rel defect %.3g" % worst
-
-    # scaling laws, smoke level (the battery grid is coarse; acceptance-grade
-    # checks run at higher resolution in the test suite)
-    narrow = gaussian_field(grid, width=0.55)
-    bk = energy(narrow, pot, table)
-    scaled = scale_Tt(narrow, -0.2)
-    bk_s = energy(scaled, pot, table)
-    grad0 = norms(narrow).grad_sq
-    grad1 = norms(scaled).grad_sq
-    rel_g = abs(grad1 - np.exp(0.4) * grad0) / grad0
-    l2q = lp_norm(narrow, 2) ** 4
-    rel_v = abs(bk_s.v0 - bk.v0 - (-0.2) * l2q) / (1.0 + abs(bk.v0))
-    yield "scaling-gradient", rel_g <= 0.1, "rel err %.3g" % rel_g
-    yield "scaling-v0", rel_v <= 0.1, "rel err %.3g" % rel_v
-
-    # Nehari identities on a Gaussian inside the scaling region O
-    nstate, nbk = None, None
-    for wdt in (0.6, 0.4, 0.3):
-        cand = gaussian_field(grid, width=wdt)
-        bkc = energy(cand, pot, table)
-        if bkc.q_a * bkc.v0 < 0:
-            nstate, nbk = cand, bkc
-            break
-    if nbk is None:
-        yield "nehari-projection", False, "no Gaussian test state inside O"
-    else:
-        proj = nehari_project(nstate, nbk)
-        bk_p = energy(proj, pot, table)
-        rel_j = abs(bk_p.nehari_j) / max(abs(bk_p.q_a), abs(bk_p.v0))
-        onman = max(
-            abs(bk_p.phi - bk_p.q_a / 4) / (1 + abs(bk_p.phi)),
-            abs(bk_p.phi + bk_p.v0 / 4) / (1 + abs(bk_p.phi)),
-        )
-        yield "nehari-projection", rel_j <= 1e-10, "rel J %.3g" % rel_j
-        yield "nehari-identity", onman <= 1e-10, "defect %.3g" % onman
-        t_star = float(np.sqrt(-nbk.q_a / nbk.v0))
-        ts = np.linspace(0.5 * t_star, 1.5 * t_star, 201)
-        vals = [fiber(t, nbk) for t in ts]
-        t_hat = ts[int(np.argmax(vals))]
-        ok = abs(t_hat - t_star) <= (ts[1] - ts[0]) * 1.0001
-        yield "fiber-maximum", ok, "argmax off by %.3g" % abs(t_hat - t_star)
-
-
 def cmd_check(args) -> int:
     if args.config is None and args.n is None:
         args.n = 32  # default battery grid stays quick
     grid, _, _, cfg, _ = _load_config(args)
     table = _load_table(grid, cfg)
-    rng = np.random.default_rng(cfg.seed)
     failures = 0
-    gen = _battery(grid, table, rng)
-    while True:
+    for names, run in battery(grid, table, np.random.default_rng(cfg.seed)):
         try:
-            name, passed, detail = next(gen)
-        except StopIteration:
-            break
+            lines = list(run())
         except ChoquardError as exc:
-            print("%-24s FAIL  (aborted: %s)" % ("battery", exc))
-            failures += 1
-            break
-        print("%-24s %s  (%s)" % (name, "PASS" if passed else "FAIL", detail))
-        if not passed:
-            failures += 1
+            lines = [(False, "%s: %s" % (exc.code, exc))] * len(names)
+        for name, (passed, detail) in zip(names, lines):
+            status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
+            print("%-24s %s  (%s)" % (name, status, detail))
+            failures += status == "FAIL"
     if failures:
         print("%d invariant check(s) failed" % failures)
         return EXIT_INVARIANT

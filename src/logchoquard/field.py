@@ -194,13 +194,18 @@ def gaussian_field(grid: Grid, width: float = 1.0, center=(0.0, 0.0), amplitude:
     return Field(grid, amplitude * np.exp(-d2 / (2.0 * width * width)))
 
 
-def bump_field(grid: Grid, center=(0.0, 0.0), radius: float = 0.5, amplitude: float = 1.0) -> Field:
-    """Smooth compactly supported mollifier bump: amp * e^(1 - 1/(1 - s^2)), s = |x-c|/radius."""
-    s2 = ((grid.x1 - center[0]) ** 2 + (grid.x2 - center[1]) ** 2) / (radius * radius)
+def mollifier(s2: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
+    """amplitude * e^(1 - 1/(1 - s^2)) where s^2 < 1, and 0 elsewhere; peak value amplitude at s = 0."""
     vals = np.zeros_like(s2)
     inside = s2 < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return Field(grid, vals)
+    return vals
+
+
+def bump_field(grid: Grid, center=(0.0, 0.0), radius: float = 0.5, amplitude: float = 1.0) -> Field:
+    """Smooth compactly supported mollifier bump, s = |x-c|/radius."""
+    s2 = ((grid.x1 - center[0]) ** 2 + (grid.x2 - center[1]) ** 2) / (radius * radius)
+    return Field(grid, mollifier(s2, amplitude))
 
 
 def save_field(path, u: Field) -> None:

@@ -20,6 +20,7 @@ from .field import (
     Field,
     Grid,
     lp_norm,
+    mollifier,
     neg_laplacian,
     same_grid,
 )
@@ -58,11 +59,7 @@ def cos2d_potential(grid: Grid, base: float, amp: float, k1: float, k2: float) -
 
 def radial_well_potential(grid: Grid, depth: float, radius: float) -> Potential:
     """a = 1 everywhere except a smooth well of the given depth inside |x| < radius."""
-    s2 = (grid.r / radius) ** 2
-    vals = np.ones((grid.n, grid.n))
-    inside = s2 < 1.0
-    vals[inside] -= depth * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return make_potential(Field(grid, vals))
+    return make_potential(Field(grid, 1.0 - mollifier((grid.r / radius) ** 2, depth)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     ScalingClipError,
     StartFamilyError,
 )
-from .field import Field, bump_field, gaussian_field, lp_norm, neg_laplacian
+from .field import Field, bump_field, gaussian_field, lp_norm, mollifier, neg_laplacian
 from .functionals import (
     EnergyBreakdown,
     NehariClass,
@@ -465,13 +465,7 @@ def make_bump_family(
             raise StartFamilyError("grid too coarse for disjoint annular bumps")
         if radii[-1] + width > fit_limit:
             raise StartFamilyError("%d annular bumps do not fit the box" % (k + 1))
-        bumps = []
-        for R in radii:
-            s2 = ((grid.r - R) / width) ** 2
-            vals = np.zeros_like(s2)
-            inside = s2 < 1.0
-            vals[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-            bumps.append(Field(grid, vals))
+        bumps = [Field(grid, mollifier(((grid.r - R) / width) ** 2)) for R in radii]
     elif action.kind == KIND_ROTATION:
         m = action.m
         chord = 2.0 * np.sin(np.pi / (2 * m)) if m > 1 else 2.0

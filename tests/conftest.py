@@ -34,9 +34,9 @@ def pot64(grid64):
     return const_potential(grid64)
 
 
-def confined_field(grid, rng, nonneg=False):
-    """Random field damped to negligible size near the boundary."""
+def confined_field(grid, rng, nonneg=False, radius=0.45):
+    """Random field damped to negligible size beyond radius * L."""
     vals = rng.standard_normal((grid.n, grid.n))
     if nonneg:
         vals = np.abs(vals)
-    return vals * np.exp(-((grid.r / (0.45 * grid.L)) ** 4))
+    return vals * np.exp(-((grid.r / (radius * grid.L)) ** 4))

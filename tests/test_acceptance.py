@@ -19,37 +19,31 @@ from logchoquard import (
     Grid,
     SolveConfig,
     beta,
-    b_form,
     const_potential,
     cos2d_potential,
     descend,
-    direct_oracle,
     energy,
-    fiber,
     gaussian_field,
-    inner_u,
     is_invariant,
     lattice_translation,
     lp_norm,
     make_bump_family,
     make_kernel_table,
     metric_context,
-    metric_context_at,
     multistart_search,
-    nehari_project,
-    norm_u,
     norms,
     orbit_distance,
     phi_prime,
     radial_average,
-    riesz_gradient,
     rotation_zeta,
-    scale_Tt,
     shift_cells,
     trivial_action,
 )
+from logchoquard import checks
 from logchoquard.cli import main
 from logchoquard.metric import apply_metric_operator, solve_metric_system
+
+from conftest import confined_field
 
 
 @pytest.fixture
@@ -62,14 +56,6 @@ def report(capsys):
     return _report
 
 
-def confined(grid: Grid, rng, nonneg: bool = False) -> Field:
-    vals = rng.standard_normal((grid.n, grid.n))
-    if nonneg:
-        vals = np.abs(vals)
-    vals *= np.exp(-((grid.r / (0.4 * grid.L)) ** 4))
-    return Field(grid, vals)
-
-
 def test_kernel_oracle_equivalence(report):
     rng = np.random.default_rng(1)
     t0 = time.perf_counter()
@@ -78,11 +64,9 @@ def test_kernel_oracle_equivalence(report):
         grid = Grid(L=L, n=n)
         table = make_kernel_table(grid)
         for _ in range(5):
-            f = confined(grid, rng, nonneg=True)
-            g = confined(grid, rng, nonneg=True)
-            exact = direct_oracle(f, g, "B0", table)
-            fast = b_form(f, g, "B0", table)
-            worst = max(worst, abs(fast - exact) / abs(exact))
+            f = Field(grid, confined_field(grid, rng, nonneg=True, radius=0.4))
+            g = Field(grid, confined_field(grid, rng, nonneg=True, radius=0.4))
+            worst = max(worst, checks.oracle_defect(table, f, g))
     dt = time.perf_counter() - t0
     report(
         "kernel-oracle",
@@ -98,12 +82,9 @@ def test_splitting_identity(report):
     for tau in (0.0, 0.5, 1.0, 2.0):
         table = make_kernel_table(grid, tau)
         for _ in range(3):
-            f = confined(grid, rng)
-            g = confined(grid, rng)
-            b0 = b_form(f, g, "B0", table)
-            b1 = b_form(f, g, "B1", table)
-            b2 = b_form(f, g, "B2", table)
-            worst = max(worst, abs(b1 - b2 - b0) / (1.0 + abs(b0)))
+            f = Field(grid, confined_field(grid, rng, radius=0.4))
+            g = Field(grid, confined_field(grid, rng, radius=0.4))
+            worst = max(worst, checks.splitting_defect(table, f, g))
     report("splitting-identity", worst <= 1e-12, "max rel defect %.3g" % worst)
 
 
@@ -111,18 +92,11 @@ def test_v1_lower_bound(report):
     grid = Grid(L=6.0, n=64)
     rng = np.random.default_rng(3)
     worst = np.inf
-    ok = True
     for tau in (0.5, 1.0, 2.0):
-        table = make_kernel_table(grid, tau)
-        for _ in range(10):
-            u = confined(grid, rng, nonneg=True)
-            usq = Field(grid, u.values * u.values)
-            v1 = b_form(usq, usq, "B1", table)
-            bound = tau * lp_norm(u, 2) ** 4
-            margin = v1 - bound * (1 - 1e-12)
-            worst = min(worst, margin)
-            ok = ok and margin >= 0
-    report("v1-lower-bound", ok, "min margin %.3g" % worst)
+        fields = [Field(grid, confined_field(grid, rng, True, radius=0.4)) for _ in range(10)]
+        v1, bound = checks.v1_bound(make_kernel_table(grid, tau), fields)
+        worst = min(worst, float(np.min(v1 - bound * (1 - 1e-12))))
+    report("v1-lower-bound", worst >= 0, "min margin %.3g" % worst)
 
 
 def test_gradient_fd_order(report):
@@ -133,17 +107,9 @@ def test_gradient_fd_order(report):
     rng = np.random.default_rng(4)
     worst_order = np.inf
     for _ in range(5):
-        v = confined(grid, rng)
-        p = phi_prime(u, v, pot, table)
-        errs = []
-        for eps in (1e-2, 1e-3):
-            fp = (
-                energy(Field(grid, u.values + eps * v.values), pot, table).phi
-                - energy(Field(grid, u.values - eps * v.values), pot, table).phi
-            ) / (2 * eps)
-            errs.append(abs(fp - p))
-        order = np.log10(errs[0] / errs[1])
-        worst_order = min(worst_order, order)
+        v = Field(grid, confined_field(grid, rng, radius=0.4))
+        errs = checks.fd_errors(u, v, pot, table, (1e-2, 1e-3))
+        worst_order = min(worst_order, np.log10(errs[0] / errs[1]))
     report("gradient-fd-order", worst_order >= 1.9, "min observed order %.3f" % worst_order)
 
 
@@ -152,18 +118,9 @@ def test_riesz_definition(report):
     table = make_kernel_table(grid)
     pot = const_potential(grid)
     u = gaussian_field(grid, width=0.8)
-    grad, _ = riesz_gradient(u, pot, table, tol=1e-10)
-    ctx = metric_context(u)
     rng = np.random.default_rng(5)
-    worst = 0.0
-    ok = True
-    for _ in range(10):
-        v = confined(grid, rng)
-        lhs = inner_u(ctx, grad, v)
-        rhs = phi_prime(u, v, pot, table)
-        d = abs(lhs - rhs)
-        ok = ok and d <= 1e-8 * (1 + abs(rhs))
-        worst = max(worst, d / (1 + abs(rhs)))
+    probes = [Field(grid, confined_field(grid, rng, radius=0.4)) for _ in range(10)]
+    worst = checks.riesz_defect(u, pot, table, probes, tol=1e-10)
 
     # dense LAPACK cross-check of the metric solve on a small grid
     g24 = Grid(L=4.0, n=24)
@@ -176,13 +133,13 @@ def test_riesz_definition(report):
         basis.flat[idx] = 1.0
         dense[:, idx] = apply_metric_operator(ctx24, basis).ravel()
         basis.flat[idx] = 0.0
-    rhs24 = confined(g24, rng).values
+    rhs24 = confined_field(g24, rng, radius=0.4)
     x_dense = np.linalg.solve(dense, rhs24.ravel()).reshape(g24.n, g24.n)
     x_cg, _ = solve_metric_system(ctx24, rhs24, tol=1e-12)
     dense_diff = float(np.max(np.abs(x_cg - x_dense)))
     report(
         "riesz-identity",
-        ok and dense_diff <= 1e-8,
+        worst <= 1e-8 and dense_diff <= 1e-8,
         "max rel defect %.3g, dense diff %.3g" % (worst, dense_diff),
     )
 
@@ -190,24 +147,15 @@ def test_riesz_definition(report):
 def test_barycenter_equivariance(report):
     grid = Grid(L=6.0, n=64)
     u = gaussian_field(grid, width=0.6, center=(0.4, -0.2))
-    b = beta(u)
-    worst = 0.0
-    for cells in ((3, -2), (0, 4), (-5, 1)):
-        shifted = shift_cells(u, cells[0], cells[1])
-        want = b + grid.h * np.array(cells)
-        worst = max(worst, float(np.max(np.abs(beta(shifted) - want))))
-    centered = gaussian_field(grid, width=0.8)
-    origin_err = float(np.hypot(*beta(centered)))
-    exact = max(
-        float(np.max(np.abs(beta(Field(grid, -u.values)) - b))),
-        float(np.max(np.abs(beta(Field(grid, np.abs(u.values))) - b))),
-    )
-    near = float(np.max(np.abs(beta(Field(grid, 3.0 * u.values)) - b)))
-    ok = worst <= 1e-12 and origin_err <= grid.h / 2 and exact == 0.0 and near <= 1e-12
+    cells = ((3, -2), (0, 4), (-5, 1))
+    shift, (sign, near), absolute = checks.barycenter_defects(u, cells, (-1.0, 3.0))
+    exact = max(sign, absolute)
+    origin_err = float(np.hypot(*beta(gaussian_field(grid, width=0.8))))
+    ok = shift <= 1e-12 and origin_err <= grid.h / 2 and exact == 0.0 and near <= 1e-12
     report(
         "barycenter",
         ok,
-        "shift %.3g, origin %.3g, sign/abs exact %.3g, t=3 %.3g" % (worst, origin_err, exact, near),
+        "shift %.3g, origin %.3g, sign/abs exact %.3g, t=3 %.3g" % (shift, origin_err, exact, near),
     )
 
 
@@ -223,31 +171,14 @@ def test_metric_shift_invariance_and_continuity(report):
         return Field(grid, vals)
 
     u = masked(nonneg=True)
-    worst3 = 0.0
-    for cells in ((3, -2), (0, 4)):
-        v = masked()
-        n0 = norm_u(metric_context(u), v)
-        n1 = norm_u(
-            metric_context(shift_cells(u, cells[0], cells[1])),
-            shift_cells(v, cells[0], cells[1]),
-        )
-        worst3 = max(worst3, abs(n1 - n0) / n0)
-
-    ok4 = True
-    worst4 = 0.0
-    for _ in range(20):
-        c1 = rng.uniform(-1.5, 1.5, size=2)
-        c2 = rng.uniform(-1.5, 1.5, size=2)
-        v, w = masked(), masked()
-        d = abs(
-            inner_u(metric_context_at(grid, c1), v, w)
-            - inner_u(metric_context_at(grid, c2), v, w)
-        )
-        bound = float(np.hypot(*(c1 - c2))) * grid.h ** 2 * float(
-            np.sum(np.abs(v.values * w.values))
-        )
-        ok4 = ok4 and d <= bound * (1 + 1e-12) + 1e-14
-        worst4 = max(worst4, d - bound)
+    worst3 = max(checks.metric_shift_defect(u, cells, masked()) for cells in ((3, -2), (0, 4)))
+    samples = [
+        (rng.uniform(-1.5, 1.5, size=2), rng.uniform(-1.5, 1.5, size=2), masked(), masked())
+        for _ in range(20)
+    ]
+    gap, bound = checks.metric_continuity(samples)
+    ok4 = bool(np.all(gap <= bound * (1 + 1e-12) + 1e-14))
+    worst4 = max(0.0, float(np.max(gap - bound)))
     report(
         "metric-invariance",
         worst3 <= 1e-12 and ok4,
@@ -259,20 +190,11 @@ def test_scaling_laws(report):
     grid = Grid(L=12.0, n=256)
     table = make_kernel_table(grid)
     pot = const_potential(grid)
-    worst_g = 0.0
-    worst_v = 0.0
-    for t, width in ((0.25, 2.3), (-0.25, 3.0)):
-        u = gaussian_field(grid, width=width, amplitude=1e-8)
-        ut = scale_Tt(u, t)
-        g0 = norms(u).grad_sq
-        pred = np.exp(-2 * t) * g0
-        worst_g = max(worst_g, abs(norms(ut).grad_sq - pred) / pred)
-        v0 = energy(u, pot, table).v0
-        v1 = energy(ut, pot, table).v0
-        l2q = lp_norm(u, 2) ** 4
-        worst_v = max(
-            worst_v, abs(v1 - v0 - t * l2q) / max(abs(v0), abs(t) * l2q)
-        )
+    defects = [
+        checks.scaling_defects(gaussian_field(grid, width=width, amplitude=1e-8), t, pot, table)
+        for t, width in ((0.25, 2.3), (-0.25, 3.0))
+    ]
+    worst_g, worst_v = np.max(defects, axis=0)
     report(
         "scaling-laws",
         worst_g <= 1e-4 and worst_v <= 1e-3,
@@ -287,23 +209,12 @@ def test_nehari_projection_identities(report):
     u = gaussian_field(grid, width=0.6, amplitude=1.3)
     bk = energy(u, pot, table)
     assert bk.q_a > 0 > bk.v0
-    proj = nehari_project(u, bk)
-    bkp = energy(proj, pot, table)
-    rel_j = abs(bkp.nehari_j) / max(abs(bkp.q_a), abs(bkp.v0))
-    ident = max(
-        abs(bkp.phi - bkp.q_a / 4) / (1 + abs(bkp.phi)),
-        abs(bkp.phi + bkp.v0 / 4) / (1 + abs(bkp.phi)),
-    )
-    t_star = float(np.sqrt(-bk.q_a / bk.v0))
-    ts = np.linspace(0.5 * t_star, 1.5 * t_star, 401)
-    t_hat = ts[int(np.argmax([fiber(t, bk) for t in ts]))]
-    cell = ts[1] - ts[0]
-    ok = rel_j <= 1e-10 and ident <= 1e-10 and abs(t_hat - t_star) <= cell * 1.0001
+    rel_j, ident, off = checks.nehari_defects(u, pot, table, 401)
+    ok = rel_j <= 1e-10 and ident <= 1e-10 and off <= 1.0001
     report(
         "nehari-projection",
         ok,
-        "rel J %.3g, identity %.3g, fiber argmax off %.3g cells"
-        % (rel_j, ident, abs(t_hat - t_star) / cell),
+        "rel J %.3g, identity %.3g, fiber argmax off %.3g cells" % (rel_j, ident, off),
     )
 
 
@@ -375,7 +286,7 @@ def test_multiplicity_periodic_lattice(report):
         bk = r.breakdown
         worst_j = max(worst_j, abs(bk.nehari_j) / max(abs(bk.q_a), abs(bk.v0)))
         for _ in range(20):
-            v = confined(grid, rng)
+            v = Field(grid, confined_field(grid, rng, radius=0.4))
             p = abs(phi_prime(r.u, v, pot, table)) / np.sqrt(norms(v).x_sq)
             worst_probe = max(worst_probe, p)
 

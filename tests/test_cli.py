@@ -209,14 +209,41 @@ def test_solve_descent_error_writes_outputs_and_exits_3(tmp_path, capsys):
 # ------------------------------------------------------------------ battery
 
 
+BATTERY_NAMES = (
+    "B0-splitting", "kernel-table-pointwise", "B0-symmetry", "B0-oracle", "V1-lower-bound",
+    "barycenter-shift", "barycenter-scale", "metric-M1", "metric-M3", "metric-M4",
+    "gradient-fd", "riesz-identity", "scaling-gradient", "scaling-v0",
+    "nehari-projection", "nehari-identity", "fiber-maximum",
+)
+
+
+def battery_lines(out):
+    """{name: line} of the printed checks; the last line is the summary."""
+    return {line.split()[0]: line for line in out.splitlines()[:-1]}
+
+
 def test_check_battery_passes(capsys):
     rc = main(["check"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "all invariant checks passed" in out
-    for name in ("B0-splitting", "riesz-identity", "nehari-projection", "metric-M4"):
-        assert name in out
-    assert "FAIL" not in out
+    assert tuple(battery_lines(out)) == BATTERY_NAMES
+    assert "FAIL" not in out and "SKIP" not in out
+    # for n > 32 the direct O(n^4) oracle is skipped, and says so
+    assert main(["check", "--n", "64"]) == EXIT_OK
+    lines = battery_lines(capsys.readouterr().out)
+    assert tuple(lines) == BATTERY_NAMES and lines["B0-oracle"].split()[1] == "SKIP"
+
+
+def test_check_runs_every_check_when_one_raises(capsys):
+    # h = 0.75 cannot resolve the barycenter's unit ball: the checks that need
+    # it fail with the error's code, and every other check still runs
+    assert main(["check", "--n", "16"]) == EXIT_INVARIANT
+    lines = battery_lines(capsys.readouterr().out)
+    assert tuple(lines) == BATTERY_NAMES
+    assert lines["B0-splitting"].split()[1] == "PASS"
+    for name in ("barycenter-shift", "barycenter-scale", "metric-M3", "riesz-identity"):
+        assert lines[name].split()[1:3] == ["FAIL", "(E-GRID-RESOLUTION:"]
 
 
 def test_corrupted_kernel_fails_battery(monkeypatch, capsys):

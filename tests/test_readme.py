@@ -1,9 +1,13 @@
-"""The README's Library snippet imports names that exist, and its Config
-table lists the CLI's keys and defaults."""
+"""The README's Library snippet imports names that exist, its Config table
+lists the CLI's keys and defaults, and its check count is the battery's."""
 
 import os
 import re
 
+import numpy as np
+
+from logchoquard import Grid, make_kernel_table
+from logchoquard.checks import battery
 from logchoquard.cli import _DEFAULTS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -24,3 +28,10 @@ def test_readme_config_table_matches_defaults():
     section = _readme().split("## Config files", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` *\| `([^`]+)` *\|", section, flags=re.M)
     assert rows == list(_DEFAULTS.items())
+
+
+def test_readme_check_count_matches_battery():
+    (count,) = re.findall(r"(\d+) fast invariant checks", _readme())
+    grid = Grid(L=6.0, n=32)
+    checks = battery(grid, make_kernel_table(grid), np.random.default_rng(0))
+    assert int(count) == sum(len(names) for names, _ in checks)

@@ -10,7 +10,6 @@ t_u = sqrt(-q_a/V0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -35,16 +34,14 @@ class Potential:
     a: Field
     sup_norm: float
     ess_inf: float
-    symmetry_tag: Optional[object] = None
 
 
-def make_potential(a: Field, symmetry_tag=None) -> Potential:
+def make_potential(a: Field) -> Potential:
     vals = a.values
     return Potential(
         a=a,
         sup_norm=float(np.max(np.abs(vals))),
         ess_inf=float(np.min(vals)),
-        symmetry_tag=symmetry_tag,
     )
 
 

@@ -62,7 +62,6 @@ from .symmetry import (
     orbit_distance,
     preserved_cells,
     project_invariant,
-    trivial_action,
 )
 
 CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cells apart
@@ -427,6 +426,38 @@ def _cores_disjoint(bumps: List[Field]) -> bool:
     return True
 
 
+def _layout(k: int, action: GroupAction, grid):
+    """Seeds [(center, radius)] of k+1 bumps, their noun and the radius floor.
+
+    A radial seed's center is its ring radius. The glide has no floor.
+    """
+    h = grid.h
+    if action.kind == KIND_RADIAL:
+        # ring spacing widens on coarse grids so each annulus stays resolved
+        spacing = max(0.8, 9.0 * h)
+        width = min(0.45 * (spacing - 2 * h), max(0.3, 3.5 * h))
+        return [(0.9 + spacing * j, width) for j in range(k + 1)], "annular bumps", 3 * h
+    if action.kind == KIND_ROTATION:
+        chord = 2.0 * np.sin(np.pi / (2 * action.m)) if action.m > 1 else 2.0
+        ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep annuli disjoint
+        rings = [1.2 + 0.9 * j for j in range(k + 1)]
+        seeds = [((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings]
+        return seeds, "sector bumps", 3 * h
+    if action.kind == KIND_GLIDE:
+        offset = 0.9 if action.zeta_nontrivial else 0.0
+        return [(((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)], "glide bumps", 0.0
+    centers, radius = _bump_sites(action, grid, k)
+    return [(tuple(c), radius) for c in centers], "bumps", 3 * h
+
+
+def _gram(bumps: List[Field], pot: Potential, table: KernelTable):
+    """The matrices q_a(b_i, b_j) and B0(b_i^2, b_j^2) of a family."""
+    qa_mat = np.array([[q_a_bilinear(bi, bj, pot) for bj in bumps] for bi in bumps])
+    sq = [Field(b.grid, b.values * b.values) for b in bumps]
+    v_mat = np.array([[b_form(si, sj, "B0", table) for sj in sq] for si in sq])
+    return qa_mat, v_mat
+
+
 def make_bump_family(
     k: int,
     action: GroupAction,
@@ -436,11 +467,15 @@ def make_bump_family(
 ) -> StartFamily:
     """k+1 invariant bumps with disjoint supports plus signed simplex samples.
 
-    Bumps are jointly rescaled along T_t (t < 0) until every simplex sample
-    satisfies q_a > 0 and V0 < 0, mirroring the disjoint-support start
-    construction of the multiplicity argument. Disjointness is re-checked
-    after every rescale: half-peak cores stay more than CORE_GAP_CELLS
-    cells apart (StartFamilyError if reaching O would merge them).
+    _layout places the seed bumps of the action's kind. One build loop
+    checks each seed against the resolution floor and the box, builds it
+    and, under a projecting action, symmetrizes it. One rescale loop then
+    moves the bumps jointly along T_t (t < 0) until every simplex sample
+    satisfies q_a > 0 and V0 < 0, and onward while the worst projected
+    energy improves, mirroring the disjoint-support start construction of
+    the multiplicity argument. Disjointness is re-checked after every
+    rescale: half-peak cores stay more than CORE_GAP_CELLS cells apart
+    (StartFamilyError if reaching O would merge them).
 
     Vertex starts stay on their sites: for the trivial and lattice families
     (bumps on _bump_sites), a single-bump sample starts from its unscaled
@@ -450,62 +485,28 @@ def make_bump_family(
     if k < 0:
         raise ValueError("k must be >= 0")
     grid = pot.a.grid
-    h = grid.h
     # keep supports clear of the T_t clip band so the joint rescale below
     # can always take at least one step
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
 
-    on_site = None  # unscaled bumps on their _bump_sites sites
-    if action.kind == KIND_RADIAL:
-        # ring spacing widens on coarse grids so each annulus stays resolved
-        spacing = max(0.8, 9.0 * h)
-        radii = [0.9 + spacing * j for j in range(k + 1)]
-        width = min(0.45 * (spacing - 2 * h), max(0.3, 3.5 * h))
-        if width < 3 * h:
-            raise StartFamilyError("grid too coarse for disjoint annular bumps")
-        if radii[-1] + width > fit_limit:
-            raise StartFamilyError("%d annular bumps do not fit the box" % (k + 1))
-        bumps = [Field(grid, mollifier(((grid.r - R) / width) ** 2)) for R in radii]
-    elif action.kind == KIND_ROTATION:
-        m = action.m
-        chord = 2.0 * np.sin(np.pi / (2 * m)) if m > 1 else 2.0
-        bumps = []
-        for j in range(k + 1):
-            R = 1.2 + 0.9 * j
-            rad = min(0.4, 0.45 * (R * chord - 2 * h))
-            if k >= 1:
-                rad = min(rad, 0.45 * (0.9 - 2 * h))  # keep annuli disjoint
-            if rad < 3 * h:
-                raise StartFamilyError("grid too coarse for disjoint sector bumps")
-            if R + rad > fit_limit:
-                raise StartFamilyError("%d sector bumps do not fit the box" % (k + 1))
-            seed_bump = bump_field(grid, center=(R, 0.0), radius=rad)
-            sym = project_invariant(seed_bump, action)
-            if lp_norm(sym, 2) <= 1e-14:
-                raise StartFamilyError("invariant projection annihilated a sector bump")
-            bumps.append(sym)
-    elif action.kind == KIND_GLIDE:
-        offset = 0.9 if action.zeta_nontrivial else 0.0
-        rad = 0.5
-        bumps = []
-        for j in range(k + 1):
-            c1 = (j - 0.5 * k) * 1.6
-            if abs(c1) + rad > fit_limit or offset + rad > fit_limit:
-                raise StartFamilyError("%d glide bumps do not fit the box" % (k + 1))
-            seed_bump = bump_field(grid, center=(c1, offset), radius=rad)
-            sym = project_invariant(seed_bump, action)
-            if lp_norm(sym, 2) <= 1e-14:
-                raise StartFamilyError("invariant projection annihilated a glide bump")
-            bumps.append(sym)
-    else:
-        centers, radius = _bump_sites(action, grid, k)
-        if radius < 3 * h:
-            raise StartFamilyError("grid too coarse for disjoint bumps (radius %.3g)" % radius)
-        for c in centers:
-            if np.max(np.abs(c)) + radius > fit_limit:
-                raise StartFamilyError("%d bumps do not fit the box" % (k + 1))
-        bumps = [bump_field(grid, center=tuple(c), radius=radius) for c in centers]
-        on_site = bumps
+    seeds, what, floor = _layout(k, action, grid)
+    # annuli are built radial; radial_average would move them by ~1e-16
+    annuli = action.kind == KIND_RADIAL
+    bumps = []
+    for center, radius in seeds:
+        if radius < floor:
+            raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
+        if np.max(np.abs(center)) + radius > fit_limit:
+            raise StartFamilyError("%d %s do not fit the box" % (k + 1, what))
+        if annuli:
+            bump = Field(grid, mollifier(((grid.r - center) / radius) ** 2))
+        else:
+            bump = bump_field(grid, center=center, radius=radius)
+        if action.has_projection and not annuli:
+            bump = project_invariant(bump, action)
+            if lp_norm(bump, 2) <= 1e-14:
+                raise StartFamilyError("invariant projection annihilated one of the %s" % what)
+        bumps.append(bump)
 
     rng = np.random.default_rng(cfg.seed)
     samples = [np.eye(k + 1)[j] for j in range(k + 1)]
@@ -520,16 +521,7 @@ def make_bump_family(
             s = rng.standard_normal(k + 1)
         samples.append(s / np.sum(np.abs(s)))
 
-    # joint T_t rescaling (t < 0) until every sample lies in O, then onward
-    # while the worst projected energy still improves: stopping at the first
-    # O-entry leaves V0 barely negative, and sigma-projection catapults such
-    # samples to enormous energies whose transients dominate the descent
-    def worst_phi(bump_list):
-        qa_mat = np.array(
-            [[q_a_bilinear(bi, bj, pot) for bj in bump_list] for bi in bump_list]
-        )
-        sq = [Field(grid, b.values * b.values) for b in bump_list]
-        v_mat = np.array([[b_form(si, sj, "B0", table) for sj in sq] for si in sq])
+    def worst_phi(qa_mat, v_mat):
         worst = 0.0
         for s in samples:
             qa_s = float(s @ qa_mat @ s)
@@ -547,46 +539,47 @@ def make_bump_family(
                 "rescaling the start family hit the boundary band (%s); "
                 "enlarge the box" % exc
             ) from exc
-        if action.kind in (KIND_RADIAL, KIND_ROTATION, KIND_GLIDE):
+        if action.has_projection:
             # spline resampling breaks exact invariance; restore it
             out = [project_invariant(b, action) for b in out]
         return out
 
-    t_total = 0.0
-    phi_now = worst_phi(bumps)
-    while not np.isfinite(phi_now):
-        t_total -= 0.25
-        if t_total < -2.0:
-            raise StartFamilyError(
-                "cannot satisfy q_a > 0 and V0 < 0 within the scaling guard; "
-                "enlarge the box or reduce k"
-            )
-        bumps = rescaled(bumps)
-        if not _cores_disjoint(bumps):
+    # joint T_t rescaling in steps of -1/4 down to t = -2: until every sample
+    # lies in O (worst_phi is finite), then onward while the worst projected
+    # energy still improves. Stopping at the first O-entry leaves V0 barely
+    # negative, and sigma-projection catapults such samples to enormous
+    # energies whose transients dominate the descent.
+    unscaled, gram = bumps, _gram(bumps, pot, table)
+    phi_now = worst_phi(*gram)
+    for _ in range(8):
+        in_o = np.isfinite(phi_now)
+        deeper = rescaled(bumps)
+        if not _cores_disjoint(deeper):
+            if in_o:
+                break
             raise StartFamilyError(
                 "rescaling into O merged the bump cores; enlarge the box or reduce k"
             )
-        phi_now = worst_phi(bumps)
-    while t_total > -2.0:
-        deeper = rescaled(bumps)
-        if not _cores_disjoint(deeper):
+        phi_deeper = worst_phi(*_gram(deeper, pot, table))
+        if in_o and not phi_deeper < phi_now:
             break
-        phi_deeper = worst_phi(deeper)
-        if not phi_deeper < phi_now:
-            break
-        bumps = deeper
-        phi_now = phi_deeper
-        t_total -= 0.25
+        bumps, phi_now = deeper, phi_deeper
+    if not np.isfinite(phi_now):
+        raise StartFamilyError(
+            "cannot satisfy q_a > 0 and V0 < 0 within the scaling guard; "
+            "enlarge the box or reduce k"
+        )
 
     # T_t is a dilation about the origin: it pulls the bumps of a site family
     # off their sites and shrinks them, and single-bump starts then fall to
     # the ground orbit. A vertex sample therefore starts from its unscaled
     # on-site bump whenever that bump already lies in O.
     vertex_starts = list(bumps)
-    for i, b in enumerate(on_site or ()):
-        sq = Field(grid, b.values * b.values)
-        if q_a_bilinear(b, b, pot) > 0 and b_form(sq, sq, "B0", table) < 0:
-            vertex_starts[i] = b
+    if not action.has_projection:
+        qa_mat, v_mat = gram
+        for i, b in enumerate(unscaled):
+            if qa_mat[i, i] > 0 and v_mat[i, i] < 0:
+                vertex_starts[i] = b
     return StartFamily(bumps=bumps, simplex_samples=samples, vertex_starts=vertex_starts)
 
 

@@ -2,7 +2,6 @@
 
 import filecmp
 import json
-import os
 import subprocess
 import sys
 

@@ -15,12 +15,10 @@ from logchoquard import (
     RieszSolveError,
     beta,
     bump_field,
-    const_potential,
     gaussian_field,
     glide_reflection,
     inner_u,
     lp_norm,
-    make_kernel_table,
     metric_context,
     metric_context_at,
     norm_u,

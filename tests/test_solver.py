@@ -26,6 +26,7 @@ from logchoquard import (
     descend,
     energy,
     gaussian_field,
+    glide_reflection,
     ground_state,
     lattice_translation,
     log_potential,
@@ -35,6 +36,7 @@ from logchoquard import (
     metric_context,
     multistart_search,
     nehari_project,
+    project_invariant,
     q_a_bilinear,
     radial_action,
     radial_average,
@@ -131,6 +133,18 @@ def test_bump_family_rotation_invariant():
         assert np.min(b.values) < 0 < np.max(b.values)  # zeta forces sign changes
 
 
+def test_bump_family_glide():
+    g = Grid(L=6.0, n=128)
+    action = glide_reflection(g, 1.0, zeta_nontrivial=True)
+    fam = make_bump_family(1, action, const_potential(g), make_kernel_table(g), SolveConfig())
+    for b in fam.bumps:
+        # the point part only: the glide's shift part is not compact
+        assert np.max(np.abs(project_invariant(b, action).values - b.values)) <= 1e-12
+        assert np.min(b.values) < 0 < np.max(b.values)  # zeta forces sign changes
+    masks = core_masks(fam.bumps)
+    assert not np.any(binary_dilation(masks[0], iterations=2) & masks[1])
+
+
 def test_bump_family_radial(grid64, table64, pot64):
     fam = make_bump_family(1, radial_action(), pot64, table64, SolveConfig())
     masks = core_masks(fam.bumps)
@@ -167,6 +181,11 @@ def test_bump_family_guards(grid64, table64, pot64):
     # annuli must fit inside the box
     with pytest.raises(StartFamilyError, match="fit"):
         make_bump_family(6, radial_action(), pot64, table64, SolveConfig())
+    # a deep well: reaching O merges the cores, or no scale reaches it
+    with pytest.raises(StartFamilyError, match="merged"):
+        make_bump_family(1, trivial_action(), const_potential(grid64, -500.0), table64, SolveConfig())
+    with pytest.raises(StartFamilyError, match="cannot satisfy"):
+        make_bump_family(0, trivial_action(), const_potential(grid64, -5000.0), table64, SolveConfig())
 
 
 # --------------------------------------------------------------- descent

@@ -17,7 +17,6 @@ from logchoquard import (
     b_form,
     bump_field,
     check_admissible,
-    const_potential,
     energy,
     gaussian_field,
     glide_reflection,
@@ -33,8 +32,6 @@ from logchoquard import (
     shift_cells,
     trivial_action,
 )
-
-from conftest import confined_field
 
 
 def interior_bump(grid):

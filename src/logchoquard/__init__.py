@@ -85,7 +85,6 @@ from .solver import (
     ground_state,
     make_bump_family,
     multistart_search,
-    tangent_project,
 )
 from .symmetry import (
     GroupAction,

@@ -1,10 +1,13 @@
 """Nehari-constrained descent and the multistart search for symmetric solutions.
 
-The descent minimizes Phi on the constraint {J = q_a + V0 = 0, V0 < 0}: at
-each iterate it solves for the metric (Riesz) gradient, removes the
-component along the constraint gradient, takes an Armijo-backtracked step,
-and reprojects onto the manifold along the ray (exact by homogeneity:
-q_a -> t^2 q_a, V0 -> t^4 V0). Starts come from families of disjoint
+The descent minimizes Phi on the constraint {J = q_a + V0 = 0, V0 < 0}
+through the reduced energy Psi(x) = Phi(sigma(x)) = -q_a(x)^2 / (4 V0(x)),
+sigma the rescaling along the ray onto the manifold (exact by homogeneity:
+q_a -> t^2 q_a, V0 -> t^4 V0). On the manifold Psi'(u) = Phi'(u), so the
+metric (Riesz) gradient of Phi at an iterate is already the metric gradient
+of Psi (Szulkin & Weth, The method of Nehari manifold, 2010): each
+iteration solves one metric system, takes an Armijo-backtracked step on Psi
+and lands on the manifold again. Starts come from families of disjoint
 mollifier bumps placed and symmetrized according to the group action,
 combined over the unit simplex of signed coefficients.
 """
@@ -152,15 +155,14 @@ class StartFamily:
         return Field(grid, vals)
 
 
-TRACE_COLUMNS = ("iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2")
-
-
-def tangent_project(ctx: MetricContext, g: Field, eta: Field) -> Field:
-    """Remove from g its metric component along eta, the Riesz representative of J'(u)."""
-    denom = inner_u(ctx, eta, eta)
-    if denom <= 1e-28:
-        raise DegenerateNehariError("degenerate constraint gradient: ||J'||_u ~ 0")
-    return Field(ctx.grid, g.values - (inner_u(ctx, g, eta) / denom) * eta.values)
+# alpha: the accepted step; backtracks: how often it was halved; lbfgs: 1 for
+# the two-loop direction, 0 for the gradient. A row that takes no step (the
+# last one of a converged descent, or one whose line search fails) records
+# 0, 0, 0 there.
+TRACE_COLUMNS = (
+    "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
+    "alpha", "backtracks", "lbfgs",
+)
 
 
 class _Iterate:
@@ -194,58 +196,64 @@ class _Iterate:
             )
 
 
-def _riesz(ctx: MetricContext, rhs, x0, free, action: GroupAction, tol: float, what: str):
+def _riesz(ctx: MetricContext, rhs, x0, free, action: GroupAction, tol: float):
     """Solve A_u x = rhs warm from x0 on the free cells: (x, x on the invariant fields)."""
     vals, rel = solve_metric_system(ctx, rhs, tol, x0=x0, free=free)
     if rel > tol:
-        raise RieszSolveError("%s solve stalled at %.3g" % (what, rel), residual=rel)
+        raise RieszSolveError("metric solve stalled at %.3g" % rel, residual=rel)
     x = Field(ctx.grid, vals)
     return vals, project_invariant(x, action) if action.has_projection else x
 
 
 class _Lbfgs:
-    """Curvature pairs (s, y, 1/s.y) of the iterates and their tangent gradients w.
+    """Curvature pairs (s, y, 1/s.y) of the iterates and their Riesz gradients g.
 
     The wells of a structured potential make the on-manifold curvature
     strongly anisotropic and plain preconditioned descent crawls along the
     soft modes, so the step direction comes from an L-BFGS two-loop over
     the newest LBFGS_MEMORY pairs; the Armijo test still guarantees
-    monotone decrease, and any non-descent proposal falls back to w.
+    monotone decrease, and any non-descent proposal falls back to g.
+
+    Psi is constant along rays and sigma moves each accepted point along
+    its ray, so the secant s leaves out the (flat) component along the
+    previous iterate: a ray part in s is no curvature of Psi.
     """
 
     def __init__(self):
         self.pairs: List[tuple] = []
         self.last = None
 
-    def push(self, u: np.ndarray, w: np.ndarray) -> None:
+    def push(self, u: np.ndarray, g: np.ndarray) -> None:
         if self.last is not None:
-            s_vec = (u - self.last[0]).ravel()
-            y_vec = (w - self.last[1]).ravel()
+            u_new, u_old = u.ravel(), self.last[0].ravel()
+            s_vec = u_new - (np.dot(u_new, u_old) / np.dot(u_old, u_old)) * u_old
+            y_vec = (g - self.last[1]).ravel()
             sy = float(np.dot(s_vec, y_vec))
             if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
                 self.pairs.append((s_vec, y_vec, 1.0 / sy))
                 if len(self.pairs) > LBFGS_MEMORY:
                     self.pairs.pop(0)
-        self.last = (u, w)
+        self.last = (u, g)
 
-    def direction(self, ctx: MetricContext, w: Field, eta: Field):
-        """Tangent step direction d and <w, d>_u."""
-        wn2 = inner_u(ctx, w, w)
+    def direction(self, ctx: MetricContext, g: Field):
+        """Step direction d, the slope <g, d>_u = Psi'(u) d, and whether d is the two-loop's."""
+        gn2 = inner_u(ctx, g, g)
         if not self.pairs:
-            return w, wn2
-        d = tangent_project(ctx, Field(ctx.grid, _lbfgs_two_loop(w.values, self.pairs)), eta)
-        dw = inner_u(ctx, w, d)
-        if not dw > 1e-10 * np.sqrt(wn2 * inner_u(ctx, d, d)):
-            return w, wn2
-        return d, dw
+            return g, gn2, False
+        d = Field(ctx.grid, _lbfgs_two_loop(g.values, self.pairs))
+        dw = inner_u(ctx, g, d)
+        if not dw > 1e-10 * np.sqrt(gn2 * inner_u(ctx, d, d)):
+            return g, gn2, False
+        return d, dw, True
 
 
-def _line_search(st: _Iterate, d: Field, dw: float, alpha: float, pot, table, cfg) -> float:
-    """Armijo backtracking along u - alpha*d; moves st to sigma of the accepted point.
+def _line_search(st: _Iterate, d: Field, dw: float, alpha: float, pot, table, cfg):
+    """Armijo backtracking on Psi along u - alpha*d; moves st to sigma of the accepted point.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
     decrease from these exact coefficients avoids the large-scale
-    cancellation that floors a direct re-evaluation of Phi. Returns alpha.
+    cancellation that floors a direct re-evaluation of Phi. Returns alpha
+    and the number of halvings before it was accepted.
     """
     grid = st.grid
     h2 = grid.h * grid.h
@@ -261,7 +269,7 @@ def _line_search(st: _Iterate, d: Field, dw: float, alpha: float, pot, table, cf
     bcw = h2 * float(np.sum(wsq * kcross))
     bww = h2 * float(np.sum(wsq * kwsq))
     qa, v0 = st.qa, st.v0
-    for _ in range(60):
+    for backtracks in range(60):
         dq = -2.0 * alpha * c1 + alpha * alpha * c2
         dv = (
             -4.0 * alpha * b0c
@@ -279,7 +287,7 @@ def _line_search(st: _Iterate, d: Field, dw: float, alpha: float, pot, table, cf
                 st.w0 = st.w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq
                 st.qa, st.v0 = qa_t, v0_t
                 st.onto_nehari(st.phi + dphi)
-                return alpha
+                return alpha, backtracks
         alpha *= cfg.backtrack_factor
     raise LineSearchError("Armijo backtracking exhausted after 60 halvings")
 
@@ -306,21 +314,22 @@ def descend(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """Constrained descent from u0; see module docstring for the iteration.
+    """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
-    Each iteration: Riesz solves for the gradient g and the constraint
-    gradient eta, tangent projection, L-BFGS direction, exact-ray Armijo
-    line search with Nehari re-projection, and every REPROJECT_EVERY steps
-    a refresh of the tracked scalars (and invariance). An error raised
-    after the start carries .result with the last iterate.
+    Each iteration: one Riesz solve for the gradient g (warm from the last
+    one), the Cerami test, an L-BFGS direction d with slope <g, d>_u =
+    Psi'(u) d, an exact-ray Armijo line search with Nehari re-projection,
+    and every REPROJECT_EVERY steps a refresh of the tracked scalars (and
+    invariance). An error raised after the start carries .result with the
+    last iterate.
 
-    Under a projecting action the metric systems for g and eta are solved
-    on the cells that the action preserves (symmetry.preserved_cells), the
-    others held at zero. There A_u commutes with the action, so the group
-    average of the solution is the Riesz gradient of Phi restricted to
-    invariant fields, and its metric pairing with an invariant direction is
-    Phi'(u) of that direction; critical points found this way are critical
-    in the full space by symmetric criticality.
+    Under a projecting action the metric system is solved on the cells
+    that the action preserves (symmetry.preserved_cells), the others held
+    at zero. There A_u commutes with the action, so the group average of
+    the solution is the Riesz gradient of Phi restricted to invariant
+    fields, and its metric pairing with an invariant direction is Phi'(u)
+    of that direction; critical points found this way are critical in the
+    full space by symmetric criticality.
     """
     grid = pot.a.grid
     project = action.has_projection
@@ -334,30 +343,27 @@ def descend(
 
     trace: List[tuple] = []
     lbfgs = _Lbfgs()
-    g_prev = eta_prev = None
+    g_prev = None
     alpha, cerami, accepted = cfg.step_init, np.inf, 0
     try:
         for it in range(cfg.max_iters):
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-            g_prev, g = _riesz(ctx, r, g_prev, free, action, cfg.riesz_tol, "metric")
+            g_prev, g = _riesz(ctx, r, g_prev, free, action, cfg.riesz_tol)
             cerami = cerami_weight(Field(grid, st.u), norm_u(ctx, g))
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
-            trace.append((it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2))
+            row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
+            trace.append(row + (0.0, 0, 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            j_field = 2.0 * r + 2.0 * st.w0 * st.u
-            eta_prev, eta = _riesz(
-                ctx, j_field, eta_prev, free, action, cfg.riesz_tol, "constraint"
-            )
-            w = tangent_project(ctx, g, eta)
-            lbfgs.push(st.u, w.values)
-            d, dw = lbfgs.direction(ctx, w, eta)
+            lbfgs.push(st.u, g.values)
+            d, dw, two_loop = lbfgs.direction(ctx, g)
             alpha = cfg.step_init if lbfgs.pairs else min(
                 cfg.step_init, alpha / cfg.backtrack_factor
             )
-            alpha = _line_search(st, d, dw, alpha, pot, table, cfg)
+            alpha, backtracks = _line_search(st, d, dw, alpha, pot, table, cfg)
+            trace[-1] = row + (alpha, backtracks, int(two_loop))
             accepted += 1
 
             if (it + 1) % REPROJECT_EVERY == 0:
@@ -520,6 +526,13 @@ def make_bump_family(
         while np.sum(np.abs(s)) <= 1e-12:
             s = rng.standard_normal(k + 1)
         samples.append(s / np.sum(np.abs(s)))
+    # Phi is even, so a sample equal to +-an earlier one repeats its descent;
+    # at k = 0 every random sample normalises to +-e_0
+    unique: List[np.ndarray] = []
+    for s in samples:
+        if not any(np.array_equal(s, t) or np.array_equal(s, -t) for t in unique):
+            unique.append(s)
+    samples = unique
 
     def worst_phi(qa_mat, v_mat):
         worst = 0.0

@@ -31,3 +31,54 @@ def test_no_unused_imports():
         for line, name in unused_imports(p)
     ]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def definitions(tree: ast.Module):
+    """Module-level functions, classes and constants of a module: name -> its node."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    found[target.id] = node
+    return found
+
+
+def reads(tree: ast.AST, skip: ast.AST = None):
+    """Names read in tree outside skip: loaded names, attributes, and bare
+    identifier strings (the benchmark tracer looks its layers up by name)."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_no_unreferenced_definitions():
+    # a definition counts as used when the package (re-exports in
+    # __init__.py aside), the tests or the benchmark read it somewhere
+    # other than inside its own definition
+    package = ROOT / "src" / "logchoquard"
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readers = modules + sorted((ROOT / "tests").glob("*.py"))
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in readers}
+    elsewhere = {p: reads(tree) for p, tree in trees.items()}
+    unread = []
+    for path in modules:
+        for name, node in definitions(trees[path]).items():
+            others = any(name in names for p, names in elsewhere.items() if p != path)
+            if not others and name not in reads(trees[path], skip=node):
+                unread.append("%s %s" % (path.relative_to(ROOT), name))
+    assert not unread, "definitions read nowhere: " + ", ".join(unread)

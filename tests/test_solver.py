@@ -3,7 +3,8 @@
 Oracles: an independent radially-parametrized direct minimization of the
 projected energy (Powell over profile knots) upper-bounds the ground
 energy; structural invariants (trace monotonicity, on-manifold identities,
-tangency of the projected gradient) are asserted along real runs.
+the descent slope against a difference quotient of the reduced energy) are
+asserted along real runs.
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ from logchoquard import (
     OutsideScalingRegionError,
     SolveConfig,
     StartFamilyError,
-    b_form,
     beta,
+    bump_field,
     cos2d_potential,
     const_potential,
     descend,
@@ -28,27 +29,25 @@ from logchoquard import (
     gaussian_field,
     glide_reflection,
     ground_state,
+    inner_u,
     lattice_translation,
-    log_potential,
     lp_norm,
     make_bump_family,
     make_kernel_table,
     metric_context,
     multistart_search,
     nehari_project,
+    norm_u,
     project_invariant,
-    q_a_bilinear,
     radial_action,
     radial_average,
     residual_field,
-    riesz_gradient,
     rotation_zeta,
-    solve_metric_system,
-    tangent_project,
     trivial_action,
 )
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import TRACE_COLUMNS, _bump_sites
+from logchoquard.symmetry import preserved_cells
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +75,7 @@ def test_solve_config_validation():
 def test_trace_columns():
     assert TRACE_COLUMNS == (
         "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
+        "alpha", "backtracks", "lbfgs",
     )
 
 
@@ -110,6 +110,14 @@ def test_bump_family_samples_lie_in_O(grid64, table64, pot64):
         vals = sum(c * b.values for c, b in zip(s, fam.bumps))
         bk = energy(Field(grid64, vals), pot64, table64)
         assert bk.q_a > 0 > bk.v0
+
+
+def test_bump_family_k0_has_no_repeated_sample(grid32, table32, pot32):
+    # Phi is even: the random samples of a one-bump family all normalise
+    # to +-e_0 and would repeat the vertex descent
+    fam = make_bump_family(0, trivial_action(), pot32, table32, SolveConfig())
+    assert len(fam.simplex_samples) == 1
+    assert np.array_equal(fam.simplex_samples[0], np.ones(1))
 
 
 def test_bump_family_deterministic(grid64, table64, pot64):
@@ -276,9 +284,18 @@ def test_descend_trace_monotone_and_consistent(ground64):
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))  # refresh jitter only
     for row in trace:
-        it, phi, qa, v0, nj, cw, res = row
+        it, phi, qa, v0, nj, cw, res = row[:7]
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
         assert nj == pytest.approx(qa + v0, abs=1e-8 * max(qa, -v0))
+    # every row but the last took a step; the first one had no L-BFGS pairs
+    step_init, halve = SolveConfig().step_init, SolveConfig().backtrack_factor
+    assert trace[0][9] == 0
+    for row in trace[:-1]:
+        alpha, backtracks, lbfgs = row[7:]
+        assert alpha > 0 and backtracks >= 0 and lbfgs in (0, 1)
+        if lbfgs:
+            assert alpha == step_init * halve ** backtracks
+    assert trace[-1][7:] == (0.0, 0, 0)
 
 
 def test_descend_restart_from_solution_returns_immediately(ground64, table64, pot64):
@@ -300,24 +317,68 @@ def test_converged_state_solves_the_equation(ground64, grid64, table64, pot64):
     assert final_res <= 1e-3
 
 
-def test_tangent_project_is_metric_orthogonal_to_constraint(grid64, table64, pot64):
-    u0 = gaussian_field(grid64, width=0.7)
-    u = nehari_project(u0, energy(u0, pot64, table64))
-    g, _ = riesz_gradient(u, pot64, table64)
+def descent_case(which):
+    """(start, action, pot, table) of a short descent; rot-zeta:2 solves on preserved cells."""
+    if which == "trivial":
+        g = Grid(L=6.0, n=32)
+        action = trivial_action()
+        u0 = gaussian_field(g, width=0.7)
+    else:
+        # h = 0.094 as on the L = 6, n = 128 acceptance grid, on a smaller box
+        g = Grid(L=3.0, n=64)
+        action = rotation_zeta(2)
+        u0 = project_invariant(bump_field(g, center=(0.6, 0.0), radius=0.3), action)
+    return u0, action, const_potential(g), make_kernel_table(g)
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
+def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
+    import logchoquard.solver as solver_mod
+
+    real_solve = solver_mod.solve_metric_system
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_metric_system", counted)
+    u0, action, pot, table = descent_case(which)
+    res = descend(u0, action, pot, table, SolveConfig())
+    assert res.converged and len(res.trace) >= 3
+    assert len(calls) == len(res.trace)
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
+def test_descent_slope_is_the_reduced_energy_slope(which):
+    # on the Nehari manifold Psi = Phi o sigma has Psi'(u) = Phi'(u), so the
+    # unprojected Riesz gradient g gives the slope of Psi along any
+    # direction, a ray component included
+    from logchoquard.solver import _riesz
+
+    u0, action, pot, table = descent_case(which)
+    grid = pot.a.grid
+    u = nehari_project(u0, energy(u0, pot, table))
     ctx = metric_context(u)
-    # eta, the Riesz representative of J'(u) = 2 r + 2 (log * u^2) u
-    w0 = log_potential(Field(grid64, u.values ** 2), table64)
-    j_field = 2.0 * residual_field(u, pot64, table64).values + 2.0 * w0.values * u.values
-    eta = Field(grid64, solve_metric_system(ctx, j_field, 1e-10)[0])
-    tp = tangent_project(ctx, g, eta)
-    # J'(u) v = 2 q_a(u,v) + 4 B0(u^2, uv) must vanish along the projection
-    usq = Field(grid64, u.values ** 2)
-    uv = Field(grid64, u.values * tp.values)
-    jprime = 2.0 * q_a_bilinear(u, tp, pot64) + 4.0 * b_form(usq, uv, "B0", table64)
-    jprime_g = 2.0 * q_a_bilinear(u, g, pot64) + 4.0 * b_form(
-        usq, Field(grid64, u.values * g.values), "B0", table64
-    )
-    assert abs(jprime) <= 1e-8 * (1 + abs(jprime_g))
+    free = preserved_cells(grid, action)
+    _, g = _riesz(ctx, residual_field(u, pot, table).values, None, free, action, 1e-10)
+    # <g, u>_u = Phi'(u) u = J(u) = 0
+    assert abs(inner_u(ctx, g, u)) <= 1e-9 * norm_u(ctx, g) * norm_u(ctx, u)
+
+    side = project_invariant(bump_field(grid, center=(0.4, 0.5), radius=4 * grid.h), action)
+    d = side.values * (lp_norm(u, 2) / lp_norm(side, 2)) + 0.5 * u.values
+
+    def psi(x):
+        bk = energy(Field(grid, x), pot, table)
+        return -bk.q_a ** 2 / (4.0 * bk.v0)
+
+    slope = inner_u(ctx, g, Field(grid, d))
+    errs = []
+    for eps in (2e-3, 1e-3):
+        central = (psi(u.values + eps * d) - psi(u.values - eps * d)) / (2.0 * eps)
+        errs.append(abs(central - slope))
+    assert errs[1] <= 1e-4 * abs(slope)
+    assert 0.24 <= errs[1] / errs[0] <= 0.26  # O(eps^2): halving eps quarters it
 
 
 # ---------------------------------------------------- independent energy oracle

@@ -16,6 +16,8 @@ from .errors import BarycenterUndefinedError, GridResolutionError
 from .field import Field, Grid
 from .logkernel import kernel_fft, offset_lattice, padded_convolve
 
+MAX_H = 0.5  # local_mass resolves its unit ball only with radius >= 2h
+
 _disc_cache: dict = {}
 
 
@@ -44,7 +46,7 @@ def local_mass(u: Field, p: float = 2.0) -> Field:
     if p < 1:
         raise ValueError("p must be >= 1")
     grid = u.grid
-    if grid.h > 0.5:
+    if grid.h > MAX_H:
         raise GridResolutionError(
             "unit ball needs radius >= 2h to be resolved; h=%.3g too coarse" % grid.h
         )

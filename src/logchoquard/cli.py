@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .barycenter import beta as barycenter_beta
+from .barycenter import MAX_H as BARYCENTER_MAX_H, beta as barycenter_beta
 from .checks import battery
 from .errors import (
     DESCENT_ERRORS,
@@ -296,6 +296,12 @@ def cmd_check(args) -> int:
     if args.config is None and args.n is None:
         args.n = 32  # default battery grid stays quick
     grid, _, _, cfg, _ = _load_config(args)
+    if grid.h > BARYCENTER_MAX_H:
+        # the barycenter and metric checks cannot resolve their unit ball
+        raise ConfigError(
+            "check needs h <= %g; h = %g (n = %d, box = %g)"
+            % (BARYCENTER_MAX_H, grid.h, grid.n, grid.L)
+        )
     table = _load_table(grid, cfg)
     failures = 0
     for names, run in battery(grid, table, np.random.default_rng(cfg.seed)):

@@ -50,15 +50,24 @@ def metric_context(u: Field) -> MetricContext:
     return metric_context_at(u.grid, barycenter_beta(u))
 
 
-def inner_u(ctx: MetricContext, v: Field, w: Field) -> float:
-    """h^2 <v, A_u w>, with the stencil of apply_metric_operator written out.
+def lower_u(ctx: MetricContext, vals: np.ndarray) -> np.ndarray:
+    """h^2 A_u vals, the flat covector of vals: <v, w>_u = v . lower_u(ctx, w).
 
-    The solve counts its CG iterations by calls of apply_metric_operator, so
-    the inner product does not call it.
+    The stencil of apply_metric_operator written out: the solve counts its
+    CG iterations by calls of apply_metric_operator, so the inner product
+    does not call it.
     """
-    h = same_grid(v, w).h
-    vv, wv = v.values, w.values
-    return float(h * h * np.vdot(vv, ctx.diag * wv) - np.vdot(vv, neighbour_sum(wv)))
+    h = ctx.grid.h
+    out = ctx.diag * vals
+    out *= h * h
+    out -= neighbour_sum(vals)
+    return out
+
+
+def inner_u(ctx: MetricContext, v: Field, w: Field) -> float:
+    """h^2 <v, A_u w>."""
+    same_grid(v, w)
+    return float(np.vdot(v.values, lower_u(ctx, w.values)))
 
 
 def norm_u(ctx: MetricContext, v: Field) -> float:

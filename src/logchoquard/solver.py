@@ -49,8 +49,8 @@ from .logkernel import KernelTable, b_form, padded_convolve
 from .metric import (
     MetricContext,
     inner_u,
+    lower_u,
     metric_context_at,
-    norm_u,
     solve_metric_system,
 )
 from .symmetry import (
@@ -74,21 +74,24 @@ LBFGS_MEMORY = 8  # curvature pairs kept for the two-loop direction
 
 
 def _lbfgs_two_loop(w: np.ndarray, pairs) -> np.ndarray:
-    """Two-loop recursion over flattened (s, y, 1/s.y) pairs, newest last.
+    """Two-loop recursion in <.,.>_u over (s, y, As, Ay, rho) pairs, newest last.
 
-    w is already metric-preconditioned, so flat dot products are the right
-    pairing and the newest-pair scaling plays the Barzilai-Borwein role.
+    As and Ay are s and y lowered by the metric of their push, so <s, q>_u
+    is the flat dot As.q; rho = 1/<s, y>_u, and the newest pair's
+    <s, y>_u/<y, y>_u scales the initial model (the Barzilai-Borwein role).
+    With every pair lowered in one metric the map is self-adjoint and, on
+    positive curvature, positive definite in that metric.
     """
     q = w.ravel().copy()
     coeffs = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(np.dot(s, q))
+    for _, y, As, _, rho in reversed(pairs):
+        a = rho * float(np.dot(As, q))
         q -= a * y
         coeffs.append(a)
-    s, y, _ = pairs[-1]
-    q *= float(np.dot(s, y) / np.dot(y, y))
-    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
-        b = rho * float(np.dot(y, q))
+    _, y, _, Ay, rho = pairs[-1]
+    q *= 1.0 / (rho * float(np.dot(y, Ay)))  # <s, y>_u / <y, y>_u
+    for (s, y, _, Ay, rho), a in zip(pairs, reversed(coeffs)):
+        b = rho * float(np.dot(Ay, q))
         q += (a - b) * s
     return q.reshape(w.shape)
 
@@ -206,13 +209,20 @@ def _riesz(ctx: MetricContext, rhs, x0, free, action: GroupAction, tol: float):
 
 
 class _Lbfgs:
-    """Curvature pairs (s, y, 1/s.y) of the iterates and their Riesz gradients g.
+    """Curvature pairs (s, y, As, Ay, 1/<s, y>_u) of the iterates and their Riesz gradients g.
 
     The wells of a structured potential make the on-manifold curvature
     strongly anisotropic and plain preconditioned descent crawls along the
     soft modes, so the step direction comes from an L-BFGS two-loop over
     the newest LBFGS_MEMORY pairs; the Armijo test still guarantees
     monotone decrease, and any non-descent proposal falls back to g.
+
+    g is the gradient in <.,.>_u, so the pairs are paired in <.,.>_u too
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008): push lowers s and y once (metric.lower_u, in the
+    metric of the newest iterate), and the two-loop is then flat dots and
+    axpys. A flat pairing would build a model that is self-adjoint in no
+    inner product the descent uses.
 
     Psi is constant along rays and sigma moves each accepted point along
     its ray, so the secant s leaves out the (flat) component along the
@@ -223,25 +233,30 @@ class _Lbfgs:
         self.pairs: List[tuple] = []
         self.last = None
 
-    def push(self, u: np.ndarray, g: np.ndarray) -> None:
+    def push(self, ctx: MetricContext, u: np.ndarray, g: np.ndarray) -> None:
         if self.last is not None:
-            u_new, u_old = u.ravel(), self.last[0].ravel()
-            s_vec = u_new - (np.dot(u_new, u_old) / np.dot(u_old, u_old)) * u_old
-            y_vec = (g - self.last[1]).ravel()
-            sy = float(np.dot(s_vec, y_vec))
-            if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
-                self.pairs.append((s_vec, y_vec, 1.0 / sy))
+            u_old, g_old = self.last
+            s_vec = u - (np.vdot(u, u_old) / np.vdot(u_old, u_old)) * u_old
+            y_vec = g - g_old
+            As, Ay = lower_u(ctx, s_vec).ravel(), lower_u(ctx, y_vec).ravel()
+            s_vec, y_vec = s_vec.ravel(), y_vec.ravel()
+            sy = float(np.dot(s_vec, Ay))
+            if sy > 1e-12 * np.sqrt(float(np.dot(s_vec, As)) * float(np.dot(y_vec, Ay))):
+                self.pairs.append((s_vec, y_vec, As, Ay, 1.0 / sy))
                 if len(self.pairs) > LBFGS_MEMORY:
                     self.pairs.pop(0)
         self.last = (u, g)
 
-    def direction(self, ctx: MetricContext, g: Field):
-        """Step direction d, the slope <g, d>_u = Psi'(u) d, and whether d is the two-loop's."""
-        gn2 = inner_u(ctx, g, g)
+    def direction(self, ctx: MetricContext, g: Field, lg: np.ndarray):
+        """Step direction d, the slope <g, d>_u = Psi'(u) d, and whether d is the two-loop's.
+
+        lg is g lowered by the metric, lower_u(ctx, g.values).
+        """
+        gn2 = float(np.vdot(g.values, lg))
         if not self.pairs:
             return g, gn2, False
         d = Field(ctx.grid, _lbfgs_two_loop(g.values, self.pairs))
-        dw = inner_u(ctx, g, d)
+        dw = float(np.vdot(d.values, lg))
         if not dw > 1e-10 * np.sqrt(gn2 * inner_u(ctx, d, d)):
             return g, gn2, False
         return d, dw, True
@@ -350,15 +365,16 @@ def descend(
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             g_prev, g = _riesz(ctx, r, g_prev, free, action, cfg.riesz_tol)
-            cerami = cerami_weight(Field(grid, st.u), norm_u(ctx, g))
+            lg = lower_u(ctx, g.values)
+            cerami = cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            lbfgs.push(st.u, g.values)
-            d, dw, two_loop = lbfgs.direction(ctx, g)
+            lbfgs.push(ctx, st.u, g.values)
+            d, dw, two_loop = lbfgs.direction(ctx, g, lg)
             alpha = cfg.step_init if lbfgs.pairs else min(
                 cfg.step_init, alpha / cfg.backtrack_factor
             )
@@ -433,27 +449,27 @@ def _cores_disjoint(bumps: List[Field]) -> bool:
 
 
 def _layout(k: int, action: GroupAction, grid):
-    """Seeds [(center, radius)] of k+1 bumps, their noun and the radius floor.
+    """Seeds [(center, radius)] of k+1 bumps and their noun.
 
-    A radial seed's center is its ring radius. The glide has no floor.
+    A radial seed's center is its ring radius.
     """
     h = grid.h
     if action.kind == KIND_RADIAL:
         # ring spacing widens on coarse grids so each annulus stays resolved
         spacing = max(0.8, 9.0 * h)
         width = min(0.45 * (spacing - 2 * h), max(0.3, 3.5 * h))
-        return [(0.9 + spacing * j, width) for j in range(k + 1)], "annular bumps", 3 * h
+        return [(0.9 + spacing * j, width) for j in range(k + 1)], "annular bumps"
     if action.kind == KIND_ROTATION:
         chord = 2.0 * np.sin(np.pi / (2 * action.m)) if action.m > 1 else 2.0
         ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep annuli disjoint
         rings = [1.2 + 0.9 * j for j in range(k + 1)]
         seeds = [((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings]
-        return seeds, "sector bumps", 3 * h
+        return seeds, "sector bumps"
     if action.kind == KIND_GLIDE:
         offset = 0.9 if action.zeta_nontrivial else 0.0
-        return [(((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)], "glide bumps", 0.0
+        return [(((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)], "glide bumps"
     centers, radius = _bump_sites(action, grid, k)
-    return [(tuple(c), radius) for c in centers], "bumps", 3 * h
+    return [(tuple(c), radius) for c in centers], "bumps"
 
 
 def _gram(bumps: List[Field], pot: Potential, table: KernelTable):
@@ -474,12 +490,12 @@ def make_bump_family(
     """k+1 invariant bumps with disjoint supports plus signed simplex samples.
 
     _layout places the seed bumps of the action's kind. One build loop
-    checks each seed against the resolution floor and the box, builds it
-    and, under a projecting action, symmetrizes it. One rescale loop then
-    moves the bumps jointly along T_t (t < 0) until every simplex sample
-    satisfies q_a > 0 and V0 < 0, and onward while the worst projected
-    energy improves, mirroring the disjoint-support start construction of
-    the multiplicity argument. Disjointness is re-checked after every
+    checks each seed against the resolution floor (radius >= 3h, for every
+    kind) and the box, builds it and, under a projecting action,
+    symmetrizes it. One rescale loop then moves the bumps jointly along
+    T_t (t < 0) until every simplex sample satisfies q_a > 0 and V0 < 0,
+    and onward while the worst projected energy improves, mirroring the
+    disjoint-support start construction of the multiplicity argument. Disjointness is re-checked after every
     rescale: half-peak cores stay more than CORE_GAP_CELLS cells apart
     (StartFamilyError if reaching O would merge them).
 
@@ -495,12 +511,12 @@ def make_bump_family(
     # can always take at least one step
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
 
-    seeds, what, floor = _layout(k, action, grid)
+    seeds, what = _layout(k, action, grid)
     # annuli are built radial; radial_average would move them by ~1e-16
     annuli = action.kind == KIND_RADIAL
     bumps = []
     for center, radius in seeds:
-        if radius < floor:
+        if radius < 3 * grid.h:
             raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
         if np.max(np.abs(center)) + radius > fit_limit:
             raise StartFamilyError("%d %s do not fit the box" % (k + 1, what))
@@ -603,7 +619,8 @@ def multistart_search(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> List[SolveResult]:
-    """Descend from every simplex sample; dedup by orbit distance; sort by Phi."""
+    """Descend from every simplex sample; dedup by orbit distance, converged
+    results first; sort by Phi."""
     ok, reason = check_admissible(action)
     if not ok and pot.ess_inf <= 0:
         raise AdmissibilityError(
@@ -622,17 +639,14 @@ def multistart_search(
         res.start_index = idx
         results.append(res)
 
-    results.sort(key=lambda r: r.breakdown.phi)
+    # converged copies first: a capped start that stopped within DEDUP_REL
+    # of a converged orbit is a copy of it, even at a lower Phi
+    results.sort(key=lambda r: (not r.converged, r.breakdown.phi))
     kept: List[SolveResult] = []
     for res in results:
-        dup = False
-        for other in kept:
-            thresh = DEDUP_REL * lp_norm(other.u, 2)
-            if orbit_distance(res.u, other.u) <= thresh:
-                dup = True
-                break
-        if not dup:
+        if not any(orbit_distance(res.u, o.u) <= DEDUP_REL * lp_norm(o.u, 2) for o in kept):
             kept.append(res)
+    kept.sort(key=lambda r: r.breakdown.phi)
     return kept
 
 

@@ -346,7 +346,7 @@ def test_check_battery_and_corruption_detection(capsys, report):
     battery_ok = rc == 0 and "all invariant checks passed" in captured
 
     proc = subprocess.run(
-        [sys.executable, "-m", "logchoquard", "check", "--n", "16"],
+        [sys.executable, "-m", "logchoquard", "check", "--n", "24"],
         capture_output=True,
         text=True,
         timeout=300,

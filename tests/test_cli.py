@@ -234,10 +234,23 @@ def test_check_battery_passes(capsys):
     assert tuple(lines) == BATTERY_NAMES and lines["B0-oracle"].split()[1] == "SKIP"
 
 
-def test_check_runs_every_check_when_one_raises(capsys):
-    # h = 0.75 cannot resolve the barycenter's unit ball: the checks that need
-    # it fail with the error's code, and every other check still runs
-    assert main(["check", "--n", "16"]) == EXIT_INVARIANT
+def test_check_refuses_grids_the_barycenter_cannot_resolve(capsys):
+    # h = 0.75 cannot resolve the barycenter's unit ball; h = 0.5 can
+    assert main(["check", "--n", "16"]) == EXIT_CONFIG
+    assert "E-CONFIG" in capsys.readouterr().err
+    assert main(["check", "--n", "24"]) == EXIT_OK
+    lines = battery_lines(capsys.readouterr().out)
+    assert tuple(lines) == BATTERY_NAMES
+    assert all(line.split()[1] == "PASS" for line in lines.values())
+
+
+def test_check_runs_every_check_when_one_raises(monkeypatch, capsys):
+    # a barycenter that refuses the grid fails the checks that need it with
+    # the error's code, and every other check still runs
+    import logchoquard.barycenter as barycenter_mod
+
+    monkeypatch.setattr(barycenter_mod, "MAX_H", 0.25)
+    assert main(["check", "--n", "24"]) == EXIT_INVARIANT
     lines = battery_lines(capsys.readouterr().out)
     assert tuple(lines) == BATTERY_NAMES
     assert lines["B0-splitting"].split()[1] == "PASS"
@@ -247,7 +260,7 @@ def test_check_runs_every_check_when_one_raises(capsys):
 
 def test_corrupted_kernel_fails_battery(monkeypatch, capsys):
     monkeypatch.setenv("LOGCHOQUARD_CORRUPT_KERNEL", "1")
-    rc = main(["check", "--n", "16"])
+    rc = main(["check", "--n", "24"])
     assert rc == EXIT_INVARIANT
     out = capsys.readouterr().out
     line = [l for l in out.splitlines() if l.startswith("B0-splitting")]

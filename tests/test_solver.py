@@ -35,6 +35,7 @@ from logchoquard import (
     make_bump_family,
     make_kernel_table,
     metric_context,
+    metric_context_at,
     multistart_search,
     nehari_project,
     norm_u,
@@ -48,6 +49,8 @@ from logchoquard import (
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import TRACE_COLUMNS, _bump_sites
 from logchoquard.symmetry import preserved_cells
+
+from conftest import confined_field
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,13 @@ def test_bump_family_glide():
         assert np.min(b.values) < 0 < np.max(b.values)  # zeta forces sign changes
     masks = core_masks(fam.bumps)
     assert not np.any(binary_dilation(masks[0], iterations=2) & masks[1])
+
+
+def test_bump_family_glide_needs_resolved_bumps(grid32, table32, pot32):
+    # glide seeds have radius 0.5, 1.33h at h = 0.375: below the 3h floor
+    action = glide_reflection(grid32, 1.0, zeta_nontrivial=True)
+    with pytest.raises(StartFamilyError, match="coarse"):
+        make_bump_family(1, action, pot32, table32, SolveConfig())
 
 
 def test_bump_family_radial(grid64, table64, pot64):
@@ -381,6 +391,66 @@ def test_descent_slope_is_the_reduced_energy_slope(which):
     assert 0.24 <= errs[1] / errs[0] <= 0.26  # O(eps^2): halving eps quarters it
 
 
+def lbfgs_with_pairs(ctx, n_pairs, seed=0):
+    """An _Lbfgs fed n_pairs + 1 smooth iterates whose gradients are 2u plus noise."""
+    from logchoquard.solver import _Lbfgs
+
+    rng = np.random.default_rng(seed)
+    lbfgs = _Lbfgs()
+    for _ in range(n_pairs + 1):
+        u = confined_field(ctx.grid, rng, radius=0.2)
+        lbfgs.push(ctx, u, 2.0 * u + 0.3 * confined_field(ctx.grid, rng, radius=0.2))
+    assert len(lbfgs.pairs) == n_pairs
+    return lbfgs, rng
+
+
+def test_lbfgs_two_loop_is_self_adjoint_in_the_u_metric():
+    # the pairs live in <.,.>_u, where g does: the model H is symmetric
+    # there (a flat pairing is symmetric in no metric the descent uses)
+    from logchoquard.solver import _lbfgs_two_loop
+
+    g = Grid(L=6.0, n=32)
+    ctx = metric_context_at(g, (0.7, -0.4))
+    lbfgs, rng = lbfgs_with_pairs(ctx, 4)
+
+    def H(vals):
+        return Field(g, _lbfgs_two_loop(vals, lbfgs.pairs))
+
+    for _ in range(3):
+        v = Field(g, confined_field(g, rng, radius=0.2))
+        w = Field(g, confined_field(g, rng, radius=0.2))
+        vHw, Hvw = inner_u(ctx, v, H(w.values)), inner_u(ctx, H(v.values), w)
+        scale = norm_u(ctx, v) * norm_u(ctx, H(w.values))
+        assert abs(vHw - Hvw) <= 1e-10 * scale
+        assert inner_u(ctx, v, H(v.values)) > 0
+
+
+def test_lbfgs_two_loop_maps_the_newest_y_to_the_newest_s():
+    from logchoquard.solver import _lbfgs_two_loop
+
+    g = Grid(L=6.0, n=32)
+    ctx = metric_context_at(g, (0.7, -0.4))
+    lbfgs, _ = lbfgs_with_pairs(ctx, 3)
+    s, y = lbfgs.pairs[-1][:2]
+    hy = _lbfgs_two_loop(y.reshape(g.n, g.n), lbfgs.pairs).ravel()
+    assert np.max(np.abs(hy - s)) <= 1e-10 * np.max(np.abs(s))
+
+
+def test_periodic_drift_tail_converges_in_few_steps():
+    # a mixed start of the unit-lattice family: its merged bump drifts
+    # across the potential, the soft mode the metric pairing resolves
+    g = Grid(L=8.0, n=128)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    table = make_kernel_table(g)
+    fam = make_bump_family(1, action, pot, table, SolveConfig())
+    assert np.allclose(fam.simplex_samples[3], [0.488, -0.512], atol=1e-3)
+    res = descend(fam.start(3), action, pot, table, SolveConfig())
+    assert res.converged
+    assert res.iters <= 100
+    assert sum(row[8] for row in res.trace) <= 50
+
+
 # ---------------------------------------------------- independent energy oracle
 
 
@@ -456,6 +526,31 @@ def test_multistart_survives_failing_starts(monkeypatch, grid64, table64, pot64)
     monkeypatch.setattr(solver_mod, "descend", broken)
     results = solver_mod.multistart_search(0, trivial_action(), pot64, table64, SolveConfig())
     assert results == []
+
+
+def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64, pot64):
+    # a capped start within DEDUP_REL of a converged orbit is a copy of it,
+    # even when it stopped at a lower Phi
+    import types
+
+    import logchoquard.solver as solver_mod
+    from logchoquard import LineSearchError
+
+    u = bump_field(grid64, center=(0.0, 0.0), radius=1.0)
+    copies = [(u.values, 1.0, False), ((1.0 + 1e-6) * u.values, 1.1, True)]
+
+    def fake(u0, action, pot, table, cfg):
+        if not copies:
+            raise LineSearchError("no result")
+        vals, phi, converged = copies.pop(0)
+        return solver_mod.SolveResult(
+            u=Field(grid64, vals), breakdown=types.SimpleNamespace(phi=phi), cerami=0.0,
+            nehari=None, certificate=None, iters=1, converged=converged,
+        )
+
+    monkeypatch.setattr(solver_mod, "descend", fake)
+    results = solver_mod.multistart_search(1, trivial_action(), pot64, table64, SolveConfig())
+    assert [(r.breakdown.phi, r.converged, r.start_index) for r in results] == [(1.1, True, 1)]
 
 
 # ------------------------------------------------------------- ground state

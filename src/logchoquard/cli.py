@@ -2,9 +2,12 @@
 
 Configs are plain key=value text (sorted canonicalization, sha256 hash).
 Every run writes a manifest.json before any other output so interrupted
-runs are detectable. `check` prints one line per check of checks.battery,
-which defines the invariants, their inputs and their tolerances. Exit
-codes: 0 ok, 2 config error, 3 non-convergence, 4 invariant failure.
+runs are detectable. main pins OpenBLAS to one thread before any work, so
+the outputs do not depend on the thread count; the manifest records the
+thread count it saw (None: no known OpenBLAS query, nothing pinned).
+`check` prints one line per check of checks.battery, which defines the
+invariants, their inputs and their tolerances. Exit codes: 0 ok, 2 config
+error, 3 non-convergence, 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .barycenter import MAX_H as BARYCENTER_MAX_H, beta as barycenter_beta
+from .blas import blas_threads, pin_blas_threads
 from .checks import battery
 from .errors import (
     DESCENT_ERRORS,
@@ -221,6 +225,7 @@ def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) 
         "symmetry": pairs["symmetry"],
         "seed": int(pairs["seed"]),
         "outputs": outputs,
+        "blas_threads": blas_threads(),
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -231,11 +236,12 @@ def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) 
     return path
 
 
-def write_trace(path: str, trace) -> None:
+def write_trace(path: str, res: SolveResult) -> None:
+    """res.trace with each row's CG iterations as the last column."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in trace:
-            fh.write("%d," % row[0] + ",".join("%.17g" % v for v in row[1:]) + "\n")
+        for row, cg in zip(res.trace, res.cg_iters):
+            fh.write("%d," % row[0] + ",".join("%.17g" % v for v in row[1:]) + ",%d\n" % cg)
 
 
 def _result_summary_row(idx: int, res: SolveResult) -> str:
@@ -361,7 +367,7 @@ def cmd_solve(args) -> int:
             raise
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
     save_field(os.path.join(args.out, "solution.chq"), res.u)
-    write_trace(os.path.join(args.out, "trace.csv"), res.trace)
+    write_trace(os.path.join(args.out, "trace.csv"), res)
     _print_result(res)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
@@ -377,7 +383,7 @@ def cmd_ground_state(args) -> int:
     write_manifest(args.out, "ground-state", extra["pairs"], outputs)
     res = ground_state(action, pot, table, cfg)
     save_field(os.path.join(args.out, "solution.chq"), res.u)
-    write_trace(os.path.join(args.out, "trace.csv"), res.trace)
+    write_trace(os.path.join(args.out, "trace.csv"), res)
     _print_result(res)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
@@ -401,7 +407,7 @@ def cmd_multistart(args) -> int:
             fh.write(_result_summary_row(i, res) + "\n")
     for i, res in enumerate(results):
         save_field(os.path.join(args.out, "solution_%02d.chq" % i), res.u)
-        write_trace(os.path.join(args.out, "trace_%02d.csv" % i), res.trace)
+        write_trace(os.path.join(args.out, "trace_%02d.csv" % i), res)
         _print_result(res, prefix="[%02d] " % i)
     if not any(r.converged for r in results):
         return EXIT_NO_CONVERGENCE
@@ -514,6 +520,7 @@ _CONVERGENCE_ERRORS = (
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_threads()  # OpenBLAS sums round by its thread split
     try:
         return args.fn(args)
     except _CONFIG_ERRORS as exc:

@@ -135,6 +135,8 @@ def solve_metric_system(
     x0: np.ndarray | None = None,
     max_iter: int | None = None,
     free: np.ndarray | None = None,
+    strict: bool = False,
+    callback=None,
 ):
     """Preconditioned CG for A_u x = rhs; returns (x, achieved_rel_residual).
 
@@ -144,6 +146,12 @@ def solve_metric_system(
     longer positive (an exactly zero residual, or rounding). The returned
     residual is recomputed from x (not the CG recursion, which drifts below
     the attainable floor near 1e-16).
+
+    This is the one Riesz path: the descent and riesz_gradient solve with
+    strict=True, which raises RieszSolveError (carrying .residual) when the
+    residual misses tol; without it the residual reached is returned, for
+    deliberately capped solves. callback(x), if given, runs after each CG
+    iteration, as in scipy.sparse.linalg.cg, so a caller can count them.
 
     free, a boolean mask, restricts the solve to the cells it marks: x is
     held at zero elsewhere and the system solved is the compression of A_u
@@ -194,21 +202,34 @@ def solve_metric_system(
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x, norm(rhs - apply(x)) / rhs_norm
-
-
-def riesz_gradient(u: Field, pot: Potential, table: KernelTable, tol: float = 1e-10):
-    """Solve <g, v>_u = Phi'(u) v for all v; returns (g, ||g||_u)."""
-    if lp_norm(u, 2) <= 1e-14:
-        raise BarycenterUndefinedError("riesz gradient undefined at 0 (no barycenter)")
-    ctx = metric_context(u)
-    r = residual_field(u, pot, table)
-    g_vals, rel = solve_metric_system(ctx, r.values, tol)
-    if rel > tol:
+        if callback is not None:
+            callback(x)
+    rel = norm(rhs - apply(x)) / rhs_norm
+    if strict and rel > tol:
         raise RieszSolveError(
             "metric solve stalled at relative residual %.3g (tol %.3g)" % (rel, tol),
             residual=rel,
         )
+    return x, rel
+
+
+def riesz_gradient(
+    u: Field,
+    pot: Potential,
+    table: KernelTable,
+    tol: float = 1e-10,
+    free: np.ndarray | None = None,
+):
+    """Solve <g, v>_u = Phi'(u) v for all v; returns (g, ||g||_u).
+
+    free restricts v to the cells it marks, as the descent does under a
+    projecting action (symmetry.preserved_cells).
+    """
+    if lp_norm(u, 2) <= 1e-14:
+        raise BarycenterUndefinedError("riesz gradient undefined at 0 (no barycenter)")
+    ctx = metric_context(u)
+    r = residual_field(u, pot, table)
+    g_vals, _ = solve_metric_system(ctx, r.values, tol, free=free, strict=True)
     g = Field(u.grid, g_vals)
     return g, norm_u(ctx, g)
 

@@ -1,9 +1,12 @@
 """Config grammar, exit codes, manifest-first output discipline, determinism."""
 
 import filecmp
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +307,30 @@ def test_solve_deterministic_bitwise(tmp_path):
     assert main(["solve", "--out", str(out2), "--n", "32"]) == EXIT_OK
     assert filecmp.cmp(out1 / "solution.chq", out2 / "solution.chq", shallow=False)
     assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits its dot products and the sine-matrix products of a
+    # restricted solve by thread count, so unpinned runs of this capped
+    # rot-zeta:2 solve differ in their last bits under one and two threads
+    cfg = write_config(tmp_path, "box = 6\nn = 128\nsymmetry = rot-zeta:2\nmax_iters = 5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "logchoquard", "solve", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == EXIT_NO_CONVERGENCE, proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == 1
+        digests.append({
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())
+        })
+    assert sorted(digests[0]) == ["manifest.json", "solution.chq", "trace.csv"]
+    assert digests[0] == digests[1]
 
 
 def test_solve_start_field_grid_mismatch_exits_2(tmp_path, capsys):

@@ -22,6 +22,7 @@ from logchoquard import (
     StartFamilyError,
     beta,
     bump_field,
+    cerami_weight,
     cos2d_potential,
     const_potential,
     descend,
@@ -43,9 +44,11 @@ from logchoquard import (
     radial_action,
     radial_average,
     residual_field,
+    riesz_gradient,
     rotation_zeta,
     trivial_action,
 )
+from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import TRACE_COLUMNS, _bump_sites
 from logchoquard.symmetry import preserved_cells
@@ -78,7 +81,7 @@ def test_solve_config_validation():
 def test_trace_columns():
     assert TRACE_COLUMNS == (
         "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
-        "alpha", "backtracks", "lbfgs",
+        "alpha", "backtracks", "lbfgs", "cg",
     )
 
 
@@ -389,6 +392,51 @@ def test_descent_slope_is_the_reduced_energy_slope(which):
         errs.append(abs(central - slope))
     assert errs[1] <= 1e-4 * abs(slope)
     assert 0.24 <= errs[1] / errs[0] <= 0.26  # O(eps^2): halving eps quarters it
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
+def test_converged_descent_is_certified_by_a_tight_solve(which):
+    # descent solves are loose; converged rests on a Cerami value solved to
+    # riesz_tol, which a fresh tight solve at the result reproduces
+    u0, action, pot, table = descent_case(which)
+    cfg = SolveConfig()
+    res = descend(u0, action, pot, table, cfg)
+    assert res.converged
+    free = preserved_cells(pot.a.grid, action)
+    _, gn = riesz_gradient(res.u, pot, table, tol=cfg.riesz_tol, free=free)
+    cerami = cerami_weight(res.u, gn)
+    assert cerami <= cfg.cerami_tol
+    assert res.cerami == pytest.approx(cerami, rel=1e-6)
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
+def test_loose_iterations_step_with_the_exact_slope(monkeypatch, which):
+    # a loose g is only a descent direction; the Armijo slope is Phi'(u) d =
+    # h^2 r.d with r the residual of the iterate (w0 its tracked log * u^2)
+    import logchoquard.solver as solver_mod
+
+    u0, action, pot, table = descent_case(which)
+    cfg = SolveConfig()
+    grid = pot.a.grid
+    real_solve, real_step = solver_mod.solve_metric_system, solver_mod._line_search
+    tols, errs = [], []
+
+    def solve(ctx, rhs, tol, **kwargs):
+        tols.append(tol)
+        return real_solve(ctx, rhs, tol, **kwargs)
+
+    def step(st, d, slope, *args):
+        if tols[-1] > cfg.riesz_tol:
+            r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
+            exact = grid.h ** 2 * float(np.sum(r * d.values))
+            errs.append(abs(slope - exact) / abs(exact))
+        return real_step(st, d, slope, *args)
+
+    monkeypatch.setattr(solver_mod, "solve_metric_system", solve)
+    monkeypatch.setattr(solver_mod, "_line_search", step)
+    res = descend(u0, action, pot, table, cfg)
+    assert res.converged and len(errs) >= 10
+    assert max(errs) <= 1e-12
 
 
 def lbfgs_with_pairs(ctx, n_pairs, seed=0):

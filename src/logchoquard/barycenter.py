@@ -14,22 +14,17 @@ import numpy as np
 
 from .errors import BarycenterUndefinedError, GridResolutionError
 from .field import Field, Grid
-from .logkernel import kernel_fft, offset_lattice, padded_convolve
 
 MAX_H = 0.5  # local_mass resolves its unit ball only with radius >= 2h
 
-_disc_cache: dict = {}
 
-
-def _disc_hat(grid: Grid) -> np.ndarray:
-    """FFT of the unit-disc indicator on the doubled offset lattice (cached per grid)."""
-    key = (grid.L, grid.n)
-    hat = _disc_cache.get(key)
-    if hat is None:
-        mask = (offset_lattice(grid) < 1.0).astype(float)
-        hat = kernel_fft(mask)
-        _disc_cache[key] = hat
-    return hat
+def _disc_half_widths(grid: Grid) -> np.ndarray:
+    """w[r] for r = 0..R: the unit disc holds the cell offsets (r, c) with
+    |c| <= w[r], counted by their centers (|(r h, c h)| < 1)."""
+    r = np.arange(int(1.0 / grid.h) + 1)
+    inside = np.hypot(r[:, None] * grid.h, r[None, :] * grid.h) < 1.0
+    widths = np.count_nonzero(inside, axis=1) - 1
+    return widths[widths >= 0]
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,12 @@ class BarycenterWork:
 
 
 def local_mass(u: Field, p: float = 2.0) -> Field:
-    """uhat(x) = h^2 sum_{|x-y|<1} |u(y)|^p, cells counted by their centers."""
+    """uhat(x) = h^2 sum_{|x-y|<1} |u(y)|^p, cells counted by their centers.
+
+    Summed directly over the disc as row segments: one prefix sum along
+    each row gives the segment sums c-w..c+w of every half-width w, and
+    each row offset r of the disc adds its segments shifted by +-r rows.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     grid = u.grid
@@ -50,8 +50,26 @@ def local_mass(u: Field, p: float = 2.0) -> Field:
         raise GridResolutionError(
             "unit ball needs radius >= 2h to be resolved; h=%.3g too coarse" % grid.h
         )
-    density = np.abs(u.values) ** p
-    return Field(grid, padded_convolve(grid, density, _disc_hat(grid)))
+    n = grid.n
+    widths = _disc_half_widths(grid)[:n]
+    W = int(widths[0])
+    # rows of pitch M hold prefix[i, W + k] = sum_{c < k} |u[i, c]|^p for
+    # -W <= k <= n + W; flat, a segment is one slice and a row shift r is r*M
+    M = n + 2 * W + 1
+    prefix = np.zeros((n, M))
+    np.cumsum(np.abs(u.values) ** p, axis=1, out=prefix[:, W + 1 : W + 1 + n])
+    prefix[:, W + 1 + n :] = prefix[:, W + n : W + n + 1]
+    flat = prefix.ravel()
+    size = (n - 1) * M + n  # flat extent of the n x n cells
+    out = np.zeros((n, M))
+    acc = out.ravel()
+    for r, w in enumerate(widths):
+        seg = flat[W + w + 1 : W + w + 1 + size] - flat[W - w : W - w + size]
+        span = size - r * M
+        acc[:span] += seg[r * M :]
+        if r:
+            acc[r * M : size] += seg[:span]
+    return Field(grid, grid.h * grid.h * out[:, :n])
 
 
 def barycenter_work(u: Field, p: float = 2.0) -> BarycenterWork:

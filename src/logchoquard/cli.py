@@ -228,9 +228,10 @@ def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) 
         "blas_threads": blas_threads(),
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(path + ".tmp", path)  # a rewrite never leaves a partial manifest
     if os.environ.get("LOGCHOQUARD_CRASH_AFTER_MANIFEST"):
         raise SystemExit(70)  # crash hook: manifest exists, outputs do not
     return path
@@ -392,6 +393,9 @@ def cmd_multistart(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
     k = extra["k"]
     table = _load_table(grid, cfg)
+    # the orbit count is known only after the search: the manifest goes
+    # first with results.csv and is rewritten with every output after it
+    write_manifest(args.out, "multistart", extra["pairs"], ["results.csv"])
     results = multistart_search(k, action, pot, table, cfg)
     outputs = ["results.csv"] + [
         name

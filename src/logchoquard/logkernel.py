@@ -12,7 +12,7 @@ the n kept rows only; the result is bit-identical to the full 2n x 2n
 transform pair.
 
 The singular origin cell of log r is replaced by its exact cell mean,
-computed by adaptive quadrature of the polar form. The origin cell of
+the closed form log h - (1/2) log 2 + pi/4 - 3/2. The origin cell of
 log(1 + e^tau/r) is then fixed as k1(0) - k0(0), which makes the
 splitting k1 - k2 = k0 hold pointwise at every offset; the difference
 from the true cell mean of that kernel is O(h) and only affects the
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy import fft as sp_fft  # after scipy.integrate: this order starts up 10-20 ms faster
+from scipy import fft as sp_fft
 
 from .errors import FieldDataError, GridMismatchError, GridResolutionError
 from .field import Field, Grid, same_grid
@@ -40,16 +39,11 @@ _KERNEL_NAMES = {"B0": "k0", "B1": "k1", "B2": "k2"}
 def origin_cell_log_mean(h: float) -> float:
     """Mean of log|y| over the h x h cell centered at the origin.
 
-    Polar form over the eight congruent triangles of the square:
-    (8/h^2) * int_0^{pi/4} R^2/2 (log R - 1/2) dtheta with R = (h/2)/cos(theta).
+    Integrating the polar form over the eight congruent triangles of the
+    square, (8/h^2) * int_0^{pi/4} R^2/2 (log R - 1/2) dtheta with
+    R = (h/2)/cos(theta), gives log h - (1/2) log 2 + pi/4 - 3/2.
     """
-
-    def integrand(theta):
-        R = (0.5 * h) / np.cos(theta)
-        return 0.5 * R * R * (np.log(R) - 0.5)
-
-    val, _ = quad(integrand, 0.0, 0.25 * np.pi, epsabs=1e-13, epsrel=1e-12)
-    return 8.0 * val / (h * h)
+    return np.log(h) - 0.5 * np.log(2.0) + 0.25 * np.pi - 1.5
 
 
 def offset_lattice(grid: Grid):

@@ -1,8 +1,9 @@
 """Generalized barycenter: local mass, half-peak set, invariances.
 
-Oracles: an explicit O(n^4) disc sum for the local mass, symmetric
-two-bump configurations (center must vanish), and a known-center
-Gaussian. Scale invariance under powers of two must be bitwise.
+Oracles: an explicit O(n^4) disc sum and a zero-padded FFT disc
+convolution for the local mass, symmetric two-bump configurations
+(center must vanish), and a known-center Gaussian. Scale invariance
+under powers of two must be bitwise.
 """
 
 import numpy as np
@@ -45,6 +46,20 @@ def test_local_mass_matches_direct_disc_sum(grid32):
             d = np.hypot(grid32.x1 - grid32.x1[i, j], grid32.x2 - grid32.x2[i, j])
             slow[i, j] = h * h * np.sum(dens[d < 1.0])
     assert np.max(np.abs(fast - slow)) <= 1e-10 * max(1.0, np.max(np.abs(slow)))
+
+
+def test_local_mass_matches_padded_fft_disc_convolution():
+    # n = 128, L = 6: h = 0.09375, so the disc spans 21 rows of cells
+    g = Grid(L=6.0, n=128)
+    u = Field(g, confined_field(g, np.random.default_rng(3)))
+    off = ((np.arange(256) + 128) % 256 - 128) * g.h
+    disc = (np.hypot(off[:, None], off[None, :]) < 1.0).astype(float)
+    assert np.count_nonzero(disc[:, 0]) == 21
+    padded = np.zeros((256, 256))
+    padded[:128, :128] = u.values ** 2
+    ref = g.h * g.h * np.fft.irfft2(np.fft.rfft2(padded) * np.fft.rfft2(disc), s=(256, 256))[:128, :128]
+    fast = local_mass(u, p=2.0).values
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_local_mass_needs_resolved_disc():

@@ -284,6 +284,22 @@ def test_crash_hook_leaves_manifest_only(monkeypatch, tmp_path):
     assert not (out / "trace.csv").exists()
 
 
+def test_multistart_writes_its_manifest_before_the_search(monkeypatch, tmp_path):
+    import logchoquard.cli as cli
+
+    def searched(*args, **kwargs):
+        raise AssertionError("multistart_search ran before the manifest was written")
+
+    monkeypatch.setenv("LOGCHOQUARD_CRASH_AFTER_MANIFEST", "1")
+    monkeypatch.setattr(cli, "multistart_search", searched)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["multistart", "--out", str(out), "--n", "32", "--k", "0"])
+    assert exc.value.code == 70
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["results.csv"]
+
+
 def test_solve_writes_outputs(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["solve", "--out", str(out), "--n", "32"])
@@ -385,7 +401,8 @@ def test_multistart_writes_results_csv(tmp_path, capsys):
     assert (out / "solution_00.chq").exists()
     assert (out / "trace_00.csv").exists()
     man = json.loads((out / "manifest.json").read_text())
-    assert "results.csv" in man["outputs"] and "solution_00.chq" in man["outputs"]
+    assert man["outputs"] == ["results.csv", "solution_00.chq", "trace_00.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + man["outputs"])
     assert "[00]" in capsys.readouterr().out
 
 

@@ -1,6 +1,12 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name in the package and the tests is used,
+every definition is read, and a CLI run loads no scipy subpackage it does
+not call."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +88,28 @@ def test_no_unreferenced_definitions():
             if not others and name not in reads(trees[path], skip=node):
                 unread.append("%s %s" % (path.relative_to(ROOT), name))
     assert not unread, "definitions read nowhere: " + ", ".join(unread)
+
+
+# scipy subpackages that no solve-path code calls; each one costs start-up
+# time and resident memory on every CLI call that loads it
+UNUSED_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+
+IMPORT_BUDGET_PROBE = """
+import json, sys
+import logchoquard.cli as cli
+cli.main(["solve", "--n", "32", "--out", sys.argv[1]])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_a_cli_solve_loads_only_the_scipy_it_calls(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_PROBE, str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    found = sorted({".".join(m.split(".")[:2]) for m in loaded} & set(UNUSED_SCIPY))
+    assert not found, "a CLI solve loaded " + ", ".join(found)

@@ -1,8 +1,9 @@
 """Log-kernel tables, FFT convolution, and the B1 - B2 = B0 splitting.
 
-Oracles: a hand-derived closed form for the singular origin cell
-(log h - log(2)/2 + pi/4 - 3/2), an O(n^4) direct double sum, and the
-continuum log-energy of a Gaussian computed by nested polar quadrature.
+Oracles: polar quadrature of the singular origin cell (whose closed form
+log h - log(2)/2 + pi/4 - 3/2 the kernel uses), an O(n^4) direct double
+sum, and the continuum log-energy of a Gaussian computed by nested polar
+quadrature.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from logchoquard import (
     origin_cell_log_mean,
     padded_convolve,
 )
-from logchoquard.barycenter import _disc_hat
 from logchoquard.field import shift_cells
 from logchoquard.logkernel import offset_lattice
 
@@ -35,10 +35,17 @@ from conftest import confined_field
 
 
 def test_origin_cell_closed_form():
-    # mean of log|y| over the h-cell at 0 is log h - log(2)/2 + pi/4 - 3/2
+    # the closed form log h - log(2)/2 + pi/4 - 3/2 against adaptive
+    # quadrature of the polar form over the eight congruent triangles of
+    # the cell: (8/h^2) int_0^{pi/4} R^2/2 (log R - 1/2) dtheta, R = (h/2)/cos
     for h in (1.0, 0.375, 0.1875, 0.09375):
-        closed = np.log(h) - 0.5 * np.log(2.0) + 0.25 * np.pi - 1.5
-        assert abs(origin_cell_log_mean(h) - closed) <= 1e-13
+
+        def integrand(theta):
+            R = (0.5 * h) / np.cos(theta)
+            return 0.5 * R * R * (np.log(R) - 0.5)
+
+        polar = 8.0 * quad(integrand, 0.0, 0.25 * np.pi, epsabs=1e-13, epsrel=1e-12)[0] / (h * h)
+        assert abs(origin_cell_log_mean(h) - polar) <= 1e-13
 
 
 def test_origin_cell_scaling_law():
@@ -128,7 +135,7 @@ def test_pruned_convolve_is_bit_identical_to_full_padding(n):
     g = Grid(L=6.0, n=n)
     t = make_kernel_table(g, tau=0.7)
     rng = np.random.default_rng(n)
-    for khat in (t.k0_hat, t.k1_hat, t.k2_hat, _disc_hat(g)):
+    for khat in (t.k0_hat, t.k1_hat, t.k2_hat):
         vals = rng.standard_normal((n, n))
         padded = np.zeros((2 * n, 2 * n))
         padded[:n, :n] = vals

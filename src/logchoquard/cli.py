@@ -195,14 +195,13 @@ def parse_config(text: str):
             backtrack_factor=float(pairs["backtrack_factor"]),
             armijo_c=float(pairs["armijo_c"]),
             tau_split=float(pairs["tau_split"]),
-            seed=int(pairs["seed"]),
         )
-        k = int(pairs["k"])
-        if k < 0:
-            raise ValueError("k must be >= 0")
+        k, seed = int(pairs["k"]), int(pairs["seed"])
+        if k < 0 or seed < 0:
+            raise ValueError("k and seed must be >= 0")
     except ValueError as exc:
         raise ConfigError("bad solver settings: %s" % exc)
-    return grid, pot, action, cfg, {"k": k, "pairs": pairs}
+    return grid, pot, action, cfg, {"k": k, "seed": seed, "pairs": pairs}
 
 
 def serialize_config(pairs: dict) -> str:
@@ -302,7 +301,7 @@ def _load_config(args):
 def cmd_check(args) -> int:
     if args.config is None and args.n is None:
         args.n = 32  # default battery grid stays quick
-    grid, _, _, cfg, _ = _load_config(args)
+    grid, _, _, cfg, extra = _load_config(args)
     if grid.h > BARYCENTER_MAX_H:
         # the barycenter and metric checks cannot resolve their unit ball
         raise ConfigError(
@@ -311,7 +310,7 @@ def cmd_check(args) -> int:
         )
     table = _load_table(grid, cfg)
     failures = 0
-    for names, run in battery(grid, table, np.random.default_rng(cfg.seed)):
+    for names, run in battery(grid, table, np.random.default_rng(extra["seed"])):
         try:
             lines = list(run())
         except ChoquardError as exc:
@@ -357,7 +356,7 @@ def cmd_solve(args) -> int:
     if args.start:
         u0 = _read_field(args.start, grid)
     else:
-        u0 = make_bump_family(0, action, pot, table, cfg).start(0)
+        u0 = make_bump_family(0, action, pot, table, cfg).starts[0]
     outputs = ["solution.chq", "trace.csv"]
     write_manifest(args.out, "solve", extra["pairs"], outputs)
     try:

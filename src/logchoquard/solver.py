@@ -11,9 +11,9 @@ and lands on the manifold again. The step only needs a descent direction,
 so that solve is loose until the Cerami value nears cerami_tol, and the
 Armijo slope is the exact Phi'(u) d = h^2 r.d rather than the metric
 pairing of an inexact gradient; only a solve to riesz_tol can end the
-descent as converged. Starts come from families of disjoint
-mollifier bumps placed and symmetrized according to the group action,
-combined over the unit simplex of signed coefficients.
+descent as converged. Starts come from families of k+1 disjoint
+mollifier bumps placed and symmetrized according to the group action; the
+multistart search descends once from each bump.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .functionals import (
     q_a_bilinear,
     scale_Tt,
 )
-from .logkernel import KernelTable, b_form, padded_convolve
+from .logkernel import KernelTable, padded_convolve
 from .metric import (
     MetricContext,
     inner_u,
@@ -110,7 +110,6 @@ class SolveConfig:
     backtrack_factor: float = 0.5
     armijo_c: float = 1e-4
     tau_split: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -143,25 +142,7 @@ class SolveResult:
 @dataclass(frozen=True)
 class StartFamily:
     bumps: List[Field]
-    simplex_samples: List[np.ndarray]
-    vertex_starts: List[Field]  # start of the single-bump sample of each bump
-
-    def start(self, idx: int) -> Field:
-        """Start field of simplex sample idx.
-
-        A sample with a single nonzero coefficient c on bump i starts from
-        c * vertex_starts[i]; every other sample from sum_i s_i bumps[i].
-        """
-        s = self.simplex_samples[idx]
-        grid = self.bumps[0].grid
-        nonzero = np.flatnonzero(s)
-        if len(nonzero) == 1:
-            i = int(nonzero[0])
-            return Field(grid, s[i] * self.vertex_starts[i].values)
-        vals = np.zeros((grid.n, grid.n))
-        for coeff, b in zip(s, self.bumps):
-            vals += coeff * b.values
-        return Field(grid, vals)
+    starts: List[Field]  # the descent start of each bump
 
 
 # alpha: the accepted step; backtracks: how often it was halved; lbfgs: 1 for
@@ -508,14 +489,6 @@ def _layout(k: int, action: GroupAction, grid):
     return [(tuple(c), radius) for c in centers], "bumps"
 
 
-def _gram(bumps: List[Field], pot: Potential, table: KernelTable):
-    """The matrices q_a(b_i, b_j) and B0(b_i^2, b_j^2) of a family."""
-    qa_mat = np.array([[q_a_bilinear(bi, bj, pot) for bj in bumps] for bi in bumps])
-    sq = [Field(b.grid, b.values * b.values) for b in bumps]
-    v_mat = np.array([[b_form(si, sj, "B0", table) for sj in sq] for si in sq])
-    return qa_mat, v_mat
-
-
 def make_bump_family(
     k: int,
     action: GroupAction,
@@ -523,22 +496,23 @@ def make_bump_family(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> StartFamily:
-    """k+1 invariant bumps with disjoint supports plus signed simplex samples.
+    """k+1 invariant bumps with disjoint supports and one descent start per bump.
 
     _layout places the seed bumps of the action's kind. One build loop
     checks each seed against the resolution floor (radius >= 3h, for every
     kind) and the box, builds it and, under a projecting action,
     symmetrizes it. One rescale loop then moves the bumps jointly along
-    T_t (t < 0) until every simplex sample satisfies q_a > 0 and V0 < 0,
-    and onward while the worst projected energy improves, mirroring the
-    disjoint-support start construction of the multiplicity argument. Disjointness is re-checked after every
-    rescale: half-peak cores stay more than CORE_GAP_CELLS cells apart
-    (StartFamilyError if reaching O would merge them).
+    T_t (t < 0) until every bump satisfies q_a > 0 and V0 < 0, and onward
+    while the worst projected energy improves, mirroring the
+    disjoint-support start construction of the multiplicity argument.
+    Disjointness is re-checked after every rescale: half-peak cores stay
+    more than CORE_GAP_CELLS cells apart (StartFamilyError if reaching O
+    would merge them).
 
-    Vertex starts stay on their sites: for the trivial and lattice families
-    (bumps on _bump_sites), a single-bump sample starts from its unscaled
-    on-site bump whenever that bump lies in O; StartFamily.start applies
-    the rule.
+    Starts stay on their sites: without a projection (the trivial and
+    lattice families, bumps on _bump_sites) a bump starts from its unscaled
+    on-site self whenever that lies in O, and otherwise from its rescaled
+    self. cfg is not read; it stays for callers of the five-argument form.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -566,35 +540,14 @@ def make_bump_family(
                 raise StartFamilyError("invariant projection annihilated one of the %s" % what)
         bumps.append(bump)
 
-    rng = np.random.default_rng(cfg.seed)
-    samples = [np.eye(k + 1)[j] for j in range(k + 1)]
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            mid = np.zeros(k + 1)
-            mid[i] = mid[j] = 0.5
-            samples.append(mid)
-    for _ in range(max(2, k)):
-        s = rng.standard_normal(k + 1)
-        while np.sum(np.abs(s)) <= 1e-12:
-            s = rng.standard_normal(k + 1)
-        samples.append(s / np.sum(np.abs(s)))
-    # Phi is even, so a sample equal to +-an earlier one repeats its descent;
-    # at k = 0 every random sample normalises to +-e_0
-    unique: List[np.ndarray] = []
-    for s in samples:
-        if not any(np.array_equal(s, t) or np.array_equal(s, -t) for t in unique):
-            unique.append(s)
-    samples = unique
+    def worst_phi(terms):
+        """max Phi(sigma(b)) over the bumps' (q_a, V0); inf if one lies outside O."""
+        if not all(qa > 0 and v0 < 0 for qa, v0 in terms):
+            return np.inf
+        return max(-qa * qa / (4.0 * v0) for qa, v0 in terms)
 
-    def worst_phi(qa_mat, v_mat):
-        worst = 0.0
-        for s in samples:
-            qa_s = float(s @ qa_mat @ s)
-            v0_s = float((s * s) @ v_mat @ (s * s))
-            if not (qa_s > 0 and v0_s < 0):
-                return np.inf
-            worst = max(worst, -qa_s * qa_s / (4.0 * v0_s))
-        return worst
+    def nehari_diagonal(bump_list):
+        return [nehari_terms(b, pot, table)[:2] for b in bump_list]
 
     def rescaled(bump_list):
         try:
@@ -609,13 +562,13 @@ def make_bump_family(
             out = [project_invariant(b, action) for b in out]
         return out
 
-    # joint T_t rescaling in steps of -1/4 down to t = -2: until every sample
+    # joint T_t rescaling in steps of -1/4 down to t = -2: until every bump
     # lies in O (worst_phi is finite), then onward while the worst projected
     # energy still improves. Stopping at the first O-entry leaves V0 barely
-    # negative, and sigma-projection catapults such samples to enormous
+    # negative, and sigma-projection catapults such starts to enormous
     # energies whose transients dominate the descent.
-    unscaled, gram = bumps, _gram(bumps, pot, table)
-    phi_now = worst_phi(*gram)
+    unscaled, unscaled_terms = bumps, nehari_diagonal(bumps)
+    phi_now = worst_phi(unscaled_terms)
     for _ in range(8):
         in_o = np.isfinite(phi_now)
         deeper = rescaled(bumps)
@@ -625,7 +578,7 @@ def make_bump_family(
             raise StartFamilyError(
                 "rescaling into O merged the bump cores; enlarge the box or reduce k"
             )
-        phi_deeper = worst_phi(*_gram(deeper, pot, table))
+        phi_deeper = worst_phi(nehari_diagonal(deeper))
         if in_o and not phi_deeper < phi_now:
             break
         bumps, phi_now = deeper, phi_deeper
@@ -636,16 +589,15 @@ def make_bump_family(
         )
 
     # T_t is a dilation about the origin: it pulls the bumps of a site family
-    # off their sites and shrinks them, and single-bump starts then fall to
-    # the ground orbit. A vertex sample therefore starts from its unscaled
-    # on-site bump whenever that bump already lies in O.
-    vertex_starts = list(bumps)
-    if not action.has_projection:
-        qa_mat, v_mat = gram
-        for i, b in enumerate(unscaled):
-            if qa_mat[i, i] > 0 and v_mat[i, i] < 0:
-                vertex_starts[i] = b
-    return StartFamily(bumps=bumps, simplex_samples=samples, vertex_starts=vertex_starts)
+    # off their sites and shrinks them, and their descents then fall to the
+    # ground orbit. A bump therefore starts unscaled, on its site, whenever
+    # it already lies in O.
+    on_site = not action.has_projection
+    starts = [
+        b if on_site and qa > 0 and v0 < 0 else scaled
+        for b, scaled, (qa, v0) in zip(unscaled, bumps, unscaled_terms)
+    ]
+    return StartFamily(bumps=bumps, starts=starts)
 
 
 def multistart_search(
@@ -655,8 +607,8 @@ def multistart_search(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> List[SolveResult]:
-    """Descend from every simplex sample; dedup by orbit distance, converged
-    results first; sort by Phi."""
+    """Descend once from each start of the bump family; dedup by orbit
+    distance, converged results first; sort by Phi."""
     ok, reason = check_admissible(action)
     if not ok and pot.ess_inf <= 0:
         raise AdmissibilityError(
@@ -665,9 +617,9 @@ def multistart_search(
     family = make_bump_family(k, action, pot, table, cfg)
 
     results: List[SolveResult] = []
-    for idx in range(len(family.simplex_samples)):
+    for idx, u0 in enumerate(family.starts):
         try:
-            res = descend(family.start(idx), action, pot, table, cfg)
+            res = descend(u0, action, pot, table, cfg)
         except DESCENT_ERRORS as exc:
             res = getattr(exc, "result", None)
             if res is None:

@@ -310,8 +310,8 @@ def test_sign_changing_symmetric(report):
     pot = const_potential(grid)
     table = make_kernel_table(grid)
     action = rotation_zeta(2)
-    family = make_bump_family(0, action, pot, table, SolveConfig(seed=3))
-    res = descend(family.bumps[0], action, pot, table, SolveConfig(seed=3))
+    family = make_bump_family(0, action, pot, table, SolveConfig())
+    res = descend(family.bumps[0], action, pot, table, SolveConfig())
 
     cert = is_invariant(res.u, action)
     ground = descend(

@@ -51,7 +51,7 @@ def test_defaults_on_empty_config():
     assert extra["k"] == 2
     assert cfg.max_iters == 1200
     assert cfg.cerami_tol == 1e-6
-    assert cfg.seed == 0
+    assert extra["seed"] == 0
 
 
 def test_serialize_is_canonical_fixed_point():
@@ -97,6 +97,15 @@ def test_bad_solver_settings_rejected():
         parse_config("max_iters = many\n")
     with pytest.raises(ConfigError, match="bad solver settings"):
         parse_config("k = -1\n")
+
+
+def test_bad_seed_rejected(capsys):
+    # check seeds its battery generator from the key, which takes no negative seed
+    for bad in ("x", "-1"):
+        with pytest.raises(ConfigError, match="bad solver settings"):
+            parse_config("seed = %s\n" % bad)
+    assert main(["check", "--seed", "-1"]) == EXIT_CONFIG
+    assert "k and seed must be >= 0" in capsys.readouterr().err
 
 
 def test_potential_kinds(tmp_path):

@@ -102,37 +102,23 @@ def test_bump_family_trivial(grid64, table64, pot64):
         grown = binary_dilation(masks[i], iterations=2)  # 2h separation
         for j in range(i + 1, 3):
             assert not np.any(grown & masks[j])
-    # 3 vertices + 3 midpoints + 2 random signed samples
-    assert len(fam.simplex_samples) == 8
-    for j in range(3):
-        assert np.array_equal(fam.simplex_samples[j], np.eye(3)[j])
-    for s in fam.simplex_samples[6:]:
-        assert np.sum(np.abs(s)) == pytest.approx(1.0, rel=1e-12)
+    assert len(fam.starts) == 3
 
 
 def test_bump_family_samples_lie_in_O(grid64, table64, pot64):
     fam = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig())
-    for s in fam.simplex_samples:
-        vals = sum(c * b.values for c, b in zip(s, fam.bumps))
-        bk = energy(Field(grid64, vals), pot64, table64)
+    for start in fam.starts:
+        bk = energy(start, pot64, table64)
         assert bk.q_a > 0 > bk.v0
 
 
-def test_bump_family_k0_has_no_repeated_sample(grid32, table32, pot32):
-    # Phi is even: the random samples of a one-bump family all normalise
-    # to +-e_0 and would repeat the vertex descent
-    fam = make_bump_family(0, trivial_action(), pot32, table32, SolveConfig())
-    assert len(fam.simplex_samples) == 1
-    assert np.array_equal(fam.simplex_samples[0], np.ones(1))
-
-
 def test_bump_family_deterministic(grid64, table64, pot64):
-    f1 = make_bump_family(1, trivial_action(), pot64, table64, SolveConfig(seed=5))
-    f2 = make_bump_family(1, trivial_action(), pot64, table64, SolveConfig(seed=5))
+    f1 = make_bump_family(1, trivial_action(), pot64, table64, SolveConfig())
+    f2 = make_bump_family(1, trivial_action(), pot64, table64, SolveConfig())
     for b1, b2 in zip(f1.bumps, f2.bumps):
         assert np.array_equal(b1.values, b2.values)
-    for s1, s2 in zip(f1.simplex_samples, f2.simplex_samples):
-        assert np.array_equal(s1, s2)
+    for s1, s2 in zip(f1.starts, f2.starts):
+        assert np.array_equal(s1.values, s2.values)
 
 
 def test_bump_family_rotation_invariant():
@@ -176,18 +162,15 @@ def test_bump_family_radial(grid64, table64, pot64):
 
 
 def test_bump_family_vertex_starts_on_site():
-    # the joint rescale dilates about the origin; single-bump starts must
-    # still sit on the inequivalent lattice sites they were placed on
+    # the joint rescale dilates about the origin; the starts must still sit
+    # on the inequivalent lattice sites their bumps were placed on
     g = Grid(L=4.0, n=64)
     pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
     action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
     fam = make_bump_family(4, action, pot, make_kernel_table(g), SolveConfig())
     centers, _ = _bump_sites(action, g, 4)
-    for idx, s in enumerate(fam.simplex_samples):
-        nonzero = np.flatnonzero(s)
-        if len(nonzero) == 1:
-            site = centers[int(nonzero[0])]
-            assert np.max(np.abs(beta(fam.start(idx)) - site)) <= 1e-9
+    for start, site in zip(fam.starts, centers):
+        assert np.max(np.abs(beta(start) - site)) <= 1e-9
 
 
 def test_bump_family_guards(grid64, table64, pot64):
@@ -264,7 +247,7 @@ def test_solve_path_builds_no_split_kernel(grid32, pot32):
     # work with k0 alone, so a fresh table never builds the split kernels
     table = make_kernel_table(grid32)
     cfg = SolveConfig(max_iters=5)
-    u0 = make_bump_family(0, trivial_action(), pot32, table, cfg).start(0)
+    u0 = make_bump_family(0, trivial_action(), pot32, table, cfg).starts[0]
     res = descend(u0, trivial_action(), pot32, table, cfg)
     energy(res.u, pot32, table)
     multistart_search(0, trivial_action(), pot32, table, cfg)
@@ -485,15 +468,20 @@ def test_lbfgs_two_loop_maps_the_newest_y_to_the_newest_s():
 
 
 def test_periodic_drift_tail_converges_in_few_steps():
-    # a mixed start of the unit-lattice family: its merged bump drifts
-    # across the potential, the soft mode the metric pairing resolves
+    # a signed mix of the unit-lattice family's two bumps: its merged bump
+    # drifts across the potential, the soft mode the metric pairing resolves
     g = Grid(L=8.0, n=128)
     pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
     action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
     table = make_kernel_table(g)
     fam = make_bump_family(1, action, pot, table, SolveConfig())
-    assert np.allclose(fam.simplex_samples[3], [0.488, -0.512], atol=1e-3)
-    res = descend(fam.start(3), action, pot, table, SolveConfig())
+    s = np.random.default_rng(0).standard_normal(2)
+    s /= np.sum(np.abs(s))
+    assert np.allclose(s, [0.488, -0.512], atol=1e-3)
+    vals = np.zeros((g.n, g.n))
+    for i in range(2):
+        vals += s[i] * fam.bumps[i].values
+    res = descend(Field(g, vals), action, pot, table, SolveConfig())
     assert res.converged
     assert res.iters <= 100
     assert sum(row[8] for row in res.trace) <= 50
@@ -574,6 +562,23 @@ def test_multistart_survives_failing_starts(monkeypatch, grid64, table64, pot64)
     monkeypatch.setattr(solver_mod, "descend", broken)
     results = solver_mod.multistart_search(0, trivial_action(), pot64, table64, SolveConfig())
     assert results == []
+
+
+def test_multistart_descends_once_per_start(monkeypatch, grid64, table64, pot64):
+    import logchoquard.solver as solver_mod
+    from logchoquard import LineSearchError
+
+    starts = []
+
+    def counted(u0, action, pot, table, cfg):
+        starts.append(u0)
+        raise LineSearchError("counted only")
+
+    monkeypatch.setattr(solver_mod, "descend", counted)
+    for k in (0, 2):
+        starts.clear()
+        solver_mod.multistart_search(k, trivial_action(), pot64, table64, SolveConfig())
+        assert len(starts) == k + 1
 
 
 def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64, pot64):

@@ -94,9 +94,6 @@ _DEFAULTS = {
     "max_iters": "1200",
     "cerami_tol": "1e-6",
     "riesz_tol": "1e-10",
-    "step_init": "1.0",
-    "backtrack_factor": "0.5",
-    "armijo_c": "1e-4",
     "tau_split": "0.0",
     "seed": "0",
 }
@@ -191,9 +188,6 @@ def parse_config(text: str):
             max_iters=int(pairs["max_iters"]),
             cerami_tol=float(pairs["cerami_tol"]),
             riesz_tol=float(pairs["riesz_tol"]),
-            step_init=float(pairs["step_init"]),
-            backtrack_factor=float(pairs["backtrack_factor"]),
-            armijo_c=float(pairs["armijo_c"]),
             tau_split=float(pairs["tau_split"]),
         )
         k, seed = int(pairs["k"]), int(pairs["seed"])
@@ -237,11 +231,11 @@ def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) 
 
 
 def write_trace(path: str, res: SolveResult) -> None:
-    """res.trace with each row's CG iterations as the last column."""
+    """res.trace under the TRACE_COLUMNS header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row, cg in zip(res.trace, res.cg_iters):
-            fh.write("%d," % row[0] + ",".join("%.17g" % v for v in row[1:]) + ",%d\n" % cg)
+        for row in res.trace:
+            fh.write("%d," % row[0] + ",".join("%.17g" % v for v in row[1:-1]) + ",%d\n" % row[-1])
 
 
 def _result_summary_row(idx: int, res: SolveResult) -> str:

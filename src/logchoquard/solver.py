@@ -34,7 +34,7 @@ from .errors import (
     ScalingClipError,
     StartFamilyError,
 )
-from .field import Field, bump_field, gaussian_field, lp_norm, mollifier, neg_laplacian
+from .field import Field, bump_field, lp_norm, mollifier, neg_laplacian
 from .functionals import (
     EnergyBreakdown,
     NehariClass,
@@ -76,6 +76,11 @@ REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
 LBFGS_MEMORY = 8  # curvature pairs kept for the two-loop direction
 LOOSE_RIESZ_TOL = 1e-2  # relative residual of a descent solve that certifies nothing
 TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within this of cerami_tol
+# Armijo backtracking: the first and largest step, its halving factor and the
+# sufficient-decrease constant c1 (Nocedal & Wright, Numerical Optimization, 2006)
+STEP_INIT = 1.0
+BACKTRACK_FACTOR = 0.5
+ARMIJO_C = 1e-4
 
 
 def _lbfgs_two_loop(w: np.ndarray, pairs) -> np.ndarray:
@@ -106,21 +111,14 @@ class SolveConfig:
     max_iters: int = 1200
     cerami_tol: float = 1e-6
     riesz_tol: float = 1e-10
-    step_init: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     tau_split: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("cerami_tol", "riesz_tol", "step_init"):
+        for name in ("cerami_tol", "riesz_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be > 0" % name)
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not (0 < self.armijo_c < 1):
-            raise ValueError("armijo_c must lie in (0, 1)")
         if self.tau_split < 0:
             raise ValueError("tau_split must be >= 0")
 
@@ -135,7 +133,6 @@ class SolveResult:
     iters: int
     converged: bool
     trace: List[tuple] = dc_field(default_factory=list)
-    cg_iters: List[int] = dc_field(default_factory=list)  # of each trace row's metric solve
     start_index: Optional[int] = None
 
 
@@ -148,8 +145,7 @@ class StartFamily:
 # alpha: the accepted step; backtracks: how often it was halved; lbfgs: 1 for
 # the two-loop direction, 0 for the gradient. A row that takes no step (the
 # last one of a converged descent, or one whose line search fails) records
-# 0, 0, 0 there. A SolveResult.trace row holds the columns up to lbfgs; cg,
-# the CG iterations of the row's metric solve, is SolveResult.cg_iters.
+# 0, 0, 0 there. cg: the CG iterations of the row's metric solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
     "alpha", "backtracks", "lbfgs", "cg",
@@ -185,19 +181,6 @@ class _Iterate:
             raise DegenerateNehariError(
                 "degenerate Nehari direction: |V0| = %.3g below threshold" % abs(self.v0)
             )
-
-
-def _riesz(ctx: MetricContext, rhs, x0, free, action: GroupAction, tol: float, callback=None):
-    """Solve A_u x = rhs warm from x0 on the free cells: (x, x on the invariant fields).
-
-    A residual above tol raises RieszSolveError; callback runs after each
-    CG iteration.
-    """
-    vals, _ = solve_metric_system(
-        ctx, rhs, tol, x0=x0, free=free, strict=True, callback=callback
-    )
-    x = Field(ctx.grid, vals)
-    return vals, project_invariant(x, action) if action.has_projection else x
 
 
 class _Lbfgs:
@@ -256,7 +239,7 @@ class _Lbfgs:
         return g, h2 * float(np.vdot(r, g.values)), False
 
 
-def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table, cfg):
+def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table):
     """Armijo backtracking on Psi along u - alpha*d; moves st to sigma of the accepted point.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
@@ -291,17 +274,17 @@ def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table,
             # Phi(sigma(x)) = -q_a(x)^2 / (4 V0(x)); difference without
             # squaring the large baselines
             dphi = (-2.0 * qa * v0 * dq - v0 * dq * dq + qa * qa * dv) / (4.0 * v0_t * v0)
-            if dphi <= -cfg.armijo_c * alpha * slope:
+            if dphi <= -ARMIJO_C * alpha * slope:
                 st.u = st.u - alpha * d.values
                 st.w0 = st.w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq
                 st.qa, st.v0 = qa_t, v0_t
                 st.onto_nehari(st.phi + dphi)
                 return alpha, backtracks
-        alpha *= cfg.backtrack_factor
+        alpha *= BACKTRACK_FACTOR
     raise LineSearchError("Armijo backtracking exhausted after 60 halvings")
 
 
-def _finish(u_vals, pot, table, action, cerami, iters, converged, trace, cg_iters) -> SolveResult:
+def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> SolveResult:
     u = Field(pot.a.grid, u_vals.copy())
     breakdown = energy(u, pot, table)
     return SolveResult(
@@ -313,7 +296,6 @@ def _finish(u_vals, pot, table, action, cerami, iters, converged, trace, cg_iter
         iters=iters,
         converged=converged,
         trace=trace,
-        cg_iters=cg_iters,
     )
 
 
@@ -362,10 +344,9 @@ def descend(
     st = _Iterate(u, pot, table)
 
     trace: List[tuple] = []
-    cg_iters: List[int] = []
     lbfgs = _Lbfgs()
     g_prev = None
-    alpha, cerami, accepted = cfg.step_init, np.inf, 0
+    alpha, cerami, accepted = STEP_INIT, np.inf, 0
     loose_tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
     tight = True
     try:
@@ -374,24 +355,26 @@ def descend(
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             tol = cfg.riesz_tol if tight else loose_tol
             steps = []
-            g_prev, g = _riesz(ctx, r, g_prev, free, action, tol, callback=steps.append)
+            g_prev, _ = solve_metric_system(
+                ctx, r, tol, x0=g_prev, free=free, strict=True, callback=steps.append
+            )
+            g = Field(grid, g_prev)
+            if project:
+                g = project_invariant(g, action)
             lg = lower_u(ctx, g.values)
             cerami = cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
-            trace.append(row + (0.0, 0, 0))  # until a step is accepted
-            cg_iters.append(len(steps))
+            trace.append(row + (0.0, 0, 0, len(steps)))  # until a step is accepted
             if tight and cerami <= cfg.cerami_tol:
-                return _finish(st.u, pot, table, action, cerami, accepted, True, trace, cg_iters)
+                return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
             lbfgs.push(ctx, st.u, g.values)
             d, slope, two_loop = lbfgs.direction(ctx, g, lg, r)
             if slope > 0.0:
-                alpha = cfg.step_init if lbfgs.pairs else min(
-                    cfg.step_init, alpha / cfg.backtrack_factor
-                )
-                alpha, backtracks = _line_search(st, d, slope, alpha, pot, table, cfg)
-                trace[-1] = row + (alpha, backtracks, int(two_loop))
+                alpha = STEP_INIT if lbfgs.pairs else min(STEP_INIT, alpha / BACKTRACK_FACTOR)
+                alpha, backtracks = _line_search(st, d, slope, alpha, pot, table)
+                trace[-1] = row + (alpha, backtracks, int(two_loop), len(steps))
                 accepted += 1
                 tight = cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol
             elif tight:
@@ -404,9 +387,9 @@ def descend(
                     st.u = project_invariant(Field(grid, st.u), action).values
                 st.refresh(pot, table)
     except DESCENT_ERRORS as err:
-        err.result = _finish(st.u, pot, table, action, cerami, accepted, False, trace, cg_iters)
+        err.result = _finish(st.u, pot, table, action, cerami, accepted, False, trace)
         raise
-    return _finish(st.u, pot, table, action, cerami, accepted, False, trace, cg_iters)
+    return _finish(st.u, pot, table, action, cerami, accepted, False, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -644,34 +627,13 @@ def ground_state(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """Minimum-energy critical point under ess inf a > 0: multistart k=2 plus
-    a radial Gaussian start; returns the lowest-Phi converged result."""
+    """Minimum-energy critical point under ess inf a > 0: the lowest-Phi
+    converged result of multistart_search with k=2."""
     if pot.ess_inf <= 0:
         raise GroundStateError(
             "indefinite potential: global minimality not certified; use multistart_search"
         )
-    results = multistart_search(2, action, pot, table, cfg)
-
-    grid = pot.a.grid
-    gauss_result = None
-    for width in (0.7, 0.5, 0.35):
-        g0 = gaussian_field(grid, width=width)
-        if action.has_projection:
-            g0 = project_invariant(g0, action)
-            if lp_norm(g0, 2) <= 1e-12:
-                break
-        bk = energy(g0, pot, table)
-        if not (bk.q_a * bk.v0 < 0):
-            continue
-        try:
-            gauss_result = descend(g0, action, pot, table, cfg)
-        except DESCENT_ERRORS as exc:
-            gauss_result = getattr(exc, "result", None)
-        break
-    if gauss_result is not None:
-        results.append(gauss_result)
-
-    converged = [r for r in results if r.converged]
+    converged = [r for r in multistart_search(2, action, pot, table, cfg) if r.converged]
     if not converged:
         raise GroundStateError("no start converged within the iteration budget")
     best = min(converged, key=lambda r: r.breakdown.phi)

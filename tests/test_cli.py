@@ -31,7 +31,7 @@ from logchoquard.cli import (
     parse_config,
     serialize_config,
 )
-from logchoquard.solver import TRACE_COLUMNS
+from logchoquard.solver import TRACE_COLUMNS, SolveConfig
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -52,6 +52,8 @@ def test_defaults_on_empty_config():
     assert cfg.max_iters == 1200
     assert cfg.cerami_tol == 1e-6
     assert extra["seed"] == 0
+    # the key defaults of cli._DEFAULTS build the field defaults of SolveConfig
+    assert cfg == SolveConfig()
 
 
 def test_serialize_is_canonical_fixed_point():

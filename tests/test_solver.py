@@ -46,11 +46,12 @@ from logchoquard import (
     residual_field,
     riesz_gradient,
     rotation_zeta,
+    solve_metric_system,
     trivial_action,
 )
 from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
-from logchoquard.solver import TRACE_COLUMNS, _bump_sites
+from logchoquard.solver import BACKTRACK_FACTOR, STEP_INIT, TRACE_COLUMNS, _bump_sites
 from logchoquard.symmetry import preserved_cells
 
 from conftest import confined_field
@@ -70,10 +71,6 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(cerami_tol=0.0)
     with pytest.raises(ValueError):
-        SolveConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        SolveConfig(armijo_c=0.0)
-    with pytest.raises(ValueError):
         SolveConfig(tau_split=-1.0)
     assert SolveConfig().cerami_tol == 1e-6
 
@@ -83,6 +80,10 @@ def test_trace_columns():
         "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
         "alpha", "backtracks", "lbfgs", "cg",
     )
+    u0, action, pot, table = descent_case("trivial")
+    res = descend(u0, action, pot, table, SolveConfig(max_iters=5))
+    assert res.trace
+    assert all(len(row) == len(TRACE_COLUMNS) for row in res.trace)
 
 
 # ------------------------------------------------------------ start families
@@ -284,14 +285,13 @@ def test_descend_trace_monotone_and_consistent(ground64):
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
         assert nj == pytest.approx(qa + v0, abs=1e-8 * max(qa, -v0))
     # every row but the last took a step; the first one had no L-BFGS pairs
-    step_init, halve = SolveConfig().step_init, SolveConfig().backtrack_factor
     assert trace[0][9] == 0
     for row in trace[:-1]:
-        alpha, backtracks, lbfgs = row[7:]
+        alpha, backtracks, lbfgs = row[7:10]
         assert alpha > 0 and backtracks >= 0 and lbfgs in (0, 1)
         if lbfgs:
-            assert alpha == step_init * halve ** backtracks
-    assert trace[-1][7:] == (0.0, 0, 0)
+            assert alpha == STEP_INIT * BACKTRACK_FACTOR ** backtracks
+    assert trace[-1][7:10] == (0.0, 0, 0)
 
 
 def test_descend_restart_from_solution_returns_immediately(ground64, table64, pot64):
@@ -350,14 +350,15 @@ def test_descent_slope_is_the_reduced_energy_slope(which):
     # on the Nehari manifold Psi = Phi o sigma has Psi'(u) = Phi'(u), so the
     # unprojected Riesz gradient g gives the slope of Psi along any
     # direction, a ray component included
-    from logchoquard.solver import _riesz
-
     u0, action, pot, table = descent_case(which)
     grid = pot.a.grid
     u = nehari_project(u0, energy(u0, pot, table))
     ctx = metric_context(u)
     free = preserved_cells(grid, action)
-    _, g = _riesz(ctx, residual_field(u, pot, table).values, None, free, action, 1e-10)
+    vals, _ = solve_metric_system(
+        ctx, residual_field(u, pot, table).values, 1e-10, free=free, strict=True
+    )
+    g = project_invariant(Field(grid, vals), action)
     # <g, u>_u = Phi'(u) u = J(u) = 0
     assert abs(inner_u(ctx, g, u)) <= 1e-9 * norm_u(ctx, g) * norm_u(ctx, u)
 
@@ -579,6 +580,11 @@ def test_multistart_descends_once_per_start(monkeypatch, grid64, table64, pot64)
         starts.clear()
         solver_mod.multistart_search(k, trivial_action(), pot64, table64, SolveConfig())
         assert len(starts) == k + 1
+    # the ground state has no start of its own: one descent per bump of k=2
+    starts.clear()
+    with pytest.raises(GroundStateError, match="no start converged"):
+        solver_mod.ground_state(trivial_action(), pot64, table64, SolveConfig())
+    assert len(starts) == 3
 
 
 def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64, pot64):

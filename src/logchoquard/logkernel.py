@@ -28,7 +28,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import FieldDataError, GridMismatchError, GridResolutionError
 from .field import Field, Grid, same_grid
@@ -69,10 +68,10 @@ def padded_convolve(grid: Grid, values: np.ndarray, khat: np.ndarray) -> np.ndar
     n = grid.n
     if values.shape != (n, n):
         raise GridMismatchError("values shape %s does not match grid n=%d" % (values.shape, n))
-    spec = sp_fft.fft(sp_fft.rfft(values, n=2 * n, axis=-1), n=2 * n, axis=-2, overwrite_x=True)
+    spec = np.fft.fft(np.fft.rfft(values, n=2 * n, axis=-1), n=2 * n, axis=-2)
     spec *= khat
-    rows = sp_fft.ifft(spec, axis=-2, overwrite_x=True)[:n]
-    out = sp_fft.irfft(rows, n=2 * n, axis=-1)
+    rows = np.fft.ifft(spec, axis=-2, out=spec)[:n]
+    out = np.fft.irfft(rows, n=2 * n, axis=-1)
     return grid.h * grid.h * out[:, :n]
 
 

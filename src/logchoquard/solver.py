@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .barycenter import beta as barycenter_beta
 from .errors import (
@@ -329,9 +328,11 @@ def descend(
     that the action preserves (symmetry.preserved_cells), the others held
     at zero. There A_u commutes with the action, so the group average of
     the solution is the Riesz gradient of Phi restricted to invariant
-    fields, and every direction built from it is invariant; critical
-    points found this way are critical in the full space by symmetric
-    criticality.
+    fields, and every direction built from it is invariant. Symmetric
+    criticality (Palais) makes a critical point found this way critical in
+    the full space on the continuum; on the grid that holds on the
+    preserved cells only. Row 0 and column 0 are held at zero, so wherever
+    u has not decayed at the box edge a residual is left there.
     """
     grid = pot.a.grid
     project = action.has_projection
@@ -434,6 +435,19 @@ def _bump_sites(action: GroupAction, grid, k: int):
     return centers, radius
 
 
+def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
+    """mask grown by steps cross-shaped (4-neighbour) dilations, nothing past the edges."""
+    out = mask.copy()
+    for _ in range(steps):
+        grown = out.copy()
+        grown[1:] |= out[:-1]
+        grown[:-1] |= out[1:]
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        out = grown
+    return out
+
+
 def _cores_disjoint(bumps: List[Field]) -> bool:
     """Half-peak cores pairwise more than CORE_GAP_CELLS cells apart.
 
@@ -442,7 +456,7 @@ def _cores_disjoint(bumps: List[Field]) -> bool:
     """
     cores = [np.abs(b.values) > 0.5 * np.max(np.abs(b.values)) for b in bumps]
     for i, core in enumerate(cores[:-1]):
-        grown = binary_dilation(core, iterations=CORE_GAP_CELLS)
+        grown = _dilate(core, CORE_GAP_CELLS)
         if any(np.any(grown & other) for other in cores[i + 1:]):
             return False
     return True

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .barycenter import beta as barycenter_beta
 from .errors import BarycenterUndefinedError, ScalingClipError
@@ -111,10 +110,20 @@ def _rotate_resampled(u: Field, angle: float) -> Field:
             "rotation would clip support: field is not contained in the inscribed disc"
         )
     c, s = np.cos(angle), np.sin(angle)
-    y1 = c * grid.x1 + s * grid.x2
-    y2 = -s * grid.x1 + c * grid.x2
-    coords = [(y1 + grid.L) / grid.h, (y2 + grid.L) / grid.h]
-    return Field(grid, map_coordinates(u.values, coords, order=1, mode="constant", cval=0.0))
+    # source points in cell units; one off the sampled range [0, n-1] reads 0
+    c1 = (c * grid.x1 + s * grid.x2 + grid.L) / grid.h
+    c2 = (-s * grid.x1 + c * grid.x2 + grid.L) / grid.h
+    top = grid.n - 1
+    inside = (c1 >= 0.0) & (c1 <= top) & (c2 >= 0.0) & (c2 <= top)
+    c1, c2 = np.clip(c1, 0.0, top), np.clip(c2, 0.0, top)
+    i = np.minimum(np.floor(c1).astype(int), top - 1)
+    j = np.minimum(np.floor(c2).astype(int), top - 1)
+    f1, f2 = c1 - i, c2 - j
+    v = u.values
+    vals = (1.0 - f1) * ((1.0 - f2) * v[i, j] + f2 * v[i, j + 1]) + f1 * (
+        (1.0 - f2) * v[i + 1, j] + f2 * v[i + 1, j + 1]
+    )
+    return Field(grid, np.where(inside, vals, 0.0))
 
 
 def rotate(u: Field, angle: float) -> Field:

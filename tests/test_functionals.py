@@ -7,6 +7,7 @@ floating-point homogeneity under power-of-two scalings.
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from logchoquard import (
     EnergyBreakdown,
@@ -32,6 +33,7 @@ from logchoquard import (
     residual_field,
     scale_Tt,
     b_form,
+    bump_field,
 )
 from logchoquard.functionals import NEHARI_REL_TOL
 
@@ -267,6 +269,18 @@ def test_scale_matches_analytic_gaussian_image():
         errs.append(np.max(np.abs(v.values - exact.values)))
     assert errs[0] <= 1e-3
     assert errs[0] / errs[1] > 8.0  # cubic resampling: better than third order
+
+
+@pytest.mark.parametrize("t", [-0.25, 0.25])
+def test_scale_matches_the_scipy_cubic_spline(t):
+    # the separable spline samples the same interpolant as scipy's
+    # map_coordinates(order=3); compact bumps keep the boundary conventions out
+    g = Grid(L=6.0, n=128)
+    u = Field(g, bump_field(g, (0.7, -0.4), 1.5).values - bump_field(g, (-1.1, 0.9), 0.8).values)
+    ci = (np.exp(-t) * g.axis + g.L) / g.h
+    coords = np.broadcast_arrays(ci[:, None], ci[None, :])
+    want = np.exp(-t) * map_coordinates(u.values, coords, order=3, mode="constant", cval=0.0)
+    assert np.max(np.abs(scale_Tt(u, t).values - want)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 def test_scale_preserves_l2_mass():

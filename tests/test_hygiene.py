@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every definition is read, and a CLI run loads no scipy subpackage it does
-not call."""
+every definition is read, and neither a CLI run nor a resampled rotation
+loads scipy."""
 
 import ast
 import json
@@ -90,26 +90,35 @@ def test_no_unreferenced_definitions():
     assert not unread, "definitions read nowhere: " + ", ".join(unread)
 
 
-# scipy subpackages that no solve-path code calls; each one costs start-up
-# time and resident memory on every CLI call that loads it
-UNUSED_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
-
-IMPORT_BUDGET_PROBE = """
-import json, sys
+# importing scipy costs start-up time and resident memory on every CLI call,
+# and the package computes everything with numpy
+NO_SCIPY_PROBE = """
+import json, os, sys
+import numpy as np
 import logchoquard.cli as cli
-cli.main(["solve", "--n", "32", "--out", sys.argv[1]])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+from logchoquard import Field, Grid, rotate
+out = sys.argv[1]
+config = os.path.join(out, "rot.cfg")
+with open(config, "w") as fh:
+    fh.write("box = 3\\nsymmetry = rot-zeta:2\\nmax_iters = 5\\n")
+# the capped rot-zeta solve (exit 3) rescales its start bumps with T_t and
+# tests their cores with the shift dilation
+runs = (["solve", "--config", config], ["ground-state"], ["multistart", "--k", "1"])
+codes = [cli.main(args + ["--out", os.path.join(out, str(i))]) for i, args in enumerate(runs)]
+assert codes == [3, 0, 0], codes
+g = Grid(L=6.0, n=32)
+rotate(Field(g, np.exp(-g.r ** 2)), 0.25 * np.pi)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
-def test_a_cli_solve_loads_only_the_scipy_it_calls(tmp_path):
+def test_cli_runs_and_a_resampled_rotation_load_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BUDGET_PROBE, str(tmp_path / "o")],
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    found = sorted({".".join(m.split(".")[:2]) for m in loaded} & set(UNUSED_SCIPY))
-    assert not found, "a CLI solve loaded " + ", ".join(found)
+    assert not loaded, "loaded " + ", ".join(loaded)

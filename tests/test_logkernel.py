@@ -8,6 +8,7 @@ quadrature.
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.integrate import quad
 
 from logchoquard import (
@@ -126,6 +127,20 @@ def test_convolution_translation_equivariance(grid32, table32):
     ws = padded_convolve(grid32, shift_cells(Field(grid32, u), 4, -3).values, table32.k0_hat)
     scale = np.max(np.abs(w))
     assert np.max(np.abs(ws[8:-8, 8:-8] - shift_cells(Field(grid32, w), 4, -3).values[8:-8, 8:-8])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_padded_convolve_matches_the_scipy_pruned_pair(n):
+    # numpy.fft and scipy.fft share the pocketfft kernels, so the same
+    # pruned transform sequence must give the same bits through either
+    g = Grid(L=6.0, n=n)
+    khat = make_kernel_table(g).k0_hat
+    vals = np.random.default_rng(n).standard_normal((n, n))
+    spec = sp_fft.fft(sp_fft.rfft(vals, n=2 * n, axis=-1), n=2 * n, axis=-2)
+    spec *= khat
+    rows = sp_fft.ifft(spec, axis=-2)[:n]
+    want = g.h * g.h * sp_fft.irfft(rows, n=2 * n, axis=-1)[:, :n]
+    assert np.array_equal(padded_convolve(g, vals, khat), want)
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])

@@ -51,7 +51,7 @@ from logchoquard import (
 )
 from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
-from logchoquard.solver import BACKTRACK_FACTOR, STEP_INIT, TRACE_COLUMNS, _bump_sites
+from logchoquard.solver import BACKTRACK_FACTOR, STEP_INIT, TRACE_COLUMNS, _bump_sites, _dilate
 from logchoquard.symmetry import preserved_cells
 
 from conftest import confined_field
@@ -93,6 +93,14 @@ def core_masks(bumps):
     # spline rescaling spreads faint ripple well past the true supports, so
     # disjointness is asserted on the half-peak cores where the mass lives
     return [np.abs(b.values) > 0.5 * np.max(np.abs(b.values)) for b in bumps]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_shift_dilation_matches_scipy(steps):
+    rng = np.random.default_rng(steps)
+    for _ in range(50):
+        mask = rng.random(tuple(rng.integers(3, 40, 2))) < rng.uniform(0.01, 0.3)
+        assert np.array_equal(_dilate(mask, steps), binary_dilation(mask, iterations=steps))
 
 
 def test_bump_family_trivial(grid64, table64, pot64):

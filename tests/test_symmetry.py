@@ -7,6 +7,7 @@ image checks use Gaussians whose rotated centers stay on the lattice.
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from logchoquard import (
     BarycenterUndefinedError,
@@ -82,6 +83,18 @@ def test_resampled_rotation_fixes_radial_states():
         defects.append(np.sqrt(np.sum((r.values - u.values) ** 2) / np.sum(u.values ** 2)))
     assert defects[0] <= 3e-2
     assert 3.0 < defects[0] / defects[1] < 5.0
+
+
+def test_resampled_rotation_matches_scipy_bilinear():
+    # a field inside the inscribed disc, with a kink and no symmetry, so
+    # every bilinear weight shows
+    g = Grid(L=6.0, n=64)
+    u = Field(g, np.where(g.r < 5.5, (1.0 + g.x2) * np.cos(g.x1) * np.exp(-g.r ** 2 / 6.0), 0.0))
+    c, s = np.cos(0.25 * np.pi), np.sin(0.25 * np.pi)
+    coords = [(c * g.x1 + s * g.x2 + g.L) / g.h, (-s * g.x1 + c * g.x2 + g.L) / g.h]
+    want = map_coordinates(u.values, coords, order=1, mode="constant", cval=0.0)
+    got = rotate(u, 0.25 * np.pi).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 def test_resampled_rotation_clip_guard(grid32):

@@ -96,7 +96,6 @@ from .symmetry import (
     lattice_translation,
     orbit_distance,
     project_invariant,
-    radial_action,
     radial_average,
     rotate,
     rotation_zeta,

@@ -75,7 +75,6 @@ from .symmetry import (
     check_admissible,
     glide_reflection,
     lattice_translation,
-    radial_action,
     rotation_zeta,
     trivial_action,
 )
@@ -154,8 +153,6 @@ def _build_action(grid: Grid, spec: str) -> GroupAction:
     try:
         if kind == "trivial":
             return trivial_action()
-        if kind == "radial":
-            return radial_action()
         if kind == "rot-zeta":
             return rotation_zeta(int(rest), zeta_nontrivial=True)
         if kind == "rot":

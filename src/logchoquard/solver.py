@@ -33,7 +33,7 @@ from .errors import (
     ScalingClipError,
     StartFamilyError,
 )
-from .field import Field, bump_field, lp_norm, mollifier, neg_laplacian
+from .field import Field, bump_field, lp_norm, neg_laplacian
 from .functionals import (
     EnergyBreakdown,
     NehariClass,
@@ -60,7 +60,6 @@ from .symmetry import (
     InvarianceCertificate,
     KIND_GLIDE,
     KIND_LATTICE,
-    KIND_RADIAL,
     KIND_ROTATION,
     check_admissible,
     is_invariant,
@@ -463,19 +462,11 @@ def _cores_disjoint(bumps: List[Field]) -> bool:
 
 
 def _layout(k: int, action: GroupAction, grid):
-    """Seeds [(center, radius)] of k+1 bumps and their noun.
-
-    A radial seed's center is its ring radius.
-    """
+    """Seeds [(center, radius)] of k+1 bumps and their noun."""
     h = grid.h
-    if action.kind == KIND_RADIAL:
-        # ring spacing widens on coarse grids so each annulus stays resolved
-        spacing = max(0.8, 9.0 * h)
-        width = min(0.45 * (spacing - 2 * h), max(0.3, 3.5 * h))
-        return [(0.9 + spacing * j, width) for j in range(k + 1)], "annular bumps"
     if action.kind == KIND_ROTATION:
         chord = 2.0 * np.sin(np.pi / (2 * action.m)) if action.m > 1 else 2.0
-        ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep annuli disjoint
+        ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep the rings disjoint
         rings = [1.2 + 0.9 * j for j in range(k + 1)]
         seeds = [((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings]
         return seeds, "sector bumps"
@@ -519,19 +510,14 @@ def make_bump_family(
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
 
     seeds, what = _layout(k, action, grid)
-    # annuli are built radial; radial_average would move them by ~1e-16
-    annuli = action.kind == KIND_RADIAL
     bumps = []
     for center, radius in seeds:
         if radius < 3 * grid.h:
             raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
         if np.max(np.abs(center)) + radius > fit_limit:
             raise StartFamilyError("%d %s do not fit the box" % (k + 1, what))
-        if annuli:
-            bump = Field(grid, mollifier(((grid.r - center) / radius) ** 2))
-        else:
-            bump = bump_field(grid, center=center, radius=radius)
-        if action.has_projection and not annuli:
+        bump = bump_field(grid, center=center, radius=radius)
+        if action.has_projection:
             bump = project_invariant(bump, action)
             if lp_norm(bump, 2) <= 1e-14:
                 raise StartFamilyError("invariant projection annihilated one of the %s" % what)

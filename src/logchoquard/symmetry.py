@@ -1,12 +1,11 @@
 """Group actions (g *_zeta u)(x) = zeta(g) u(g^-1 x) on grid fields.
 
-Admissible symmetry classes: rotation groups generated by a turn of pi/m
-with an alternating sign character (nontrivial zeta forces sign-changing
-invariant functions), rank-2 translation lattices, glide reflections, and
-the full rotation group ("radial"). Lattice and glide shifts are snapped
-to integer cell multiples so those actions are grid-exact; rotations by
-multiples of pi/2 are index-exact, all other angles use bilinear
-resampling with a documented 1e-6 defect budget.
+Admissible symmetry classes: rotation groups generated by a turn of pi/m,
+m in {1, 2}, with an optional alternating sign character (nontrivial zeta
+forces sign-changing invariant functions), rank-2 translation lattices and
+glide reflections. These are the point rotations a Z^2-invariant potential
+can have. Lattice and glide shifts are snapped to integer cell multiples,
+and rotations are by multiples of pi/2, so every action is index-exact.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .barycenter import beta as barycenter_beta
-from .errors import BarycenterUndefinedError, ScalingClipError
+from .errors import BarycenterUndefinedError
 from .field import Field, Grid, lp_norm, same_grid, shift_cells
 
 KIND_TRIVIAL = "trivial"
 KIND_ROTATION = "rot-zeta"
 KIND_LATTICE = "lattice"
 KIND_GLIDE = "glide"
-KIND_RADIAL = "radial"
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class GroupAction:
 
     @property
     def has_projection(self) -> bool:
-        """Finite (or radially averaged) invariant projection available."""
-        return self.kind in (KIND_ROTATION, KIND_GLIDE, KIND_RADIAL)
+        """Finite invariant projection available."""
+        return self.kind in (KIND_ROTATION, KIND_GLIDE)
 
     def describe(self) -> str:
         if self.kind == KIND_ROTATION:
@@ -56,13 +54,9 @@ def trivial_action() -> GroupAction:
     return GroupAction(kind=KIND_TRIVIAL)
 
 
-def radial_action() -> GroupAction:
-    return GroupAction(kind=KIND_RADIAL)
-
-
 def rotation_zeta(m: int, zeta_nontrivial: bool = True) -> GroupAction:
-    if m < 1:
-        raise ValueError("rotation order m must be >= 1")
+    if m not in (1, 2):
+        raise ValueError("rotation order m must be 1 or 2 (turns by pi or pi/2)")
     return GroupAction(kind=KIND_ROTATION, m=int(m), zeta_nontrivial=zeta_nontrivial)
 
 
@@ -102,47 +96,29 @@ def _reflect_x2(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotate_resampled(u: Field, angle: float) -> Field:
-    grid = u.grid
-    outside = grid.r > grid.L
-    if np.any(np.abs(u.values[outside]) > 1e-10):
-        raise ScalingClipError(
-            "rotation would clip support: field is not contained in the inscribed disc"
-        )
-    c, s = np.cos(angle), np.sin(angle)
-    # source points in cell units; one off the sampled range [0, n-1] reads 0
-    c1 = (c * grid.x1 + s * grid.x2 + grid.L) / grid.h
-    c2 = (-s * grid.x1 + c * grid.x2 + grid.L) / grid.h
-    top = grid.n - 1
-    inside = (c1 >= 0.0) & (c1 <= top) & (c2 >= 0.0) & (c2 <= top)
-    c1, c2 = np.clip(c1, 0.0, top), np.clip(c2, 0.0, top)
-    i = np.minimum(np.floor(c1).astype(int), top - 1)
-    j = np.minimum(np.floor(c2).astype(int), top - 1)
-    f1, f2 = c1 - i, c2 - j
-    v = u.values
-    vals = (1.0 - f1) * ((1.0 - f2) * v[i, j] + f2 * v[i, j + 1]) + f1 * (
-        (1.0 - f2) * v[i + 1, j] + f2 * v[i + 1, j + 1]
-    )
-    return Field(grid, np.where(inside, vals, 0.0))
+def _glide_point(vals: np.ndarray, action: GroupAction) -> np.ndarray:
+    """The glide's point part: the x2-reflection with its sign character."""
+    refl = _reflect_x2(vals)
+    return -refl if action.zeta_nontrivial else refl
 
 
 def rotate(u: Field, angle: float) -> Field:
-    """Rotate CCW by angle: exact index map for multiples of pi/2, else bilinear."""
+    """Rotate CCW by a multiple of pi/2 as an exact index map."""
     quarter = angle / (0.5 * np.pi)
     q = int(np.rint(quarter))
-    if abs(quarter - q) < 1e-12:
-        vals = u.values
-        for _ in range(q % 4):
-            vals = _rot90_exact(vals)
-        return Field(u.grid, vals)
-    return _rotate_resampled(u, angle)
+    if abs(quarter - q) >= 1e-12:
+        raise ValueError("rotation angle %.6g is not a multiple of pi/2" % angle)
+    vals = u.values
+    for _ in range(q % 4):
+        vals = _rot90_exact(vals)
+    return Field(u.grid, vals)
 
 
 def act(element, action: GroupAction, u: Field) -> Field:
     """(g *_zeta u)(x) = zeta(g) u(g^-1 x).
 
     element: integer group-power index for rotation/glide, an integer pair
-    (p, q) for lattice translations by p b1 + q b2, an angle for radial.
+    (p, q) for lattice translations by p b1 + q b2.
     """
     kind = action.kind
     if kind == KIND_TRIVIAL:
@@ -160,38 +136,20 @@ def act(element, action: GroupAction, u: Field) -> Field:
         return shift_cells(u, di, dj)
     if kind == KIND_GLIDE:
         j = int(element)
-        vals = u.values
-        if j % 2:
-            vals = _reflect_x2(vals)
-        out = shift_cells(Field(u.grid, vals), j * action.shift_c, 0)
-        if action.zeta_nontrivial and j % 2:
-            out = Field(u.grid, -out.values)
-        return out
-    if kind == KIND_RADIAL:
-        return rotate(u, float(element))
+        vals = _glide_point(u.values, action) if j % 2 else u.values
+        return shift_cells(Field(u.grid, vals), j * action.shift_c, 0)
     raise ValueError("unknown action kind %r" % kind)
 
 
-_radial_class_cache: dict = {}
-
-
-def _radial_classes(grid: Grid):
-    """Exact-radius classes: integer key oi^2 + oj^2 of centered cell offsets."""
-    key = (grid.L, grid.n)
-    cached = _radial_class_cache.get(key)
-    if cached is None:
-        half = grid.n // 2
-        oi = np.arange(grid.n) - half
-        keys = (oi[:, None] ** 2 + oi[None, :] ** 2).ravel()
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        cached = (inverse, counts)
-        _radial_class_cache[key] = cached
-    return cached
-
-
 def radial_average(u: Field) -> Field:
-    """Average over exact-radius classes about the center cell; idempotent to fp."""
-    inverse, counts = _radial_classes(u.grid)
+    """Average over exact-radius classes about the center cell; idempotent to fp.
+
+    Classes are keyed by oi^2 + oj^2 of the centered cell offsets. Tests
+    measure ground states, which are radial, against it.
+    """
+    oi = np.arange(u.grid.n) - u.grid.n // 2
+    keys = (oi[:, None] ** 2 + oi[None, :] ** 2).ravel()
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.bincount(inverse, weights=u.values.ravel())
     means = sums / counts
     return Field(u.grid, means[inverse].reshape(u.values.shape))
@@ -204,8 +162,6 @@ def project_invariant(u: Field, action: GroupAction) -> Field:
         return u
     if kind == KIND_LATTICE:
         raise ValueError("lattice translations have no finite invariant projection")
-    if kind == KIND_RADIAL:
-        return radial_average(u)
     if kind == KIND_ROTATION:
         acc = np.zeros_like(u.values)
         for j in range(2 * action.m):
@@ -213,24 +169,20 @@ def project_invariant(u: Field, action: GroupAction) -> Field:
         return Field(u.grid, acc / (2 * action.m))
     if kind == KIND_GLIDE:
         # point part only: the reflection (with sign); the shift part is non-compact
-        refl = _reflect_x2(u.values)
-        if action.zeta_nontrivial:
-            refl = -refl
-        return Field(u.grid, 0.5 * (u.values + refl))
+        return Field(u.grid, 0.5 * (u.values + _glide_point(u.values, action)))
     raise ValueError("unknown action kind %r" % kind)
 
 
 def preserved_cells(grid: Grid, action: GroupAction) -> Optional[np.ndarray]:
-    """Mask of the cells that an index-exact projection keeps, else None.
+    """Mask of the cells that the action's projection keeps; None if it has none.
 
     On the asymmetric grid [-L, L) the quarter turn and the x2-reflection
     map the sub-box {-L+h, ..., L-h} onto itself and zero the exposed row
-    and column, so invariant fields vanish there. Rotations by multiples of
-    pi/2 (m = 1, 2) and the glide's reflection are index-exact; resampled
-    rotations and radial averaging return None.
+    and column, so invariant fields vanish there. The trivial and lattice
+    actions do not project and return None.
     """
     ones = np.ones((grid.n, grid.n))
-    if action.kind == KIND_ROTATION and action.m in (1, 2):
+    if action.kind == KIND_ROTATION:
         keep = np.ones((grid.n, grid.n), dtype=bool)
         for j in range(2 * action.m):
             keep &= rotate(Field(grid, ones), j * np.pi / action.m).values != 0.0
@@ -245,7 +197,6 @@ class InvarianceCertificate:
     action: GroupAction
     defect: float
     sign_changing: bool
-    nonradial: bool
 
 
 def _generator_defects(u: Field, action: GroupAction):
@@ -264,13 +215,12 @@ def _generator_defects(u: Field, action: GroupAction):
     if kind == KIND_LATTICE:
         return [rel(act((1, 0), action, u)), rel(act((0, 1), action, u))]
     if kind == KIND_GLIDE:
-        return [rel(act(1, action, u))]
-    if kind == KIND_RADIAL:
-        return [rel(radial_average(u)), rel(rotate(u, 0.5 * np.pi))]
+        # what project_invariant imposes: no L2 field is invariant under the shift
+        return [rel(Field(u.grid, _glide_point(u.values, action)))]
     raise ValueError("unknown action kind %r" % kind)
 
 
-def is_invariant(u: Field, action: GroupAction, tol: float = 1e-8) -> InvarianceCertificate:
+def is_invariant(u: Field, action: GroupAction) -> InvarianceCertificate:
     defect = max(_generator_defects(u, action))
     amax = float(np.max(np.abs(u.values)))
     sign_changing = bool(
@@ -278,18 +228,7 @@ def is_invariant(u: Field, action: GroupAction, tol: float = 1e-8) -> Invariance
         and np.min(u.values) < -1e-12 * amax
         and np.max(u.values) > 1e-12 * amax
     )
-    l2 = lp_norm(u, 2)
-    if l2 > 0:
-        rad = radial_average(u)
-        rad_defect = float(np.sqrt(np.sum((rad.values - u.values) ** 2)) * u.grid.h) / l2
-    else:
-        rad_defect = 0.0
-    return InvarianceCertificate(
-        action=action,
-        defect=defect,
-        sign_changing=sign_changing,
-        nonradial=bool(rad_defect > 1e-3),
-    )
+    return InvarianceCertificate(action=action, defect=defect, sign_changing=sign_changing)
 
 
 def orbit_distance(u: Field, v: Field) -> float:
@@ -317,8 +256,6 @@ def orbit_distance(u: Field, v: Field) -> float:
 def check_admissible(action: GroupAction):
     """(ok, reason) per the admissible-pair classes."""
     kind = action.kind
-    if kind == KIND_RADIAL:
-        return True, "full rotation group"
     if kind == KIND_ROTATION:
         return True, "rotation group of order %d" % (2 * action.m)
     if kind == KIND_LATTICE:

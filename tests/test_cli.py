@@ -138,9 +138,8 @@ def test_potential_kinds(tmp_path):
 def test_symmetry_kinds():
     specs = {
         "trivial": ("trivial", None),
-        "radial": ("radial", None),
-        "rot-zeta:3": ("rot-zeta", 3),
-        "rot:4": ("rot-zeta", 4),
+        "rot-zeta:1": ("rot-zeta", 1),
+        "rot:2": ("rot-zeta", 2),
         "lattice:2,0;0,2": ("lattice", None),
         "glide:1.5": ("glide", None),
     }
@@ -149,8 +148,8 @@ def test_symmetry_kinds():
         assert action.kind == kind
         if m is not None:
             assert action.m == m
-    _, _, act_z, _, _ = parse_config("symmetry = rot-zeta:3\n")
-    _, _, act_p, _, _ = parse_config("symmetry = rot:3\n")
+    _, _, act_z, _, _ = parse_config("symmetry = rot-zeta:2\n")
+    _, _, act_p, _, _ = parse_config("symmetry = rot:2\n")
     assert act_z.zeta_nontrivial and not act_p.zeta_nontrivial
 
     with pytest.raises(ConfigError, match="unknown symmetry kind"):
@@ -185,6 +184,16 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "E-CONFIG" in err and "line 1" in err
+
+
+def test_rejected_symmetry_classes_exit_2(tmp_path, capsys):
+    # the radial class and turns by pi/m, m >= 3, are not index-exact
+    for spec in ("radial", "rot-zeta:3", "rot:4"):
+        cfg = write_config(tmp_path, "n = 32\nsymmetry = %s\n" % spec)
+        out = tmp_path / spec.replace(":", "_")
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "E-CONFIG" in capsys.readouterr().err
+        assert not (out / "solution.chq").exists()
 
 
 def test_ground_state_indefinite_exits_2(tmp_path, capsys):

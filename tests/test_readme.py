@@ -1,5 +1,6 @@
 """The README's Library snippet imports names that exist, its Config table
-lists the CLI's keys and defaults, and its check count is the battery's."""
+lists the CLI's keys and defaults, its symmetry specs parse, and its check
+count is the battery's."""
 
 import os
 import re
@@ -8,7 +9,7 @@ import numpy as np
 
 from logchoquard import Grid, make_kernel_table
 from logchoquard.checks import battery
-from logchoquard.cli import _DEFAULTS
+from logchoquard.cli import _DEFAULTS, parse_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -28,6 +29,17 @@ def test_readme_config_table_matches_defaults():
     section = _readme().split("## Config files", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` *\| `([^`]+)` *\|", section, flags=re.M)
     assert rows == list(_DEFAULTS.items())
+
+
+def test_readme_symmetry_specs_parse():
+    section = _readme().split("Symmetry specs", 1)[1].split("\n## ", 1)[0]
+    specs = re.findall(r"^- `([^`]+)`", section, flags=re.M)
+    assert "trivial" in specs and "glide:shift" in specs
+    fill = {"m": "2", "shift": "1", "b1x,b1y;b2x,b2y": "1,0;0,1"}
+    for spec in specs:
+        kind, _, rest = spec.partition(":")
+        filled = kind + (":" + fill[rest] if rest else "")
+        parse_config("symmetry = %s\n" % filled)  # ConfigError on a stale spec
 
 
 def test_readme_check_count_matches_battery():

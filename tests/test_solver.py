@@ -41,8 +41,6 @@ from logchoquard import (
     nehari_project,
     norm_u,
     project_invariant,
-    radial_action,
-    radial_average,
     residual_field,
     riesz_gradient,
     rotation_zeta,
@@ -161,15 +159,6 @@ def test_bump_family_glide_needs_resolved_bumps(grid32, table32, pot32):
         make_bump_family(1, action, pot32, table32, SolveConfig())
 
 
-def test_bump_family_radial(grid64, table64, pot64):
-    fam = make_bump_family(1, radial_action(), pot64, table64, SolveConfig())
-    masks = core_masks(fam.bumps)
-    assert not np.any(binary_dilation(masks[0], iterations=2) & masks[1])
-    for b in fam.bumps:
-        r = radial_average(b)
-        assert np.max(np.abs(r.values - b.values)) <= 1e-13
-
-
 def test_bump_family_vertex_starts_on_site():
     # the joint rescale dilates about the origin; the starts must still sit
     # on the inequivalent lattice sites their bumps were placed on
@@ -191,9 +180,12 @@ def test_bump_family_guards(grid64, table64, pot64):
     tiny = lattice_translation(grid64, (grid64.h, 0.0), (0.0, grid64.h))
     with pytest.raises(StartFamilyError, match="coarse"):
         make_bump_family(2, tiny, pot64, table64, SolveConfig())
-    # annuli must fit inside the box
-    with pytest.raises(StartFamilyError, match="fit"):
-        make_bump_family(6, radial_action(), pot64, table64, SolveConfig())
+    # two sector-bump rings overrun the box
+    small = Grid(L=3.0, n=64)
+    with pytest.raises(StartFamilyError, match="2 sector bumps do not fit the box"):
+        make_bump_family(
+            1, rotation_zeta(2), const_potential(small, 1.0), make_kernel_table(small), SolveConfig()
+        )
     # a deep well: reaching O merges the cores, or no scale reaches it
     with pytest.raises(StartFamilyError, match="merged"):
         make_bump_family(1, trivial_action(), const_potential(grid64, -500.0), table64, SolveConfig())

@@ -7,13 +7,10 @@ image checks use Gaussians whose rotated centers stay on the lattice.
 
 import numpy as np
 import pytest
-from scipy.ndimage import map_coordinates
 
 from logchoquard import (
     BarycenterUndefinedError,
     Field,
-    Grid,
-    ScalingClipError,
     act,
     b_form,
     bump_field,
@@ -26,7 +23,6 @@ from logchoquard import (
     lp_norm,
     orbit_distance,
     project_invariant,
-    radial_action,
     radial_average,
     rotate,
     rotation_zeta,
@@ -73,36 +69,6 @@ def test_rotation_preserves_l2(grid32):
     assert lp_norm(rotate(u, 0.5 * np.pi), 2) == pytest.approx(lp_norm(u, 2), rel=1e-13)
 
 
-def test_resampled_rotation_fixes_radial_states():
-    # bilinear resampling is second order: the pi/4 defect on a radial
-    # state drops 4x per refinement
-    defects = []
-    for n in (32, 64):
-        u = gaussian_field(Grid(L=6.0, n=n), width=0.8)
-        r = rotate(u, 0.25 * np.pi)
-        defects.append(np.sqrt(np.sum((r.values - u.values) ** 2) / np.sum(u.values ** 2)))
-    assert defects[0] <= 3e-2
-    assert 3.0 < defects[0] / defects[1] < 5.0
-
-
-def test_resampled_rotation_matches_scipy_bilinear():
-    # a field inside the inscribed disc, with a kink and no symmetry, so
-    # every bilinear weight shows
-    g = Grid(L=6.0, n=64)
-    u = Field(g, np.where(g.r < 5.5, (1.0 + g.x2) * np.cos(g.x1) * np.exp(-g.r ** 2 / 6.0), 0.0))
-    c, s = np.cos(0.25 * np.pi), np.sin(0.25 * np.pi)
-    coords = [(c * g.x1 + s * g.x2 + g.L) / g.h, (-s * g.x1 + c * g.x2 + g.L) / g.h]
-    want = map_coordinates(u.values, coords, order=1, mode="constant", cval=0.0)
-    got = rotate(u, 0.25 * np.pi).values
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
-
-
-def test_resampled_rotation_clip_guard(grid32):
-    wide = Field(grid32, np.ones((32, 32)))  # mass outside the inscribed disc
-    with pytest.raises(ScalingClipError):
-        rotate(wide, 0.25 * np.pi)
-
-
 def test_rotation_zeta_signs(grid32):
     action = rotation_zeta(2, zeta_nontrivial=True)
     u = interior_bump(grid32)
@@ -112,9 +78,13 @@ def test_rotation_zeta_signs(grid32):
     assert np.array_equal(even.values, rotate(rotate(u, 0.5 * np.pi), 0.5 * np.pi).values)
 
 
-def test_rotation_zeta_validation():
-    with pytest.raises(ValueError):
-        rotation_zeta(0)
+def test_rotation_zeta_validation(grid32):
+    # only the turns by pi and pi/2 are index-exact
+    for m in (0, 3, 4):
+        with pytest.raises(ValueError):
+            rotation_zeta(m)
+    with pytest.raises(ValueError, match="multiple of pi/2"):
+        rotate(interior_bump(grid32), 0.25 * np.pi)
 
 
 # ------------------------------------------------------- lattices and glides
@@ -156,8 +126,13 @@ def test_glide_zeta_sign(grid32):
 # ------------------------------------------------------------- projections
 
 
-def test_rotation_projection_idempotent_and_invariant(grid32):
-    action = rotation_zeta(2, zeta_nontrivial=True)
+@pytest.mark.parametrize("kind", ["rot-zeta:2", "glide"])
+def test_rotation_projection_idempotent_and_invariant(grid32, kind):
+    if kind == "glide":
+        # the certificate checks the reflection that the projection imposes
+        action = glide_reflection(grid32, shift=0.75, zeta_nontrivial=True)
+    else:
+        action = rotation_zeta(2, zeta_nontrivial=True)
     u = interior_bump(grid32)
     p = project_invariant(u, action)
     p2 = project_invariant(p, action)
@@ -165,8 +140,8 @@ def test_rotation_projection_idempotent_and_invariant(grid32):
     assert np.max(np.abs(p2.values - p.values)) <= 1e-13 * scale
     cert = is_invariant(p, action)
     assert cert.defect <= 1e-12
-    assert cert.sign_changing  # alternating-sign lobes
-    assert cert.nonradial
+    if kind != "glide":
+        assert cert.sign_changing  # alternating-sign lobes
 
 
 def test_radial_average_idempotent(grid32):
@@ -265,10 +240,8 @@ def test_orbit_distance_zero_field_rejected(grid32):
 
 
 def test_admissibility_classes(grid32):
-    ok, _ = check_admissible(radial_action())
-    assert ok
-    ok, reason = check_admissible(rotation_zeta(3))
-    assert ok and "order 6" in reason
+    ok, reason = check_admissible(rotation_zeta(2))
+    assert ok and "order 4" in reason
     ok, _ = check_admissible(lattice_translation(grid32, (0.75, 0.0), (0.0, 0.75)))
     assert ok
     ok, reason = check_admissible(lattice_translation(grid32, (0.75, 0.0), (1.5, 0.0)))

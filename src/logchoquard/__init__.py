@@ -48,6 +48,7 @@ from .functionals import (
     cos2d_potential,
     energy,
     fiber,
+    hessian_product,
     in_nzero,
     make_potential,
     nehari_project,

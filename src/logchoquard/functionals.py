@@ -23,7 +23,7 @@ from .field import (
     neg_laplacian,
     same_grid,
 )
-from .logkernel import KernelTable, log_potential
+from .logkernel import KernelTable, log_potential, padded_convolve
 
 NEHARI_REL_TOL = 1e-10  # |J| <= tol * max(|q_a|, |V0|, 1) counts as on-manifold
 NZERO_FACTOR = 1e-8  # |V0| <= factor * |u|_2^4 counts as degenerate (N_0)
@@ -115,6 +115,25 @@ def residual_field(u: Field, pot: Potential, table: KernelTable) -> Field:
     grid = same_grid(u, pot.a)
     w0 = log_potential(Field(grid, u.values * u.values), table)
     vals = neg_laplacian(u.values, grid.h) + (pot.a.values + w0.values) * u.values
+    return Field(grid, vals)
+
+
+def hessian_product(
+    u: Field, v: Field, pot: Potential, table: KernelTable, w0: Field | None = None
+) -> Field:
+    """Second variation Phi''(u)v = -Delta v + (a + w0) v + 2u (log * (u v)).
+
+    w0 = log * u^2 is computed when not given, so a caller that holds it
+    pays one k0 convolution per product. Symmetric: h^2 <w, Phi''(u)v> =
+    h^2 <v, Phi''(u)w>, and Phi''(u)u = r + 2 w0 u with r = residual_field(u).
+    """
+    grid = same_grid(u, v)
+    same_grid(u, pot.a)
+    if w0 is None:
+        w0 = log_potential(Field(grid, u.values * u.values), table)
+    uv = padded_convolve(grid, u.values * v.values, table.k0_hat)
+    vals = neg_laplacian(v.values, grid.h) + (pot.a.values + w0.values) * v.values
+    vals += 2.0 * u.values * uv
     return Field(grid, vals)
 
 

@@ -128,6 +128,18 @@ def _fast_poisson(ctx: MetricContext, box):
     return apply
 
 
+def preconditioner(ctx: MetricContext, free: np.ndarray | None = None):
+    """r -> z, the fast Poisson solve on _box(free) held at zero off the free cells.
+
+    The preconditioner of solve_metric_system; the descent's Newton solve
+    uses it too.
+    """
+    apply = _fast_poisson(ctx, _box(free, ctx.grid.n))
+    if free is None:
+        return apply
+    return lambda r: np.where(free, apply(r), 0.0)
+
+
 def solve_metric_system(
     ctx: MetricContext,
     rhs: np.ndarray,
@@ -182,28 +194,31 @@ def solve_metric_system(
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
     rel = norm(r) / rhs_norm
-    precondition = _fast_poisson(ctx, _box(free, grid.n))
-    z = mask(precondition(r))
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    for _ in range(max_iter):
-        if rel <= tol or not rz > 0.0:
-            break
-        Ap = apply(p)
-        pAp = float(np.vdot(p, Ap))
-        if not pAp > 0.0:
-            break
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = norm(r) / rhs_norm
-        z = mask(precondition(r))
-        rz_new = float(np.vdot(r, z))
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-        if callback is not None:
-            callback(x)
+    if rel > tol:
+        precondition = preconditioner(ctx, free)
+        z = precondition(r)
+        p = z.copy()
+        rz = float(np.vdot(r, z))
+        for _ in range(max_iter):
+            if not rz > 0.0:
+                break
+            Ap = apply(p)
+            pAp = float(np.vdot(p, Ap))
+            if not pAp > 0.0:
+                break
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            rel = norm(r) / rhs_norm
+            if callback is not None:
+                callback(x)
+            if rel <= tol:
+                break  # the test comes before the preconditioner, whose z would go unread
+            z = precondition(r)
+            rz_new = float(np.vdot(r, z))
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
     rel = norm(rhs - apply(x)) / rhs_norm
     if strict and rel > tol:
         raise RieszSolveError(

@@ -11,9 +11,21 @@ and lands on the manifold again. The step only needs a descent direction,
 so that solve is loose until the Cerami value nears cerami_tol, and the
 Armijo slope is the exact Phi'(u) d = h^2 r.d rather than the metric
 pairing of an inexact gradient; only a solve to riesz_tol can end the
-descent as converged. Starts come from families of k+1 disjoint
-mollifier bumps placed and symmetrized according to the group action; the
-multistart search descends once from each bump.
+descent as converged.
+
+The direction comes in two phases. Far from a critical point it is an
+L-BFGS two-loop on the metric gradient, whose tail is only linear. Once a
+row's Cerami value is at most NEWTON_CERAMI the L-BFGS pairs are dropped
+and every direction is a truncated Newton-CG step on H d = r, H the
+second variation of Phi corrected along the ray (the Hessian of Psi at a
+critical point), whose tail is quadratic. Far from a critical point a
+Newton row costs several convolutions where an L-BFGS row costs none
+beyond the line search's, and on the periodic lattice family Newton from
+the first row is the slower of the two.
+
+Starts come from families of k+1 disjoint mollifier bumps placed and
+symmetrized according to the group action; the multistart search
+descends once from each bump.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from .functionals import (
     cerami_weight,
     classify,
     energy,
+    hessian_product,
     in_nzero,
     nehari_scale,
     nehari_terms,
@@ -53,6 +66,7 @@ from .metric import (
     inner_u,
     lower_u,
     metric_context_at,
+    preconditioner,
     solve_metric_system,
 )
 from .symmetry import (
@@ -72,6 +86,8 @@ CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cel
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
 LBFGS_MEMORY = 8  # curvature pairs kept for the two-loop direction
+NEWTON_CERAMI = 10.0  # a Cerami value at or below this starts the Newton phase
+NEWTON_CG_TOL = 0.1  # relative residual of the truncated Newton PCG
 LOOSE_RIESZ_TOL = 1e-2  # relative residual of a descent solve that certifies nothing
 TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within this of cerami_tol
 # Armijo backtracking: the first and largest step, its halving factor and the
@@ -140,14 +156,16 @@ class StartFamily:
     starts: List[Field]  # the descent start of each bump
 
 
-# alpha: the accepted step; backtracks: how often it was halved; lbfgs: 1 for
-# the two-loop direction, 0 for the gradient. A row that takes no step (the
-# last one of a converged descent, or one whose line search fails) records
-# 0, 0, 0 there. cg: the CG iterations of the row's metric solve.
+# alpha: the accepted step; backtracks: how often it was halved; direction:
+# GRADIENT, LBFGS or NEWTON. A row that takes no step (the last one of a
+# converged descent, or one whose line search fails) records 0, 0, 0 there.
+# cg: the CG iterations of the row's metric solve; hess: the Hessian
+# products of its Newton solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
-    "alpha", "backtracks", "lbfgs", "cg",
+    "alpha", "backtracks", "direction", "cg", "hess",
 )
+GRADIENT, LBFGS, NEWTON = 0, 1, 2
 
 
 class _Iterate:
@@ -221,7 +239,7 @@ class _Lbfgs:
         self.last = (u, g)
 
     def direction(self, ctx: MetricContext, g: Field, lg: np.ndarray, r: np.ndarray):
-        """Step direction d, its slope Psi'(u) d, and whether d is the two-loop's.
+        """Step direction d, its slope Psi'(u) d, and its kind (LBFGS or GRADIENT).
 
         r is the residual field of u, so the slope h^2 r.d is exact however
         loosely g was solved; lg is g lowered by the metric. A two-loop d
@@ -233,8 +251,75 @@ class _Lbfgs:
             slope = h2 * float(np.vdot(r, d.values))
             gn2 = float(np.vdot(g.values, lg))
             if slope > 1e-10 * np.sqrt(gn2 * inner_u(ctx, d, d)):
-                return d, slope, True
-        return g, h2 * float(np.vdot(r, g.values)), False
+                return d, slope, LBFGS
+        return g, h2 * float(np.vdot(r, g.values)), GRADIENT
+
+
+def _newton_direction(
+    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, free, action, pot, table
+):
+    """Truncated PCG on H d = r; returns d, its slope Psi'(u) d, its kind and the H products.
+
+    H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
+    costs no convolution: H is symmetric, H u = 0, and at a critical point
+    it is the Hessian of Psi, so the ray drops out and Newton's quadratic
+    tail is Psi's. Each product is one convolution. The iteration
+    (Steihaug, SIAM J. Numer. Anal. 20, 1983) is preconditioned by the
+    metric's fast Poisson solve, its output invariant under a projecting
+    action, and stops at relative residual NEWTON_CG_TOL (the inexact
+    Newton forcing term of Dembo, Eisenstat & Steihaug, 1982), at the
+    first p.Hp <= 0, or after n products. It never steps along negative
+    curvature: it returns the iterate so far, or g if that is still zero
+    or no descent direction. Under a projecting action everything lives on
+    the free cells, as in the metric solve.
+    """
+    grid = st.grid
+    h2 = grid.h * grid.h
+    u, w0 = Field(grid, st.u), Field(grid, st.w0)
+    fast_poisson = preconditioner(ctx, free)
+
+    def mask(vals):
+        return vals if free is None else np.where(free, vals, 0.0)
+
+    def precondition(vals):
+        z = fast_poisson(vals)
+        return project_invariant(Field(grid, z), action).values if action.has_projection else z
+
+    b = mask(r + 2.0 * st.w0 * st.u)
+    ub = float(np.vdot(st.u, b))
+
+    def hess(vals):
+        out = hessian_product(u, Field(grid, vals), pot, table, w0).values
+        out -= (float(np.vdot(b, vals)) / ub) * b
+        return mask(out)
+
+    res = r.copy() if free is None else mask(r)
+    stop = NEWTON_CG_TOL * float(np.sqrt(np.vdot(res, res)))
+    x = np.zeros_like(res)
+    z = precondition(res)
+    p = z.copy()
+    rz = float(np.vdot(res, z))
+    products = 0
+    while products < grid.n and rz > 0.0:
+        hp = hess(p)
+        products += 1
+        php = float(np.vdot(p, hp))
+        if not php > 0.0:
+            break  # negative curvature: keep the iterate so far
+        alpha = rz / php
+        x += alpha * p
+        res -= alpha * hp
+        if float(np.sqrt(np.vdot(res, res))) <= stop:
+            break
+        z = precondition(res)
+        rz_new = float(np.vdot(res, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    slope = h2 * float(np.vdot(r, x))
+    if slope > 0.0:
+        return Field(grid, x), slope, NEWTON, products
+    return g, h2 * float(np.vdot(r, g.values)), GRADIENT, products
 
 
 def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table):
@@ -307,11 +392,19 @@ def descend(
     """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
     Each iteration: one Riesz solve for the gradient g (warm from the last
-    one), the Cerami test, an L-BFGS direction d with the exact slope
-    Psi'(u) d = h^2 r.d (r the residual field of u), an exact-ray Armijo
-    line search with Nehari re-projection, and every REPROJECT_EVERY steps
-    a refresh of the tracked scalars (and invariance). An error raised
-    after the start carries .result with the last iterate.
+    one), the Cerami test, a direction d with the exact slope Psi'(u) d =
+    h^2 r.d (r the residual field of u), an exact-ray Armijo line search
+    with Nehari re-projection, and every REPROJECT_EVERY steps a refresh of
+    the tracked scalars (and invariance). An error raised after the start
+    carries .result with the last iterate.
+
+    d comes from one of two phases. The far phase takes the L-BFGS
+    two-loop on g, or g itself while there is no curvature pair or the
+    two-loop gives no descent. From the first row whose Cerami value is
+    at most NEWTON_CERAMI to the end, the Newton phase holds no L-BFGS
+    pairs: d is the truncated PCG solve of _newton_direction with first
+    trial step 1, and g serves only the Cerami value and the fallback
+    when that solve meets negative curvature at once.
 
     g only has to give a descent direction, so the solve is loose
     (relative residual LOOSE_RIESZ_TOL, or riesz_tol if that is larger)
@@ -321,7 +414,10 @@ def descend(
     return converged (the forcing terms of Dembo, Eisenstat & Steihaug,
     SIAM J. Numer. Anal. 19, 1982). If even g has no positive slope after
     a loose solve, the iteration takes no step and the next solve is
-    tight; after a tight solve that raises LineSearchError.
+    tight; after a tight solve that raises LineSearchError. A loose Cerami
+    value already at most cfg.cerami_tol takes no step either: Newton's
+    steps can jump past the tight window, and a step away from a point
+    that may be converged can start a slide along a nearly flat valley.
 
     Under a projecting action the metric system is solved on the cells
     that the action preserves (symmetry.preserved_cells), the others held
@@ -344,7 +440,7 @@ def descend(
     st = _Iterate(u, pot, table)
 
     trace: List[tuple] = []
-    lbfgs = _Lbfgs()
+    lbfgs = _Lbfgs()  # None once the Newton phase starts
     g_prev = None
     alpha, cerami, accepted = STEP_INIT, np.inf, 0
     loose_tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
@@ -365,22 +461,35 @@ def descend(
             cerami = cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
-            trace.append(row + (0.0, 0, 0, len(steps)))  # until a step is accepted
+            trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
             if tight and cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            lbfgs.push(ctx, st.u, g.values)
-            d, slope, two_loop = lbfgs.direction(ctx, g, lg, r)
+            if lbfgs is not None and cerami <= NEWTON_CERAMI:
+                lbfgs = None  # the Newton phase: release the far phase's pairs
+            if cerami <= cfg.cerami_tol:
+                slope = 0.0  # a loose value this low may already end the descent: no step
+            elif lbfgs is None:
+                d, slope, kind, hess = _newton_direction(st, ctx, r, g, free, action, pot, table)
+                trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
+            else:
+                lbfgs.push(ctx, st.u, g.values)
+                d, slope, kind = lbfgs.direction(ctx, g, lg, r)
+                hess = 0
             if slope > 0.0:
-                alpha = STEP_INIT if lbfgs.pairs else min(STEP_INIT, alpha / BACKTRACK_FACTOR)
+                if lbfgs is None or lbfgs.pairs:
+                    alpha = STEP_INIT
+                else:
+                    alpha = min(STEP_INIT, alpha / BACKTRACK_FACTOR)
                 alpha, backtracks = _line_search(st, d, slope, alpha, pot, table)
-                trace[-1] = row + (alpha, backtracks, int(two_loop), len(steps))
+                trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
                 accepted += 1
                 tight = cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol
             elif tight:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
             else:
-                tight = True  # a loose g that is no descent direction: solve again, tightly
+                # a loose g that gives no step: solve again, tightly, at the same u
+                tight = True
 
             if (it + 1) % REPROJECT_EVERY == 0:
                 if project:

@@ -208,12 +208,12 @@ def _generator_defects(u: Field, action: GroupAction):
     def rel(v: Field) -> float:
         return float(np.sqrt(np.sum((v.values - u.values) ** 2)) * u.grid.h) / l2
 
-    if kind == KIND_TRIVIAL:
+    if kind in (KIND_TRIVIAL, KIND_LATTICE):
+        # the lattice imposes no pointwise constraint (it only dedups orbits),
+        # and no L2 field is invariant under its shifts
         return [0.0]
     if kind == KIND_ROTATION:
         return [rel(act(1, action, u))]
-    if kind == KIND_LATTICE:
-        return [rel(act((1, 0), action, u)), rel(act((0, 1), action, u))]
     if kind == KIND_GLIDE:
         # what project_invariant imposes: no L2 field is invariant under the shift
         return [rel(Field(u.grid, _glide_point(u.values, action)))]

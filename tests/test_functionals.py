@@ -15,14 +15,18 @@ from logchoquard import (
     Grid,
     OutsideScalingRegionError,
     ScalingClipError,
+    SolveConfig,
     cerami_weight,
     classify,
     const_potential,
     cos2d_potential,
+    descend,
     energy,
     fiber,
     gaussian_field,
     grad_norm_sq,
+    hessian_product,
+    log_potential,
     lp_norm,
     make_potential,
     nehari_project,
@@ -32,6 +36,7 @@ from logchoquard import (
     radial_well_potential,
     residual_field,
     scale_Tt,
+    trivial_action,
     b_form,
     bump_field,
 )
@@ -152,6 +157,72 @@ def test_residual_adjoint_consistency(grid32, table32, pot32):
         v = Field(grid32, confined_field(grid32, rng))
         pairing = grid32.h ** 2 * np.sum(r.values * v.values)
         assert pairing == pytest.approx(phi_prime(u, v, pot32, table32), rel=1e-11, abs=1e-12)
+
+
+# ------------------------------------------------------- second variation
+
+
+def test_hessian_product_is_the_derivative_of_the_residual(grid32, table32):
+    # r is cubic in u, so the centred difference of r along v is Phi''(u)v
+    # plus eps^2 (log * v^2) v exactly: halving eps quarters the error
+    pot = cos2d_potential(grid32, base=1.0, amp=0.5, k1=0.25, k2=0.25)
+    rng = np.random.default_rng(9)
+    u = Field(grid32, confined_field(grid32, rng))
+    for trial in range(3):
+        v = Field(grid32, confined_field(grid32, rng))
+        hv = hessian_product(u, v, pot, table32).values
+        errs = []
+        for eps in (1e-2, 5e-3):
+            rp = residual_field(Field(grid32, u.values + eps * v.values), pot, table32).values
+            rm = residual_field(Field(grid32, u.values - eps * v.values), pot, table32).values
+            errs.append(np.max(np.abs((rp - rm) / (2 * eps) - hv)))
+        assert errs[1] <= 1e-4 * np.max(np.abs(hv))
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-3)
+
+
+def test_hessian_product_is_symmetric(grid32, table32):
+    pot = cos2d_potential(grid32, base=1.0, amp=0.5, k1=0.25, k2=0.25)
+    rng = np.random.default_rng(10)
+    u = Field(grid32, confined_field(grid32, rng))
+    w0 = log_potential(Field(grid32, u.values ** 2), table32)
+    h2 = grid32.h ** 2
+    for trial in range(3):
+        v = Field(grid32, confined_field(grid32, rng))
+        w = Field(grid32, confined_field(grid32, rng))
+        wHv = h2 * np.vdot(w.values, hessian_product(u, v, pot, table32, w0).values)
+        vHw = h2 * np.vdot(v.values, hessian_product(u, w, pot, table32, w0).values)
+        assert abs(wHv - vHw) <= 1e-12 * max(abs(wHv), 1.0)
+
+
+def test_ray_corrected_hessian_at_a_ground_state(grid32, table32, pot32):
+    # H = Phi'' - b b^T / <u, b>, b = Phi''(u) u = r + 2 w0 u: H u = 0, and at
+    # a critical point H is the Hessian of Psi = -q_a^2 / (4 V0)
+    u0 = gaussian_field(grid32, width=0.7)
+    res = descend(u0, trivial_action(), pot32, table32, SolveConfig())
+    assert res.converged
+    u = res.u
+    h2 = grid32.h ** 2
+    w0 = log_potential(Field(grid32, u.values ** 2), table32)
+    b = residual_field(u, pot32, table32).values + 2.0 * w0.values * u.values
+
+    def H(v):
+        hv = hessian_product(u, v, pot32, table32, w0).values
+        return hv - (np.vdot(b, v.values) / np.vdot(u.values, b)) * b
+
+    assert np.max(np.abs(H(u))) <= 1e-12 * np.max(np.abs(b))
+
+    def psi(vals):
+        bk = energy(Field(grid32, vals), pot32, table32)
+        return -bk.q_a ** 2 / (4.0 * bk.v0)
+
+    rng = np.random.default_rng(11)
+    eps = 1e-3
+    for trial in range(3):
+        v = Field(grid32, confined_field(grid32, rng, radius=0.2))
+        curv = h2 * np.vdot(v.values, H(v))
+        up, um = u.values + eps * v.values, u.values - eps * v.values
+        second = (psi(up) - 2 * psi(u.values) + psi(um)) / eps ** 2
+        assert second == pytest.approx(curv, rel=1e-5)
 
 
 # -------------------------------------------------------------- fiber map

@@ -49,7 +49,16 @@ from logchoquard import (
 )
 from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
-from logchoquard.solver import BACKTRACK_FACTOR, STEP_INIT, TRACE_COLUMNS, _bump_sites, _dilate
+from logchoquard.solver import (
+    BACKTRACK_FACTOR,
+    GRADIENT,
+    LBFGS,
+    NEWTON,
+    STEP_INIT,
+    TRACE_COLUMNS,
+    _bump_sites,
+    _dilate,
+)
 from logchoquard.symmetry import preserved_cells
 
 from conftest import confined_field
@@ -76,7 +85,7 @@ def test_solve_config_validation():
 def test_trace_columns():
     assert TRACE_COLUMNS == (
         "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
-        "alpha", "backtracks", "lbfgs", "cg",
+        "alpha", "backtracks", "direction", "cg", "hess",
     )
     u0, action, pot, table = descent_case("trivial")
     res = descend(u0, action, pot, table, SolveConfig(max_iters=5))
@@ -284,14 +293,25 @@ def test_descend_trace_monotone_and_consistent(ground64):
         it, phi, qa, v0, nj, cw, res = row[:7]
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
         assert nj == pytest.approx(qa + v0, abs=1e-8 * max(qa, -v0))
-    # every row but the last took a step; the first one had no L-BFGS pairs
-    assert trace[0][9] == 0
+    # every row but the last took a step, except a loose row whose Cerami
+    # value is already at most cerami_tol (the next row certifies u tightly);
+    # the first row had no L-BFGS pairs, and far-phase rows make no Hessian
+    # products
+    assert trace[0][9] in (GRADIENT, NEWTON)
     for row in trace[:-1]:
-        alpha, backtracks, lbfgs = row[7:10]
-        assert alpha > 0 and backtracks >= 0 and lbfgs in (0, 1)
-        if lbfgs:
+        alpha, backtracks, direction, _, hess = row[7:12]
+        if row[5] <= SolveConfig().cerami_tol:
+            assert (alpha, backtracks, direction, hess) == (0.0, 0, GRADIENT, 0)
+            continue
+        assert alpha > 0 and backtracks >= 0 and direction in (GRADIENT, LBFGS, NEWTON)
+        if direction != GRADIENT:
             assert alpha == STEP_INIT * BACKTRACK_FACTOR ** backtracks
-    assert trace[-1][7:10] == (0.0, 0, 0)
+        if direction == NEWTON:
+            assert hess > 0
+        elif direction == LBFGS:
+            assert hess == 0
+    assert NEWTON in [row[9] for row in trace]
+    assert trace[-1][7:10] == (0.0, 0, GRADIENT) and trace[-1][11] == 0
 
 
 def test_descend_restart_from_solution_returns_immediately(ground64, table64, pot64):
@@ -395,31 +415,41 @@ def test_converged_descent_is_certified_by_a_tight_solve(which):
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
 def test_loose_iterations_step_with_the_exact_slope(monkeypatch, which):
-    # a loose g is only a descent direction; the Armijo slope is Phi'(u) d =
-    # h^2 r.d with r the residual of the iterate (w0 its tracked log * u^2)
+    # a loose g is only used for the Cerami value and the far-phase
+    # directions; the Armijo slope of every direction, the Newton ones
+    # included, is Phi'(u) d = h^2 r.d with r the residual of the iterate
+    # (w0 its tracked log * u^2)
     import logchoquard.solver as solver_mod
 
     u0, action, pot, table = descent_case(which)
     cfg = SolveConfig()
     grid = pot.a.grid
     real_solve, real_step = solver_mod.solve_metric_system, solver_mod._line_search
-    tols, errs = [], []
+    real_newton = solver_mod._newton_direction
+    tols, errs, newton, kinds = [], [], [], []
 
     def solve(ctx, rhs, tol, **kwargs):
         tols.append(tol)
         return real_solve(ctx, rhs, tol, **kwargs)
+
+    def newton_direction(*args):
+        out = real_newton(*args)
+        newton.append(out[0])
+        return out
 
     def step(st, d, slope, *args):
         if tols[-1] > cfg.riesz_tol:
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             exact = grid.h ** 2 * float(np.sum(r * d.values))
             errs.append(abs(slope - exact) / abs(exact))
+            kinds.append(bool(newton) and d is newton[-1])
         return real_step(st, d, slope, *args)
 
     monkeypatch.setattr(solver_mod, "solve_metric_system", solve)
+    monkeypatch.setattr(solver_mod, "_newton_direction", newton_direction)
     monkeypatch.setattr(solver_mod, "_line_search", step)
     res = descend(u0, action, pot, table, cfg)
-    assert res.converged and len(errs) >= 10
+    assert res.converged and len(errs) >= 6 and sum(kinds) >= 6
     assert max(errs) <= 1e-12
 
 
@@ -486,6 +516,36 @@ def test_periodic_drift_tail_converges_in_few_steps():
     assert res.converged
     assert res.iters <= 100
     assert sum(row[8] for row in res.trace) <= 50
+
+
+def test_a_loose_converged_value_takes_no_step():
+    # the k=2 family's start at (2, 0) on L = 6, n = 128 sits in a sliding
+    # valley: a Newton step from a point a loose solve already shows to be
+    # converged sets off a slide of about 200 rows
+    g = Grid(L=6.0, n=128)
+    pot = const_potential(g)
+    table = make_kernel_table(g)
+    u0 = make_bump_family(2, trivial_action(), pot, table, SolveConfig()).starts[1]
+    res = descend(u0, trivial_action(), pot, table, SolveConfig())
+    assert res.converged and len(res.trace) <= 12
+    assert res.trace[-2][5] <= SolveConfig().cerami_tol and res.trace[-2][7] == 0.0
+    assert res.breakdown.phi == pytest.approx(7.4687757782, rel=1e-9)
+
+
+def test_periodic_multistart_keeps_both_orbits():
+    # the periodic benchmark config: a Newton step taken from a row that a
+    # loose solve already shows converged lets the upper start slide off its
+    # site and fall to the ground orbit (with the Newton phase from the first
+    # row, or from Cerami 1 or 300)
+    g = Grid(L=8.0, n=128)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    results = multistart_search(1, action, pot, make_kernel_table(g), SolveConfig(max_iters=400))
+    assert [r.converged for r in results] == [True, True]
+    phis = [r.breakdown.phi for r in results]
+    assert phis == pytest.approx([7.4514708689, 7.4593155650], rel=1e-8)
+    # a lattice imposes no pointwise invariance, so its results certify 0
+    assert [r.certificate.defect for r in results] == [0.0, 0.0]
 
 
 # ---------------------------------------------------- independent energy oracle

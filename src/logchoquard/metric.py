@@ -10,6 +10,8 @@ A_u g = r,  A_u = -Delta + 1 + log(1+|x-beta(u)|),  r = residual_field(u),
 by conjugate gradients preconditioned with a fast Poisson solver: the exact
 inverse of -Delta + 1 + c, c the mean log weight, which the sine transform
 (DST-I) diagonalises (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+The descent's Newton solve reuses it with the mass shifted to the mean of
+its own potential (preconditioner).
 
 A_u is the 5-point stencil of field.neg_laplacian with the diagonal
 4/h^2 + 1 + weight cached in the context. The inner product is
@@ -101,9 +103,12 @@ def _box(free: np.ndarray | None, n: int):
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def _fast_poisson(ctx: MetricContext, box):
-    """z = (-Delta + 1 + c)^-1 r on the box (zero outside), c the box mean of the weight.
+def _fast_poisson(ctx: MetricContext, box, potential: np.ndarray | None = None):
+    """z = (-Delta + mu)^-1 r on the box, zero outside; mu = 1 + c, c the box mean of the weight.
 
+    With a potential given, mu is its box mean, floored at 1 + c: the
+    mean-coefficient inverse of -Delta + potential (Concus & Golub), and
+    positive definite however indefinite the potential is.
     Exact for the 5-point Laplacian with zero extension, whose eigenvectors
     on a rectangle are products of sines; dense sine matrices beat an FFT
     DST at these sizes (2n+2 = 258 has the factor 43). On the full grid the
@@ -113,6 +118,8 @@ def _fast_poisson(ctx: MetricContext, box):
     s2, lam2 = _sine_basis(box[1].stop - box[1].start)
     h2 = ctx.grid.h * ctx.grid.h
     mass = 1.0 + float(np.mean(ctx.weight.values[box]))
+    if potential is not None:
+        mass = max(mass, float(np.mean(potential[box])))
     inv = 1.0 / ((lam1[:, None] + lam2[None, :]) / h2 + mass)
 
     def apply(r):
@@ -128,13 +135,16 @@ def _fast_poisson(ctx: MetricContext, box):
     return apply
 
 
-def preconditioner(ctx: MetricContext, free: np.ndarray | None = None):
+def preconditioner(
+    ctx: MetricContext, free: np.ndarray | None = None, potential: np.ndarray | None = None
+):
     """r -> z, the fast Poisson solve on _box(free) held at zero off the free cells.
 
-    The preconditioner of solve_metric_system; the descent's Newton solve
-    uses it too.
+    The preconditioner of solve_metric_system (no potential); the descent's
+    Newton solve passes the potential a + w0 of its Hessian, whose box mean
+    is far above the metric's mass at a solution.
     """
-    apply = _fast_poisson(ctx, _box(free, ctx.grid.n))
+    apply = _fast_poisson(ctx, _box(free, ctx.grid.n), potential)
     if free is None:
         return apply
     return lambda r: np.where(free, apply(r), 0.0)

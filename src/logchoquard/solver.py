@@ -13,15 +13,13 @@ Armijo slope is the exact Phi'(u) d = h^2 r.d rather than the metric
 pairing of an inexact gradient; only a solve to riesz_tol can end the
 descent as converged.
 
-The direction comes in two phases. Far from a critical point it is an
-L-BFGS two-loop on the metric gradient, whose tail is only linear. Once a
-row's Cerami value is at most NEWTON_CERAMI the L-BFGS pairs are dropped
-and every direction is a truncated Newton-CG step on H d = r, H the
-second variation of Phi corrected along the ray (the Hessian of Psi at a
-critical point), whose tail is quadratic. Far from a critical point a
-Newton row costs several convolutions where an L-BFGS row costs none
-beyond the line search's, and on the periodic lattice family Newton from
-the first row is the slower of the two.
+The first row steps along the metric gradient; every later row steps along
+a truncated Newton-CG solve of H d = r, H the second variation of Phi
+corrected along the ray (the Hessian of Psi at a critical point), whose
+tail is quadratic. Its PCG is preconditioned by a fast Poisson solve
+whose mass is the mean of the Hessian's potential a + w0, which sits far
+above the metric's mass at a solution; with that shift a Newton row is
+cheap enough far from a critical point too.
 
 Starts come from families of k+1 disjoint mollifier bumps placed and
 symmetrized according to the group action; the multistart search
@@ -63,7 +61,6 @@ from .functionals import (
 from .logkernel import KernelTable, padded_convolve
 from .metric import (
     MetricContext,
-    inner_u,
     lower_u,
     metric_context_at,
     preconditioner,
@@ -85,8 +82,6 @@ from .symmetry import (
 CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cells apart
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
-LBFGS_MEMORY = 8  # curvature pairs kept for the two-loop direction
-NEWTON_CERAMI = 10.0  # a Cerami value at or below this starts the Newton phase
 NEWTON_CG_TOL = 0.1  # relative residual of the truncated Newton PCG
 LOOSE_RIESZ_TOL = 1e-2  # relative residual of a descent solve that certifies nothing
 TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within this of cerami_tol
@@ -95,29 +90,6 @@ TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within 
 STEP_INIT = 1.0
 BACKTRACK_FACTOR = 0.5
 ARMIJO_C = 1e-4
-
-
-def _lbfgs_two_loop(w: np.ndarray, pairs) -> np.ndarray:
-    """Two-loop recursion in <.,.>_u over (s, y, As, Ay, rho) pairs, newest last.
-
-    As and Ay are s and y lowered by the metric of their push, so <s, q>_u
-    is the flat dot As.q; rho = 1/<s, y>_u, and the newest pair's
-    <s, y>_u/<y, y>_u scales the initial model (the Barzilai-Borwein role).
-    With every pair lowered in one metric the map is self-adjoint and, on
-    positive curvature, positive definite in that metric.
-    """
-    q = w.ravel().copy()
-    coeffs = []
-    for _, y, As, _, rho in reversed(pairs):
-        a = rho * float(np.dot(As, q))
-        q -= a * y
-        coeffs.append(a)
-    _, y, _, Ay, rho = pairs[-1]
-    q *= 1.0 / (rho * float(np.dot(y, Ay)))  # <s, y>_u / <y, y>_u
-    for (s, y, _, Ay, rho), a in zip(pairs, reversed(coeffs)):
-        b = rho * float(np.dot(Ay, q))
-        q += (a - b) * s
-    return q.reshape(w.shape)
 
 
 @dataclass(frozen=True)
@@ -157,15 +129,16 @@ class StartFamily:
 
 
 # alpha: the accepted step; backtracks: how often it was halved; direction:
-# GRADIENT, LBFGS or NEWTON. A row that takes no step (the last one of a
-# converged descent, or one whose line search fails) records 0, 0, 0 there.
+# GRADIENT or NEWTON (code 1, an L-BFGS direction in older traces, is not
+# written). A row that takes no step (the last one of a converged descent,
+# or one whose line search fails) records 0, 0, 0 there.
 # cg: the CG iterations of the row's metric solve; hess: the Hessian
 # products of its Newton solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
     "alpha", "backtracks", "direction", "cg", "hess",
 )
-GRADIENT, LBFGS, NEWTON = 0, 1, 2
+GRADIENT, NEWTON = 0, 2
 
 
 class _Iterate:
@@ -199,62 +172,6 @@ class _Iterate:
             )
 
 
-class _Lbfgs:
-    """Curvature pairs (s, y, As, Ay, 1/<s, y>_u) of the iterates and their Riesz gradients g.
-
-    The wells of a structured potential make the on-manifold curvature
-    strongly anisotropic and plain preconditioned descent crawls along the
-    soft modes, so the step direction comes from an L-BFGS two-loop over
-    the newest LBFGS_MEMORY pairs; the Armijo test still guarantees
-    monotone decrease, and any non-descent proposal falls back to g.
-
-    g is the gradient in <.,.>_u, so the pairs are paired in <.,.>_u too
-    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008): push lowers s and y once (metric.lower_u, in the
-    metric of the newest iterate), and the two-loop is then flat dots and
-    axpys. A flat pairing would build a model that is self-adjoint in no
-    inner product the descent uses.
-
-    Psi is constant along rays and sigma moves each accepted point along
-    its ray, so the secant s leaves out the (flat) component along the
-    previous iterate: a ray part in s is no curvature of Psi.
-    """
-
-    def __init__(self):
-        self.pairs: List[tuple] = []
-        self.last = None
-
-    def push(self, ctx: MetricContext, u: np.ndarray, g: np.ndarray) -> None:
-        if self.last is not None:
-            u_old, g_old = self.last
-            s_vec = u - (np.vdot(u, u_old) / np.vdot(u_old, u_old)) * u_old
-            y_vec = g - g_old
-            As, Ay = lower_u(ctx, s_vec).ravel(), lower_u(ctx, y_vec).ravel()
-            s_vec, y_vec = s_vec.ravel(), y_vec.ravel()
-            sy = float(np.dot(s_vec, Ay))
-            if sy > 1e-12 * np.sqrt(float(np.dot(s_vec, As)) * float(np.dot(y_vec, Ay))):
-                self.pairs.append((s_vec, y_vec, As, Ay, 1.0 / sy))
-                if len(self.pairs) > LBFGS_MEMORY:
-                    self.pairs.pop(0)
-        self.last = (u, g)
-
-    def direction(self, ctx: MetricContext, g: Field, lg: np.ndarray, r: np.ndarray):
-        """Step direction d, its slope Psi'(u) d, and its kind (LBFGS or GRADIENT).
-
-        r is the residual field of u, so the slope h^2 r.d is exact however
-        loosely g was solved; lg is g lowered by the metric. A two-loop d
-        whose slope is not positive falls back to g.
-        """
-        h2 = ctx.grid.h * ctx.grid.h
-        if self.pairs:
-            d = Field(ctx.grid, _lbfgs_two_loop(g.values, self.pairs))
-            slope = h2 * float(np.vdot(r, d.values))
-            gn2 = float(np.vdot(g.values, lg))
-            if slope > 1e-10 * np.sqrt(gn2 * inner_u(ctx, d, d)):
-                return d, slope, LBFGS
-        return g, h2 * float(np.vdot(r, g.values)), GRADIENT
-
-
 def _newton_direction(
     st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, free, action, pot, table
 ):
@@ -264,26 +181,25 @@ def _newton_direction(
     costs no convolution: H is symmetric, H u = 0, and at a critical point
     it is the Hessian of Psi, so the ray drops out and Newton's quadratic
     tail is Psi's. Each product is one convolution. The iteration
-    (Steihaug, SIAM J. Numer. Anal. 20, 1983) is preconditioned by the
-    metric's fast Poisson solve, its output invariant under a projecting
-    action, and stops at relative residual NEWTON_CG_TOL (the inexact
-    Newton forcing term of Dembo, Eisenstat & Steihaug, 1982), at the
-    first p.Hp <= 0, or after n products. It never steps along negative
-    curvature: it returns the iterate so far, or g if that is still zero
-    or no descent direction. Under a projecting action everything lives on
-    the free cells, as in the metric solve.
+    (Steihaug, SIAM J. Numer. Anal. 20, 1983) is preconditioned by the fast
+    Poisson solve whose mass is the box mean of H's potential a + w0
+    (metric.preconditioner), and stops at relative residual NEWTON_CG_TOL
+    (the inexact Newton forcing term of Dembo, Eisenstat & Steihaug, 1982),
+    at the first p.Hp <= 0, or after n products. It never steps along
+    negative curvature: it returns the iterate so far, or g if that is
+    still zero or no descent direction. Under a projecting action
+    everything lives on the free cells, as in the metric solve; there H
+    and the preconditioner, on a box symmetric under the action, commute
+    with it, so x is projected once, against rounding, before its slope is
+    taken.
     """
     grid = st.grid
     h2 = grid.h * grid.h
     u, w0 = Field(grid, st.u), Field(grid, st.w0)
-    fast_poisson = preconditioner(ctx, free)
+    precondition = preconditioner(ctx, free, pot.a.values + st.w0)
 
     def mask(vals):
         return vals if free is None else np.where(free, vals, 0.0)
-
-    def precondition(vals):
-        z = fast_poisson(vals)
-        return project_invariant(Field(grid, z), action).values if action.has_projection else z
 
     b = mask(r + 2.0 * st.w0 * st.u)
     ub = float(np.vdot(st.u, b))
@@ -316,14 +232,18 @@ def _newton_direction(
         p *= rz_new / rz
         p += z
         rz = rz_new
-    slope = h2 * float(np.vdot(r, x))
+    d = Field(grid, x)
+    if action.has_projection:
+        d = project_invariant(d, action)
+    slope = h2 * float(np.vdot(r, d.values))
     if slope > 0.0:
-        return Field(grid, x), slope, NEWTON, products
+        return d, slope, NEWTON, products
     return g, h2 * float(np.vdot(r, g.values)), GRADIENT, products
 
 
-def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table):
-    """Armijo backtracking on Psi along u - alpha*d; moves st to sigma of the accepted point.
+def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
+    """Armijo backtracking on Psi along u - alpha*d from alpha = STEP_INIT; moves st to
+    sigma of the accepted point.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
     decrease from these exact coefficients avoids the large-scale
@@ -344,6 +264,7 @@ def _line_search(st: _Iterate, d: Field, slope: float, alpha: float, pot, table)
     bcw = h2 * float(np.sum(wsq * kcross))
     bww = h2 * float(np.sum(wsq * kwsq))
     qa, v0 = st.qa, st.v0
+    alpha = STEP_INIT
     for backtracks in range(60):
         dq = -2.0 * alpha * c1 + alpha * alpha * c2
         dv = (
@@ -391,20 +312,17 @@ def descend(
 ) -> SolveResult:
     """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
-    Each iteration: one Riesz solve for the gradient g (warm from the last
-    one), the Cerami test, a direction d with the exact slope Psi'(u) d =
-    h^2 r.d (r the residual field of u), an exact-ray Armijo line search
-    with Nehari re-projection, and every REPROJECT_EVERY steps a refresh of
-    the tracked scalars (and invariance). An error raised after the start
-    carries .result with the last iterate.
+    Each iteration: one Riesz solve for the gradient g, the Cerami test, a
+    direction d with the exact slope Psi'(u) d = h^2 r.d (r the residual
+    field of u), an exact-ray Armijo line search with Nehari re-projection,
+    and every REPROJECT_EVERY steps a refresh of the tracked scalars (and
+    invariance). An error raised after the start carries .result with the
+    last iterate.
 
-    d comes from one of two phases. The far phase takes the L-BFGS
-    two-loop on g, or g itself while there is no curvature pair or the
-    two-loop gives no descent. From the first row whose Cerami value is
-    at most NEWTON_CERAMI to the end, the Newton phase holds no L-BFGS
-    pairs: d is the truncated PCG solve of _newton_direction with first
-    trial step 1, and g serves only the Cerami value and the fallback
-    when that solve meets negative curvature at once.
+    The first row steps along g. Every later row takes the truncated PCG
+    solve of _newton_direction, and g serves only the Cerami value and the
+    fallback when that solve meets negative curvature at once. Every line
+    search starts at STEP_INIT.
 
     g only has to give a descent direction, so the solve is loose
     (relative residual LOOSE_RIESZ_TOL, or riesz_tol if that is larger)
@@ -418,6 +336,9 @@ def descend(
     value already at most cfg.cerami_tol takes no step either: Newton's
     steps can jump past the tight window, and a step away from a point
     that may be converged can start a slide along a nearly flat valley.
+    Only that tight re-solve at an unmoved u starts from the previous g:
+    after a Newton step g shrinks about tenfold, and a start from the old
+    one is worse than a cold start.
 
     Under a projecting action the metric system is solved on the cells
     that the action preserves (symmetry.preserved_cells), the others held
@@ -440,9 +361,8 @@ def descend(
     st = _Iterate(u, pot, table)
 
     trace: List[tuple] = []
-    lbfgs = _Lbfgs()  # None once the Newton phase starts
-    g_prev = None
-    alpha, cerami, accepted = STEP_INIT, np.inf, 0
+    warm = None  # the last g, while u has not moved since it was solved
+    cerami, accepted = np.inf, 0
     loose_tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
     tight = True
     try:
@@ -451,10 +371,11 @@ def descend(
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             tol = cfg.riesz_tol if tight else loose_tol
             steps = []
-            g_prev, _ = solve_metric_system(
-                ctx, r, tol, x0=g_prev, free=free, strict=True, callback=steps.append
+            g_vals, _ = solve_metric_system(
+                ctx, r, tol, x0=warm, free=free, strict=True, callback=steps.append
             )
-            g = Field(grid, g_prev)
+            warm = None
+            g = Field(grid, g_vals)
             if project:
                 g = project_invariant(g, action)
             lg = lower_u(ctx, g.values)
@@ -465,23 +386,16 @@ def descend(
             if tight and cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            if lbfgs is not None and cerami <= NEWTON_CERAMI:
-                lbfgs = None  # the Newton phase: release the far phase's pairs
+            hess = 0
             if cerami <= cfg.cerami_tol:
                 slope = 0.0  # a loose value this low may already end the descent: no step
-            elif lbfgs is None:
+            elif it == 0:
+                d, slope, kind = g, grid.h * grid.h * float(np.vdot(r, g.values)), GRADIENT
+            else:
                 d, slope, kind, hess = _newton_direction(st, ctx, r, g, free, action, pot, table)
                 trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
-            else:
-                lbfgs.push(ctx, st.u, g.values)
-                d, slope, kind = lbfgs.direction(ctx, g, lg, r)
-                hess = 0
             if slope > 0.0:
-                if lbfgs is None or lbfgs.pairs:
-                    alpha = STEP_INIT
-                else:
-                    alpha = min(STEP_INIT, alpha / BACKTRACK_FACTOR)
-                alpha, backtracks = _line_search(st, d, slope, alpha, pot, table)
+                alpha, backtracks = _line_search(st, d, slope, pot, table)
                 trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
                 accepted += 1
                 tight = cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol
@@ -489,7 +403,7 @@ def descend(
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
             else:
                 # a loose g that gives no step: solve again, tightly, at the same u
-                tight = True
+                tight, warm = True, g_vals
 
             if (it + 1) % REPROJECT_EVERY == 0:
                 if project:

@@ -277,6 +277,51 @@ def test_cold_solve_iterations_are_mesh_independent(n, restricted):
     assert rel <= 1e-10
 
 
+def box_laplacian(m1, m2, h):
+    """Dense 5-point -Delta_h with zero extension on an m1 x m2 index box."""
+    def second_difference(m):
+        return (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / (h * h)
+
+    return np.kron(second_difference(m1), np.eye(m2)) + np.kron(np.eye(m1), second_difference(m2))
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
+def test_shifted_preconditioner_inverts_the_mean_potential_operator(restricted):
+    # with a potential, the fast Poisson mass is its box mean, floored at
+    # the metric's 1 + mean(weight): the exact inverse of -Delta_h + mu
+    g = Grid(L=4.0, n=24)
+    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
+    box = metric._box(free, g.n)
+    ctx = metric_context_at(g, (0.5, -0.3))
+    potential = 6.0 + 3.0 * np.cos(g.x1) * np.sin(2.0 * g.x2)
+    mu = max(1.0 + np.mean(ctx.weight.values[box]), np.mean(potential[box]))
+    assert mu > 1.0 + np.mean(ctx.weight.values[box])
+    apply = metric.preconditioner(ctx, free, potential)
+    rng = np.random.default_rng(12)
+    r, s = rng.standard_normal((2, g.n, g.n))
+    z = apply(r)
+    m1, m2 = z[box].shape
+    A = box_laplacian(m1, m2, g.h) + mu * np.eye(m1 * m2)
+    rb = r[box].ravel()
+    assert np.linalg.norm(A @ z[box].ravel() - rb) <= 1e-12 * np.linalg.norm(rb)
+    if restricted:
+        assert np.all(z[~free] == 0.0) and np.all(free[box])
+    assert abs(np.vdot(s, apply(r)) - np.vdot(r, apply(s))) <= 1e-12 * abs(np.vdot(s, apply(r)))
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
+def test_a_potential_below_the_metric_mass_leaves_the_preconditioner_unchanged(restricted):
+    # an indefinite a (mean near 0) floors at 1 + mean(weight): the same
+    # SPD preconditioner as the metric solve's, bit for bit
+    g = Grid(L=4.0, n=24)
+    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
+    ctx = metric_context_at(g, (0.5, -0.3))
+    potential = cos2d_potential(g, 0.0, 0.5, 1.0, 1.0).a.values
+    r = confined_field(g, np.random.default_rng(14))
+    z = metric.preconditioner(ctx, free, potential)(r)
+    assert np.array_equal(z, metric.preconditioner(ctx, free)(r))
+
+
 # ------------------------------------------------------------ Riesz gradient
 
 

@@ -11,7 +11,7 @@ by conjugate gradients preconditioned with a fast Poisson solver: the exact
 inverse of -Delta + 1 + c, c the mean log weight, which the sine transform
 (DST-I) diagonalises (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
 The descent's Newton solve reuses it with the mass shifted to the mean of
-its own potential (preconditioner).
+its own potential (preconditioner), and both run the one CG loop, pcg.
 
 A_u is the 5-point stencil of field.neg_laplacian with the diagonal
 4/h^2 + 1 + weight cached in the context. The inner product is
@@ -150,6 +150,48 @@ def preconditioner(
     return lambda r: np.where(free, apply(r), 0.0)
 
 
+def _norm(vals: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(vals, vals)))
+
+
+def pcg(apply, precondition, r, x, stop, max_iter, callback=None) -> int:
+    """Preconditioned CG from x with residual r = rhs - apply(x); returns the apply calls.
+
+    x and r are updated in place. The loop stops once |r| <= stop (tested
+    before the preconditioner, whose z would go unread), after max_iter
+    calls of apply, or when r.z or p.Ap is no longer positive: an exactly
+    zero residual, rounding, or an operator that is not positive definite
+    along p, in which case x keeps the iterate so far (Steihaug, SIAM J.
+    Numer. Anal. 20, 1983). callback(x), if given, runs after each update,
+    as in scipy.sparse.linalg.cg.
+    """
+    if _norm(r) <= stop:
+        return 0
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    calls = 0
+    while calls < max_iter and rz > 0.0:
+        ap = apply(p)
+        calls += 1
+        pap = float(np.vdot(p, ap))
+        if not pap > 0.0:
+            break
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        if callback is not None:
+            callback(x)
+        if _norm(r) <= stop:
+            break
+        z = precondition(r)
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    return calls
+
+
 def solve_metric_system(
     ctx: MetricContext,
     rhs: np.ndarray,
@@ -160,20 +202,18 @@ def solve_metric_system(
     strict: bool = False,
     callback=None,
 ):
-    """Preconditioned CG for A_u x = rhs; returns (x, achieved_rel_residual).
+    """pcg for A_u x = rhs; returns (x, achieved_rel_residual).
 
     The preconditioner is the fast Poisson solve of _fast_poisson, so the
     iteration count depends on the spread of the log weight, not on n; the
-    cap is 10*n iterations. The loop also stops when r.z or p.Ap is no
-    longer positive (an exactly zero residual, or rounding). The returned
-    residual is recomputed from x (not the CG recursion, which drifts below
-    the attainable floor near 1e-16).
+    cap is 10*n iterations. The returned residual is recomputed from x (not
+    the CG recursion, which drifts below the attainable floor near 1e-16).
 
     This is the one Riesz path: the descent and riesz_gradient solve with
     strict=True, which raises RieszSolveError (carrying .residual) when the
     residual misses tol; without it the residual reached is returned, for
-    deliberately capped solves. callback(x), if given, runs after each CG
-    iteration, as in scipy.sparse.linalg.cg, so a caller can count them.
+    deliberately capped solves. callback is pcg's, so a caller can count
+    the CG iterations.
 
     free, a boolean mask, restricts the solve to the cells it marks: x is
     held at zero elsewhere and the system solved is the compression of A_u
@@ -194,42 +234,14 @@ def solve_metric_system(
     def apply(vals):
         return mask(apply_metric_operator(ctx, vals))
 
-    def norm(vals):
-        return float(np.sqrt(np.vdot(vals, vals)))
-
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     rhs, x = mask(rhs), mask(x)
     r = rhs - apply(x)
-    rhs_norm = norm(rhs)
+    rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    rel = norm(r) / rhs_norm
-    if rel > tol:
-        precondition = preconditioner(ctx, free)
-        z = precondition(r)
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        for _ in range(max_iter):
-            if not rz > 0.0:
-                break
-            Ap = apply(p)
-            pAp = float(np.vdot(p, Ap))
-            if not pAp > 0.0:
-                break
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rel = norm(r) / rhs_norm
-            if callback is not None:
-                callback(x)
-            if rel <= tol:
-                break  # the test comes before the preconditioner, whose z would go unread
-            z = precondition(r)
-            rz_new = float(np.vdot(r, z))
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
-    rel = norm(rhs - apply(x)) / rhs_norm
+    pcg(apply, preconditioner(ctx, free), r, x, tol * rhs_norm, max_iter, callback)
+    rel = _norm(rhs - apply(x)) / rhs_norm
     if strict and rel > tol:
         raise RieszSolveError(
             "metric solve stalled at relative residual %.3g (tol %.3g)" % (rel, tol),

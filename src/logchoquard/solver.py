@@ -8,10 +8,10 @@ metric (Riesz) gradient of Phi at an iterate is already the metric gradient
 of Psi (Szulkin & Weth, The method of Nehari manifold, 2010): each
 iteration solves one metric system, takes an Armijo-backtracked step on Psi
 and lands on the manifold again. The step only needs a descent direction,
-so that solve is loose until the Cerami value nears cerami_tol, and the
-Armijo slope is the exact Phi'(u) d = h^2 r.d rather than the metric
-pairing of an inexact gradient; only a solve to riesz_tol can end the
-descent as converged.
+so that solve is loose unless its Cerami value nears cerami_tol, when the
+same iteration solves it again to riesz_tol; only such a value can end the
+descent as converged. The Armijo slope is the exact Phi'(u) d = h^2 r.d
+rather than the metric pairing of an inexact gradient.
 
 The first row steps along the metric gradient; every later row steps along
 a truncated Newton-CG solve of H d = r, H the second variation of Phi
@@ -63,6 +63,7 @@ from .metric import (
     MetricContext,
     lower_u,
     metric_context_at,
+    pcg,
     preconditioner,
     solve_metric_system,
 )
@@ -132,8 +133,9 @@ class StartFamily:
 # GRADIENT or NEWTON (code 1, an L-BFGS direction in older traces, is not
 # written). A row that takes no step (the last one of a converged descent,
 # or one whose line search fails) records 0, 0, 0 there.
-# cg: the CG iterations of the row's metric solve; hess: the Hessian
-# products of its Newton solve.
+# cg: the CG iterations of the row's metric solves (a loose solve and its
+# re-solve to riesz_tol together); hess: the Hessian products of its Newton
+# solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
     "alpha", "backtracks", "direction", "cg", "hess",
@@ -180,9 +182,9 @@ def _newton_direction(
     H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
     costs no convolution: H is symmetric, H u = 0, and at a critical point
     it is the Hessian of Psi, so the ray drops out and Newton's quadratic
-    tail is Psi's. Each product is one convolution. The iteration
-    (Steihaug, SIAM J. Numer. Anal. 20, 1983) is preconditioned by the fast
-    Poisson solve whose mass is the box mean of H's potential a + w0
+    tail is Psi's. Each product is one convolution. metric.pcg
+    (Steihaug's truncated CG) is preconditioned by the fast Poisson solve
+    whose mass is the box mean of H's potential a + w0
     (metric.preconditioner), and stops at relative residual NEWTON_CG_TOL
     (the inexact Newton forcing term of Dembo, Eisenstat & Steihaug, 1982),
     at the first p.Hp <= 0, or after n products. It never steps along
@@ -212,26 +214,7 @@ def _newton_direction(
     res = r.copy() if free is None else mask(r)
     stop = NEWTON_CG_TOL * float(np.sqrt(np.vdot(res, res)))
     x = np.zeros_like(res)
-    z = precondition(res)
-    p = z.copy()
-    rz = float(np.vdot(res, z))
-    products = 0
-    while products < grid.n and rz > 0.0:
-        hp = hess(p)
-        products += 1
-        php = float(np.vdot(p, hp))
-        if not php > 0.0:
-            break  # negative curvature: keep the iterate so far
-        alpha = rz / php
-        x += alpha * p
-        res -= alpha * hp
-        if float(np.sqrt(np.vdot(res, res))) <= stop:
-            break
-        z = precondition(res)
-        rz_new = float(np.vdot(res, z))
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+    products = pcg(hess, precondition, res, x, stop, grid.n)
     d = Field(grid, x)
     if action.has_projection:
         d = project_invariant(d, action)
@@ -303,6 +286,23 @@ def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> Solv
     )
 
 
+def _gradient(st: _Iterate, ctx: MetricContext, r, tol, x0, free, action, steps):
+    """The metric gradient at st.u, solved to relative residual tol from x0 (cold if None).
+
+    Returns the solve's output, g (projected under a projecting action) and
+    the Cerami value of g; the CG iterations are appended to steps.
+    """
+    grid = st.grid
+    g_vals, _ = solve_metric_system(
+        ctx, r, tol, x0=x0, free=free, strict=True, callback=steps.append
+    )
+    g = Field(grid, g_vals)
+    if action.has_projection:
+        g = project_invariant(g, action)
+    lg = lower_u(ctx, g.values)
+    return g_vals, g, cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
+
+
 def descend(
     u0: Field,
     action: GroupAction,
@@ -312,33 +312,27 @@ def descend(
 ) -> SolveResult:
     """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
-    Each iteration: one Riesz solve for the gradient g, the Cerami test, a
-    direction d with the exact slope Psi'(u) d = h^2 r.d (r the residual
-    field of u), an exact-ray Armijo line search with Nehari re-projection,
+    Each row depends on its own iterate u only: the gradient g and its
+    Cerami value (_gradient), the convergence test, a direction d with the
+    exact slope Psi'(u) d = h^2 r.d (r the residual field of u), an
+    exact-ray Armijo line search with Nehari re-projection (_line_search),
     and every REPROJECT_EVERY steps a refresh of the tracked scalars (and
     invariance). An error raised after the start carries .result with the
     last iterate.
 
-    The first row steps along g. Every later row takes the truncated PCG
-    solve of _newton_direction, and g serves only the Cerami value and the
-    fallback when that solve meets negative curvature at once. Every line
-    search starts at STEP_INIT.
-
-    g only has to give a descent direction, so the solve is loose
-    (relative residual LOOSE_RIESZ_TOL, or riesz_tol if that is larger)
-    unless its Cerami value may end the descent: it is solved to
-    cfg.riesz_tol on the first iteration and after a Cerami value within
-    TIGHT_CERAMI_FACTOR of cfg.cerami_tol, and only such a tight value can
-    return converged (the forcing terms of Dembo, Eisenstat & Steihaug,
-    SIAM J. Numer. Anal. 19, 1982). If even g has no positive slope after
-    a loose solve, the iteration takes no step and the next solve is
-    tight; after a tight solve that raises LineSearchError. A loose Cerami
-    value already at most cfg.cerami_tol takes no step either: Newton's
-    steps can jump past the tight window, and a step away from a point
-    that may be converged can start a slide along a nearly flat valley.
-    Only that tight re-solve at an unmoved u starts from the previous g:
-    after a Newton step g shrinks about tenfold, and a start from the old
-    one is worse than a cold start.
+    Row 0 solves for g to cfg.riesz_tol and steps along g. Every later row
+    solves loosely (relative residual LOOSE_RIESZ_TOL, or riesz_tol if that
+    is larger) and steps along the truncated PCG solve of _newton_direction;
+    g serves only the Cerami value and the fallback when that solve meets
+    negative curvature at once. A loose Cerami value within
+    TIGHT_CERAMI_FACTOR of cfg.cerami_tol is solved again to riesz_tol in
+    the same row, from the loose g, and only a value solved to riesz_tol
+    can return converged (the forcing terms of Dembo, Eisenstat & Steihaug,
+    SIAM J. Numer. Anal. 19, 1982). A row that converges takes no step, so
+    the descent never steps away from a point a loose solve shows to be
+    converged. A CG solve from zero keeps r.g = g.A_u g > 0 (Galerkin), so
+    a direction without a positive slope means g = 0 and raises
+    LineSearchError. Every line search starts at STEP_INIT.
 
     Under a projecting action the metric system is solved on the cells
     that the action preserves (symmetry.preserved_cells), the others held
@@ -361,49 +355,34 @@ def descend(
     st = _Iterate(u, pot, table)
 
     trace: List[tuple] = []
-    warm = None  # the last g, while u has not moved since it was solved
     cerami, accepted = np.inf, 0
     loose_tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
-    tight = True
     try:
         for it in range(cfg.max_iters):
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-            tol = cfg.riesz_tol if tight else loose_tol
+            tol = cfg.riesz_tol if it == 0 else loose_tol
             steps = []
-            g_vals, _ = solve_metric_system(
-                ctx, r, tol, x0=warm, free=free, strict=True, callback=steps.append
-            )
-            warm = None
-            g = Field(grid, g_vals)
-            if project:
-                g = project_invariant(g, action)
-            lg = lower_u(ctx, g.values)
-            cerami = cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
+            g_vals, g, cerami = _gradient(st, ctx, r, tol, None, free, action, steps)
+            if tol > cfg.riesz_tol and cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
+                tol = cfg.riesz_tol
+                g_vals, g, cerami = _gradient(st, ctx, r, tol, g_vals, free, action, steps)
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
-            if tight and cerami <= cfg.cerami_tol:
+            if tol == cfg.riesz_tol and cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            hess = 0
-            if cerami <= cfg.cerami_tol:
-                slope = 0.0  # a loose value this low may already end the descent: no step
-            elif it == 0:
-                d, slope, kind = g, grid.h * grid.h * float(np.vdot(r, g.values)), GRADIENT
+            if it == 0:
+                d, slope, kind, hess = g, grid.h * grid.h * float(np.vdot(r, g.values)), GRADIENT, 0
             else:
                 d, slope, kind, hess = _newton_direction(st, ctx, r, g, free, action, pot, table)
-                trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
-            if slope > 0.0:
-                alpha, backtracks = _line_search(st, d, slope, pot, table)
-                trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
-                accepted += 1
-                tight = cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol
-            elif tight:
+            trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
+            if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
-            else:
-                # a loose g that gives no step: solve again, tightly, at the same u
-                tight, warm = True, g_vals
+            alpha, backtracks = _line_search(st, d, slope, pot, table)
+            trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
+            accepted += 1
 
             if (it + 1) % REPROJECT_EVERY == 0:
                 if project:

@@ -24,6 +24,9 @@ KIND_TRIVIAL = "trivial"
 KIND_ROTATION = "rot-zeta"
 KIND_LATTICE = "lattice"
 KIND_GLIDE = "glide"
+# a field changes sign when both its minimum and maximum pass this fraction
+# of max |u|; converged positive states dip to about 1e-10 of it by rounding
+SIGN_CHANGE_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,8 @@ def is_invariant(u: Field, action: GroupAction) -> InvarianceCertificate:
     amax = float(np.max(np.abs(u.values)))
     sign_changing = bool(
         amax > 0
-        and np.min(u.values) < -1e-12 * amax
-        and np.max(u.values) > 1e-12 * amax
+        and np.min(u.values) < -SIGN_CHANGE_REL * amax
+        and np.max(u.values) > SIGN_CHANGE_REL * amax
     )
     return InvarianceCertificate(action=action, defect=defect, sign_changing=sign_changing)
 

@@ -171,6 +171,33 @@ def test_solve_applies_operator_once_per_iteration(grid32, monkeypatch):
     assert len(calls) == 3 + 2
 
 
+def test_pcg_stops_at_the_first_non_positive_curvature():
+    # an indefinite diagonal operator: the first direction (all ones) has
+    # curvature 6 > 0, the second has p.Dp < 0, so pcg keeps the one-step
+    # iterate x = rz/pAp * ones = ones and reports both operator calls
+    d = np.array([4.0, 3.0, 2.0, 1.0, -1.0, -3.0])
+    rhs = np.ones(6)
+    curvatures, iterates = [], []
+
+    def apply(p):
+        curvatures.append(float(np.vdot(p, d * p)))
+        return d * p
+
+    def keep(v):
+        iterates.append(v.copy())
+
+    x, r = np.zeros(6), rhs.copy()
+    calls = metric.pcg(apply, np.copy, r, x, 1e-12, 50, callback=keep)
+    assert calls == len(curvatures) == 2
+    assert curvatures[0] > 0.0 >= curvatures[1]
+    assert len(iterates) == 1 and np.array_equal(x, iterates[0])
+    assert np.array_equal(x, rhs)
+    assert np.array_equal(r, rhs - d * x)
+    # a residual already at the stop needs no operator call
+    assert metric.pcg(apply, np.copy, rhs.copy(), np.zeros(6), 10.0, 50) == 0
+    assert len(curvatures) == 2
+
+
 def dense_metric_matrix(ctx):
     n = ctx.grid.n
     h = ctx.grid.h

@@ -1,6 +1,6 @@
 """The README's Library snippet imports names that exist, its Config table
-lists the CLI's keys and defaults, its symmetry specs parse, and its check
-count is the battery's."""
+lists the CLI's keys and defaults, its symmetry specs parse, its check
+count is the battery's and its trace.csv columns are the descent's."""
 
 import os
 import re
@@ -10,6 +10,7 @@ import numpy as np
 from logchoquard import Grid, make_kernel_table
 from logchoquard.checks import battery
 from logchoquard.cli import _DEFAULTS, parse_config
+from logchoquard.solver import TRACE_COLUMNS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -47,3 +48,8 @@ def test_readme_check_count_matches_battery():
     grid = Grid(L=6.0, n=32)
     checks = battery(grid, make_kernel_table(grid), np.random.default_rng(0))
     assert int(count) == sum(len(names) for names, _ in checks)
+
+
+def test_readme_trace_columns_match_the_descent():
+    (line,) = re.findall(r"^`(iter,[^`]*)`", _readme(), flags=re.M)
+    assert line == ",".join(TRACE_COLUMNS)

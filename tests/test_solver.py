@@ -53,8 +53,10 @@ from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import (
     BACKTRACK_FACTOR,
     GRADIENT,
+    LOOSE_RIESZ_TOL,
     NEWTON,
     STEP_INIT,
+    TIGHT_CERAMI_FACTOR,
     TRACE_COLUMNS,
     _bump_sites,
     _dilate,
@@ -278,6 +280,7 @@ def test_descend_ground_state_invariants(ground64, grid64, table64, pot64):
     # positive ground state (up to solver tolerance)
     vals = res.u.values if np.max(res.u.values) >= -np.min(res.u.values) else -res.u.values
     assert np.min(vals) >= -1e-8 * np.max(vals)
+    assert not res.certificate.sign_changing
     # frozen regression value for a = 1, L = 6, n = 64
     assert bk.phi == pytest.approx(7.43236373, rel=1e-6)
 
@@ -291,17 +294,12 @@ def test_descend_trace_monotone_and_consistent(ground64):
         it, phi, qa, v0, nj, cw, res = row[:7]
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
         assert nj == pytest.approx(qa + v0, abs=1e-8 * max(qa, -v0))
-    # every row but the last took a step, except a loose row whose Cerami
-    # value is already at most cerami_tol (the next row certifies u tightly);
-    # the first row steps along the gradient, every later one along a Newton
-    # solve (or the gradient where that solve gives no descent), and every
-    # line search starts at STEP_INIT
+    # every row but the last took a step: the first along the gradient,
+    # every later one along a Newton solve (or the gradient where that
+    # solve gives no descent), and every line search starts at STEP_INIT
     assert trace[0][9] == GRADIENT and trace[0][11] == 0
     for row in trace[:-1]:
         alpha, backtracks, direction, _, hess = row[7:12]
-        if row[5] <= SolveConfig().cerami_tol:
-            assert (alpha, backtracks, direction, hess) == (0.0, 0, GRADIENT, 0)
-            continue
         assert alpha > 0 and backtracks >= 0 and direction in (GRADIENT, NEWTON)
         assert alpha == STEP_INIT * BACKTRACK_FACTOR ** backtracks
         assert (hess > 0) == (row[0] > 0)
@@ -344,20 +342,42 @@ def descent_case(which):
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
 def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
+    # each row solves A_u g = r once, and again to riesz_tol from the loose
+    # g exactly when the loose Cerami value is within TIGHT_CERAMI_FACTOR of
+    # cerami_tol; the row records the last value
     import logchoquard.solver as solver_mod
 
-    real_solve = solver_mod.solve_metric_system
-    calls = []
+    real_solve, real_gradient = solver_mod.solve_metric_system, solver_mod._gradient
+    tols, values = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real_solve(*args, **kwargs)
+    def counted(ctx, rhs, tol, **kwargs):
+        tols.append(tol)
+        return real_solve(ctx, rhs, tol, **kwargs)
+
+    def gradient(*args):
+        out = real_gradient(*args)
+        values.append(out[2])
+        return out
 
     monkeypatch.setattr(solver_mod, "solve_metric_system", counted)
+    monkeypatch.setattr(solver_mod, "_gradient", gradient)
     u0, action, pot, table = descent_case(which)
-    res = descend(u0, action, pot, table, SolveConfig())
+    cfg = SolveConfig()
+    res = descend(u0, action, pot, table, cfg)
     assert res.converged and len(res.trace) >= 3
-    assert len(calls) == len(res.trace)
+    assert len(tols) == len(values) > len(res.trace)
+    solves = iter(zip(tols, values))
+    for row in res.trace:
+        tol, value = next(solves)
+        if row[0] == 0:
+            assert tol == cfg.riesz_tol
+        else:
+            assert tol == max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
+            if value <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
+                tol, value = next(solves)
+                assert tol == cfg.riesz_tol
+        assert row[5] == value
+    assert next(solves, None) is None
 
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
@@ -479,17 +499,36 @@ def test_newton_direction_is_invariant(which):
     assert is_invariant(d, action).defect <= 1e-14
 
 
-def test_signchange_operation_budget():
-    # the signchange benchmark config: counts are deterministic, so a
-    # regression in the Newton preconditioner shows without timing noise
-    # (measured: 12 rows, 39 products)
-    g = Grid(L=6.0, n=128)
-    pot, table, action = const_potential(g), make_kernel_table(g), rotation_zeta(2)
-    u0 = make_bump_family(0, action, pot, table, SolveConfig()).starts[0]
-    res = descend(u0, action, pot, table, SolveConfig())
-    assert res.converged and res.certificate.sign_changing
-    assert len(res.trace) <= 14
-    assert sum(row[11] for row in res.trace) <= 60
+@pytest.mark.parametrize(
+    "name, rows, products",
+    [("signchange", 13, 60), ("ground", 9, 20), ("periodic", 10, 21)],
+    ids=["signchange", "ground", "periodic"],
+)
+def test_benchmark_operation_budget(name, rows, products):
+    # the benchmark configs, one descent per start: counts are deterministic,
+    # so a regression in the Newton preconditioner shows without timing noise
+    # (measured rows and Hessian products per descent: signchange 11 and 39,
+    # ground 7 and 13, periodic 8 and 14)
+    if name == "signchange":
+        g = Grid(L=6.0, n=128)
+        pot, action, k, cfg = const_potential(g), rotation_zeta(2), 0, SolveConfig()
+    elif name == "ground":
+        g = Grid(L=12.0, n=128)
+        pot, action, k, cfg = const_potential(g), trivial_action(), 2, SolveConfig()
+    else:
+        g = Grid(L=8.0, n=128)
+        pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+        action, k = lattice_translation(g, (1.0, 0.0), (0.0, 1.0)), 1
+        cfg = SolveConfig(max_iters=400)
+    table = make_kernel_table(g)
+    starts = make_bump_family(k, action, pot, table, cfg).starts
+    assert len(starts) == k + 1
+    for u0 in starts:
+        res = descend(u0, action, pot, table, cfg)
+        assert res.converged
+        assert res.certificate.sign_changing == (name == "signchange")
+        assert len(res.trace) <= rows
+        assert sum(row[11] for row in res.trace) <= products
 
 
 def test_periodic_drift_tail_converges_in_few_steps():
@@ -515,14 +554,16 @@ def test_periodic_drift_tail_converges_in_few_steps():
 def test_a_loose_converged_value_takes_no_step():
     # the k=2 family's start at (2, 0) on L = 6, n = 128 sits in a sliding
     # valley: a Newton step from a point a loose solve already shows to be
-    # converged sets off a slide of about 200 rows
+    # converged sets off a slide of about 200 rows. The row that sees it
+    # solves again to riesz_tol and ends the descent instead
     g = Grid(L=6.0, n=128)
     pot = const_potential(g)
     table = make_kernel_table(g)
-    u0 = make_bump_family(2, trivial_action(), pot, table, SolveConfig()).starts[1]
-    res = descend(u0, trivial_action(), pot, table, SolveConfig())
+    cfg = SolveConfig()
+    u0 = make_bump_family(2, trivial_action(), pot, table, cfg).starts[1]
+    res = descend(u0, trivial_action(), pot, table, cfg)
     assert res.converged and len(res.trace) <= 12
-    assert res.trace[-2][5] <= SolveConfig().cerami_tol and res.trace[-2][7] == 0.0
+    assert all(row[5] > cfg.cerami_tol for row in res.trace[:-1])
     assert res.breakdown.phi == pytest.approx(7.4687757782, rel=1e-9)
 
 

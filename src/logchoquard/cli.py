@@ -143,7 +143,7 @@ def _build_potential(grid: Grid, spec: str) -> Potential:
             return radial_well_potential(grid, depth, radius)
         if kind == "file":
             return make_potential(_read_field(rest, grid))
-    except ValueError as exc:
+    except (ValueError, ChoquardError) as exc:
         raise ConfigError("bad potential spec %r: %s" % (spec, exc))
     raise ConfigError("unknown potential kind %r" % kind)
 
@@ -285,6 +285,15 @@ def _load_config(args):
     return parse_config(serialize_config(pairs))
 
 
+def _require_resolved(grid: Grid, command: str) -> None:
+    """ConfigError unless h <= barycenter.MAX_H, where the barycenter resolves its unit ball."""
+    if grid.h > BARYCENTER_MAX_H:
+        raise ConfigError(
+            "%s needs h <= %g; h = %g (n = %d, box = %g)"
+            % (command, BARYCENTER_MAX_H, grid.h, grid.n, grid.L)
+        )
+
+
 # ---------------------------------------------------------------------------
 # invariant battery
 
@@ -293,12 +302,7 @@ def cmd_check(args) -> int:
     if args.config is None and args.n is None:
         args.n = 32  # default battery grid stays quick
     grid, _, _, cfg, extra = _load_config(args)
-    if grid.h > BARYCENTER_MAX_H:
-        # the barycenter and metric checks cannot resolve their unit ball
-        raise ConfigError(
-            "check needs h <= %g; h = %g (n = %d, box = %g)"
-            % (BARYCENTER_MAX_H, grid.h, grid.n, grid.L)
-        )
+    _require_resolved(grid, "check")
     table = _load_table(grid, cfg)
     failures = 0
     for names, run in battery(grid, table, np.random.default_rng(extra["seed"])):
@@ -343,6 +347,7 @@ def _print_result(res: SolveResult, prefix: str = "") -> None:
 
 def cmd_solve(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
+    _require_resolved(grid, "solve")
     table = _load_table(grid, cfg)
     if args.start:
         u0 = _read_field(args.start, grid)
@@ -365,6 +370,7 @@ def cmd_solve(args) -> int:
 
 def cmd_ground_state(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
+    _require_resolved(grid, "ground-state")
     if pot.ess_inf <= 0:
         raise ConfigError(
             "indefinite potential: global minimality not certified; use multistart_search"
@@ -381,6 +387,7 @@ def cmd_ground_state(args) -> int:
 
 def cmd_multistart(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
+    _require_resolved(grid, "multistart")
     k = extra["k"]
     table = _load_table(grid, cfg)
     # the orbit count is known only after the search: the manifest goes
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="single constrained descent")
     common(p)
-    p.add_argument("--start", help="CHQ1 field to start from (default: bump start)")
+    p.add_argument("--start", help="field dump to start from (default: bump start)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("ground-state", help="minimum-energy solve (needs ess inf a > 0)")
@@ -484,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_multistart)
 
     p = sub.add_parser("convolve", help="convolve a dumped field with a log kernel")
-    p.add_argument("--in", dest="infile", required=True, help="CHQ1 input field")
+    p.add_argument("--in", dest="infile", required=True, help="input field dump")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kernel", choices=("k0", "k1", "k2"), default="k0")
     p.add_argument("--tau", type=float, default=0.0)
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="describe a config and optionally a field")
     common(p, out=False)
-    p.add_argument("--in", dest="infile", help="CHQ1 field to inspect")
+    p.add_argument("--in", dest="infile", help="field dump to inspect")
     p.set_defaults(fn=cmd_info)
 
     return ap

@@ -1,11 +1,13 @@
 """Discrete fields on a truncated plane and the norms of H^1 and X.
 
-Functions live on a uniform n x n sampling of the box [-L, L)^2 with
-spacing h = 2L/n and are extended by zero outside the box. The discrete
-gradient uses forward differences at the cell interfaces (second-order
-centered there, with zero Dirichlet extension), so that the induced
-discrete Laplacian is the standard 5-point stencil and summation by
-parts is exact.
+Functions live on the n x n cell centres of the box [-L, L]^2, with
+spacing h = 2L/n, and are extended by zero outside the box. The axis is
+symmetric about 0 (index i and n-1-i sit at x and -x), so reflections
+and quarter turns about the origin are exact index maps on the whole
+box. The discrete gradient uses forward differences at the cell
+interfaces (second-order centered there, with zero Dirichlet extension),
+so that the induced discrete Laplacian is the standard 5-point stencil
+and summation by parts is exact.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 
 from .errors import FieldDataError, GridMismatchError, GridResolutionError
 
-MAGIC = b"CHQ1"
+MAGIC = b"CHQ2"  # CHQ1 dumps sampled x_i = -L + i h, half a cell off
 
 
 class Grid:
-    """Uniform sampling of [-L, L)^2: points x_ij = (-L + i h, -L + j h)."""
+    """Cell centres of [-L, L]^2: x_ij = (-L + (i + 1/2) h, -L + (j + 1/2) h)."""
 
     __slots__ = ("L", "n", "h", "x1", "x2", "r", "_axis")
 
@@ -34,7 +36,8 @@ class Grid:
         self.L = float(L)
         self.n = int(n)
         self.h = 2.0 * self.L / self.n
-        self._axis = -self.L + self.h * np.arange(self.n)
+        # -L + (i + 1/2) h, written so that axis[n-1-i] == -axis[i] exactly
+        self._axis = self.h * (np.arange(self.n) - 0.5 * (self.n - 1))
         self.x1, self.x2 = np.meshgrid(self._axis, self._axis, indexing="ij")
         self.r = np.hypot(self.x1, self.x2)
 
@@ -209,7 +212,7 @@ def bump_field(grid: Grid, center=(0.0, 0.0), radius: float = 0.5, amplitude: fl
 
 
 def save_field(path, u: Field) -> None:
-    """Dump: magic 'CHQ1', u32 n, f64 L, then n^2 little-endian f64 row-major."""
+    """Dump: magic 'CHQ2', u32 n, f64 L, then n^2 little-endian f64 row-major."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Id", u.grid.n, u.grid.L))

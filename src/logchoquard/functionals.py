@@ -183,14 +183,15 @@ def _cubic_bspline(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _spline_resampler(grid: Grid, t: float) -> np.ndarray:
     """M = W P^-1, so that M U M^T samples the cubic interpolating spline of U
-    at the tensor points (c_i, c_j), c = (e^-t x + L)/h in cell units.
+    at the tensor points (c_i, c_j), c = (e^-t x + L)/h - 1/2 in cell units
+    (sample i sits at x_i = -L + (i + 1/2) h).
 
     P = beta_3(i - j) turns samples into spline coefficients (collocation);
     W = beta_3(c_i - j) evaluates them, its rows zero where c_i lies
     outside [0, n-1].
     """
     idx = np.arange(grid.n)
-    ci = (np.exp(-t) * grid.axis + grid.L) / grid.h
+    ci = (np.exp(-t) * grid.axis + grid.L) / grid.h - 0.5
     w = _cubic_bspline(ci[:, None] - idx[None, :])
     w[(ci < 0.0) | (ci > grid.n - 1)] = 0.0
     p = _cubic_bspline(idx[:, None] - idx[None, :])

@@ -94,60 +94,31 @@ def _sine_basis(m: int):
     return s, lam
 
 
-def _box(free: np.ndarray | None, n: int):
-    """The smallest index rectangle holding every free cell (all of it if None)."""
-    if free is None:
-        return slice(0, n), slice(0, n)
-    rows = np.flatnonzero(free.any(axis=1))
-    cols = np.flatnonzero(free.any(axis=0))
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+def preconditioner(ctx: MetricContext, potential: np.ndarray | None = None):
+    """r -> z = (-Delta + mu)^-1 r, the fast Poisson solve; mu = 1 + c, c the mean weight.
 
-
-def _fast_poisson(ctx: MetricContext, box, potential: np.ndarray | None = None):
-    """z = (-Delta + mu)^-1 r on the box, zero outside; mu = 1 + c, c the box mean of the weight.
-
-    With a potential given, mu is its box mean, floored at 1 + c: the
-    mean-coefficient inverse of -Delta + potential (Concus & Golub), and
-    positive definite however indefinite the potential is.
-    Exact for the 5-point Laplacian with zero extension, whose eigenvectors
-    on a rectangle are products of sines; dense sine matrices beat an FFT
-    DST at these sizes (2n+2 = 258 has the factor 43). On the full grid the
-    result needs no zero fill outside the box.
+    The preconditioner of solve_metric_system (no potential). The descent's
+    Newton solve passes the potential a + w0 of its Hessian: mu is then its
+    mean, floored at 1 + c, the mean-coefficient inverse of
+    -Delta + potential (Concus & Golub), positive definite however
+    indefinite the potential is, and far above the metric's mass at a
+    solution. Exact for the 5-point Laplacian with zero extension, whose
+    eigenvectors are products of sines; dense sine matrices beat an FFT DST
+    at these sizes (2n+2 = 258 has the factor 43).
     """
-    s1, lam1 = _sine_basis(box[0].stop - box[0].start)
-    s2, lam2 = _sine_basis(box[1].stop - box[1].start)
+    s, lam = _sine_basis(ctx.grid.n)
     h2 = ctx.grid.h * ctx.grid.h
-    mass = 1.0 + float(np.mean(ctx.weight.values[box]))
+    mass = 1.0 + float(np.mean(ctx.weight.values))
     if potential is not None:
-        mass = max(mass, float(np.mean(potential[box])))
-    inv = 1.0 / ((lam1[:, None] + lam2[None, :]) / h2 + mass)
+        mass = max(mass, float(np.mean(potential)))
+    inv = 1.0 / ((lam[:, None] + lam[None, :]) / h2 + mass)
 
     def apply(r):
-        t = s1 @ r[box] @ s2
+        t = s @ r @ s
         t *= inv
-        zb = s1 @ t @ s2
-        if zb.shape == r.shape:
-            return zb
-        z = np.zeros_like(r)
-        z[box] = zb
-        return z
+        return s @ t @ s
 
     return apply
-
-
-def preconditioner(
-    ctx: MetricContext, free: np.ndarray | None = None, potential: np.ndarray | None = None
-):
-    """r -> z, the fast Poisson solve on _box(free) held at zero off the free cells.
-
-    The preconditioner of solve_metric_system (no potential); the descent's
-    Newton solve passes the potential a + w0 of its Hessian, whose box mean
-    is far above the metric's mass at a solution.
-    """
-    apply = _fast_poisson(ctx, _box(free, ctx.grid.n), potential)
-    if free is None:
-        return apply
-    return lambda r: np.where(free, apply(r), 0.0)
 
 
 def _norm(vals: np.ndarray) -> float:
@@ -198,13 +169,12 @@ def solve_metric_system(
     tol: float,
     x0: np.ndarray | None = None,
     max_iter: int | None = None,
-    free: np.ndarray | None = None,
     strict: bool = False,
     callback=None,
 ):
     """pcg for A_u x = rhs; returns (x, achieved_rel_residual).
 
-    The preconditioner is the fast Poisson solve of _fast_poisson, so the
+    The fast Poisson preconditioner makes the
     iteration count depends on the spread of the log weight, not on n; the
     cap is 10*n iterations. The returned residual is recomputed from x (not
     the CG recursion, which drifts below the attainable floor near 1e-16).
@@ -214,33 +184,20 @@ def solve_metric_system(
     residual misses tol; without it the residual reached is returned, for
     deliberately capped solves. callback is pcg's, so a caller can count
     the CG iterations.
-
-    free, a boolean mask, restricts the solve to the cells it marks: x is
-    held at zero elsewhere and the system solved is the compression of A_u
-    to the marked cells (rhs off them is ignored). Passing the cells that a
-    symmetry action preserves makes the restricted A_u commute with that
-    action, so an invariant rhs gives an invariant x. The preconditioner
-    runs on the smallest rectangle holding the free cells; when the free
-    cells fill it, as symmetry.preserved_cells' masks do, it is still the
-    exact inverse of the constant-weight restricted operator.
     """
     grid = ctx.grid
     if max_iter is None:
         max_iter = 10 * grid.n
 
-    def mask(vals):
-        return vals if free is None else np.where(free, vals, 0.0)
-
     def apply(vals):
-        return mask(apply_metric_operator(ctx, vals))
+        return apply_metric_operator(ctx, vals)
 
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    rhs, x = mask(rhs), mask(x)
     r = rhs - apply(x)
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    pcg(apply, preconditioner(ctx, free), r, x, tol * rhs_norm, max_iter, callback)
+    pcg(apply, preconditioner(ctx), r, x, tol * rhs_norm, max_iter, callback)
     rel = _norm(rhs - apply(x)) / rhs_norm
     if strict and rel > tol:
         raise RieszSolveError(
@@ -255,18 +212,13 @@ def riesz_gradient(
     pot: Potential,
     table: KernelTable,
     tol: float = 1e-10,
-    free: np.ndarray | None = None,
 ):
-    """Solve <g, v>_u = Phi'(u) v for all v; returns (g, ||g||_u).
-
-    free restricts v to the cells it marks, as the descent does under a
-    projecting action (symmetry.preserved_cells).
-    """
+    """Solve <g, v>_u = Phi'(u) v for all v; returns (g, ||g||_u)."""
     if lp_norm(u, 2) <= 1e-14:
         raise BarycenterUndefinedError("riesz gradient undefined at 0 (no barycenter)")
     ctx = metric_context(u)
     r = residual_field(u, pot, table)
-    g_vals, _ = solve_metric_system(ctx, r.values, tol, free=free, strict=True)
+    g_vals, _ = solve_metric_system(ctx, r.values, tol, strict=True)
     g = Field(u.grid, g_vals)
     return g, norm_u(ctx, g)
 

@@ -76,7 +76,6 @@ from .symmetry import (
     check_admissible,
     is_invariant,
     orbit_distance,
-    preserved_cells,
     project_invariant,
 )
 
@@ -175,7 +174,7 @@ class _Iterate:
 
 
 def _newton_direction(
-    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, free, action, pot, table
+    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, action, pot, table
 ):
     """Truncated PCG on H d = r; returns d, its slope Psi'(u) d, its kind and the H products.
 
@@ -189,29 +188,23 @@ def _newton_direction(
     (the inexact Newton forcing term of Dembo, Eisenstat & Steihaug, 1982),
     at the first p.Hp <= 0, or after n products. It never steps along
     negative curvature: it returns the iterate so far, or g if that is
-    still zero or no descent direction. Under a projecting action
-    everything lives on the free cells, as in the metric solve; there H
-    and the preconditioner, on a box symmetric under the action, commute
-    with it, so x is projected once, against rounding, before its slope is
-    taken.
+    still zero or no descent direction. Under a projecting action H and
+    the preconditioner commute with the action, so x is invariant and is
+    projected once, against rounding, before its slope is taken.
     """
     grid = st.grid
     h2 = grid.h * grid.h
     u, w0 = Field(grid, st.u), Field(grid, st.w0)
-    precondition = preconditioner(ctx, free, pot.a.values + st.w0)
-
-    def mask(vals):
-        return vals if free is None else np.where(free, vals, 0.0)
-
-    b = mask(r + 2.0 * st.w0 * st.u)
+    precondition = preconditioner(ctx, pot.a.values + st.w0)
+    b = r + 2.0 * st.w0 * st.u
     ub = float(np.vdot(st.u, b))
 
     def hess(vals):
         out = hessian_product(u, Field(grid, vals), pot, table, w0).values
         out -= (float(np.vdot(b, vals)) / ub) * b
-        return mask(out)
+        return out
 
-    res = r.copy() if free is None else mask(r)
+    res = r.copy()
     stop = NEWTON_CG_TOL * float(np.sqrt(np.vdot(res, res)))
     x = np.zeros_like(res)
     products = pcg(hess, precondition, res, x, stop, grid.n)
@@ -286,16 +279,14 @@ def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> Solv
     )
 
 
-def _gradient(st: _Iterate, ctx: MetricContext, r, tol, x0, free, action, steps):
+def _gradient(st: _Iterate, ctx: MetricContext, r, tol, x0, action, steps):
     """The metric gradient at st.u, solved to relative residual tol from x0 (cold if None).
 
     Returns the solve's output, g (projected under a projecting action) and
     the Cerami value of g; the CG iterations are appended to steps.
     """
     grid = st.grid
-    g_vals, _ = solve_metric_system(
-        ctx, r, tol, x0=x0, free=free, strict=True, callback=steps.append
-    )
+    g_vals, _ = solve_metric_system(ctx, r, tol, x0=x0, strict=True, callback=steps.append)
     g = Field(grid, g_vals)
     if action.has_projection:
         g = project_invariant(g, action)
@@ -334,19 +325,15 @@ def descend(
     a direction without a positive slope means g = 0 and raises
     LineSearchError. Every line search starts at STEP_INIT.
 
-    Under a projecting action the metric system is solved on the cells
-    that the action preserves (symmetry.preserved_cells), the others held
-    at zero. There A_u commutes with the action, so the group average of
-    the solution is the Riesz gradient of Phi restricted to invariant
-    fields, and every direction built from it is invariant. Symmetric
-    criticality (Palais) makes a critical point found this way critical in
-    the full space on the continuum; on the grid that holds on the
-    preserved cells only. Row 0 and column 0 are held at zero, so wherever
-    u has not decayed at the box edge a residual is left there.
+    Under a projecting action A_u commutes with the action (every point
+    action is an index map of the whole cell-centred box), so the group
+    average of the solution is the Riesz gradient of Phi restricted to
+    invariant fields, and every direction built from it is invariant. By
+    symmetric criticality (Palais) a critical point found this way is
+    critical for the full problem, on the grid as on the continuum.
     """
     grid = pot.a.grid
     project = action.has_projection
-    free = preserved_cells(grid, action) if project else None
     u = u0.values
     if project:
         u = project_invariant(u0, action).values
@@ -363,10 +350,10 @@ def descend(
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             tol = cfg.riesz_tol if it == 0 else loose_tol
             steps = []
-            g_vals, g, cerami = _gradient(st, ctx, r, tol, None, free, action, steps)
+            g_vals, g, cerami = _gradient(st, ctx, r, tol, None, action, steps)
             if tol > cfg.riesz_tol and cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
                 tol = cfg.riesz_tol
-                g_vals, g, cerami = _gradient(st, ctx, r, tol, g_vals, free, action, steps)
+                g_vals, g, cerami = _gradient(st, ctx, r, tol, g_vals, action, steps)
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
@@ -376,7 +363,7 @@ def descend(
             if it == 0:
                 d, slope, kind, hess = g, grid.h * grid.h * float(np.vdot(r, g.values)), GRADIENT, 0
             else:
-                d, slope, kind, hess = _newton_direction(st, ctx, r, g, free, action, pot, table)
+                d, slope, kind, hess = _newton_direction(st, ctx, r, g, action, pot, table)
             trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)

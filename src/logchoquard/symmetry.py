@@ -5,14 +5,16 @@ m in {1, 2}, with an optional alternating sign character (nontrivial zeta
 forces sign-changing invariant functions), rank-2 translation lattices and
 glide reflections. These are the point rotations a Z^2-invariant potential
 can have. Lattice and glide shifts are snapped to integer cell multiples,
-and rotations are by multiples of pi/2, so every action is index-exact.
+and rotations are by multiples of pi/2, so every action is index-exact;
+the point parts (quarter turns, the x2-reflection) map the cell-centred
+box onto itself.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -85,35 +87,25 @@ def glide_reflection(grid: Grid, shift: float, zeta_nontrivial: bool = False) ->
     return GroupAction(kind=KIND_GLIDE, shift_c=sc, zeta_nontrivial=zeta_nontrivial)
 
 
-def _rot90_exact(vals: np.ndarray) -> np.ndarray:
-    """Quarter turn (g*u)(x) = u(R_{-pi/2} x) on the asymmetric grid [-L, L)."""
-    out = np.zeros_like(vals)
-    out[1:, :] = vals[:, :0:-1].T
-    return out
-
-
-def _reflect_x2(vals: np.ndarray) -> np.ndarray:
-    """u(x1, -x2): index reflection with the exposed column zeroed."""
-    out = np.zeros_like(vals)
-    out[:, 1:] = vals[:, :0:-1]
-    return out
-
-
 def _glide_point(vals: np.ndarray, action: GroupAction) -> np.ndarray:
-    """The glide's point part: the x2-reflection with its sign character."""
-    refl = _reflect_x2(vals)
+    """The glide's point part: the x2-reflection u(x1, -x2) with its sign character."""
+    refl = vals[:, ::-1]
     return -refl if action.zeta_nontrivial else refl
 
 
 def rotate(u: Field, angle: float) -> Field:
-    """Rotate CCW by a multiple of pi/2 as an exact index map."""
+    """Rotate CCW by a multiple of pi/2 as an exact index map.
+
+    A quarter turn is (g*u)(x) = u(R_{-pi/2} x) = u(x2, -x1): on the
+    cell-centred axis, -x1 is index n-1-i, so it is vals[:, ::-1].T.
+    """
     quarter = angle / (0.5 * np.pi)
     q = int(np.rint(quarter))
     if abs(quarter - q) >= 1e-12:
         raise ValueError("rotation angle %.6g is not a multiple of pi/2" % angle)
     vals = u.values
     for _ in range(q % 4):
-        vals = _rot90_exact(vals)
+        vals = vals[:, ::-1].T
     return Field(u.grid, vals)
 
 
@@ -145,12 +137,13 @@ def act(element, action: GroupAction, u: Field) -> Field:
 
 
 def radial_average(u: Field) -> Field:
-    """Average over exact-radius classes about the center cell; idempotent to fp.
+    """Average over exact-radius classes about the origin; idempotent to fp.
 
-    Classes are keyed by oi^2 + oj^2 of the centered cell offsets. Tests
-    measure ground states, which are radial, against it.
+    Classes are keyed by oi^2 + oj^2 of the doubled cell-centre offsets
+    oi = 2i - (n-1), odd integers. Tests measure ground states, which are
+    radial, against it.
     """
-    oi = np.arange(u.grid.n) - u.grid.n // 2
+    oi = 2 * np.arange(u.grid.n) - (u.grid.n - 1)
     keys = (oi[:, None] ** 2 + oi[None, :] ** 2).ravel()
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.bincount(inverse, weights=u.values.ravel())
@@ -174,25 +167,6 @@ def project_invariant(u: Field, action: GroupAction) -> Field:
         # point part only: the reflection (with sign); the shift part is non-compact
         return Field(u.grid, 0.5 * (u.values + _glide_point(u.values, action)))
     raise ValueError("unknown action kind %r" % kind)
-
-
-def preserved_cells(grid: Grid, action: GroupAction) -> Optional[np.ndarray]:
-    """Mask of the cells that the action's projection keeps; None if it has none.
-
-    On the asymmetric grid [-L, L) the quarter turn and the x2-reflection
-    map the sub-box {-L+h, ..., L-h} onto itself and zero the exposed row
-    and column, so invariant fields vanish there. The trivial and lattice
-    actions do not project and return None.
-    """
-    ones = np.ones((grid.n, grid.n))
-    if action.kind == KIND_ROTATION:
-        keep = np.ones((grid.n, grid.n), dtype=bool)
-        for j in range(2 * action.m):
-            keep &= rotate(Field(grid, ones), j * np.pi / action.m).values != 0.0
-        return keep
-    if action.kind == KIND_GLIDE:
-        return _reflect_x2(ones) != 0.0
-    return None
 
 
 @dataclass(frozen=True)

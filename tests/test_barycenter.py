@@ -98,7 +98,7 @@ def test_asymmetric_bumps_lean_toward_heavier_side(grid32):
 
 def test_gaussian_center_recovered():
     g = Grid(L=6.0, n=64)
-    c = (0.75, -1.125)  # exact grid nodes (multiples of h = 0.1875)
+    c = (0.75, -1.125)  # cell corners (multiples of h = 0.1875)
     u = gaussian_field(g, width=0.5, center=c)
     b = beta(u)
     assert np.hypot(b[0] - c[0], b[1] - c[1]) <= g.h / 2

@@ -1,15 +1,21 @@
 """Config grammar, exit codes, manifest-first output discipline, determinism."""
 
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logchoquard import (
     ConfigError,
@@ -115,11 +121,17 @@ def test_potential_kinds(tmp_path):
     assert pot.ess_inf == pytest.approx(2.5)
 
     _, pot, _, _, _ = parse_config("a = cos2d:1,0.25,0.5,0.5\n")
-    assert pot.ess_inf == pytest.approx(0.75)
-    assert pot.sup_norm == pytest.approx(1.25)
+    # the formula's extrema over the cell centres, inside its range [0.75, 1.25]
+    c = np.cos(np.pi * grid.axis)
+    vals = 1.0 + 0.25 * np.outer(c, c)
+    assert pot.ess_inf == pytest.approx(np.min(vals)) and pot.ess_inf >= 0.75
+    assert pot.sup_norm == pytest.approx(np.max(vals)) and pot.sup_norm <= 1.25
 
     _, pot, _, _, _ = parse_config("a = radial-well:0.5,2\n")
-    assert pot.a.values[grid.n // 2, grid.n // 2] == pytest.approx(0.5)
+    i0 = grid.n // 2  # a cell touching the origin
+    s2 = (grid.r[i0, i0] / 2.0) ** 2
+    assert pot.a.values[i0, i0] == pytest.approx(1.0 - 0.5 * np.exp(1.0 - 1.0 / (1.0 - s2)))
+    assert pot.ess_inf == pot.a.values[i0, i0]
 
     a = Field(Grid(L=6.0, n=32), np.full((32, 32), 1.75))
     path = tmp_path / "a.chq"
@@ -409,6 +421,96 @@ def test_bad_input_field_file_exits_2(tmp_path, capsys, site, kind):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "E-CONFIG" in err and "field.chq" in err
+
+
+def test_a_chq1_potential_dump_exits_2(tmp_path, capsys):
+    # CHQ1 dumps sampled x_i = -L + i h; read on cell centres they would sit
+    # half a cell off, so their magic is refused
+    path = tmp_path / "old.chq"
+    path.write_bytes(b"CHQ1" + struct.pack("<Id", 32, 6.0) + np.ones(32 * 32).astype("<f8").tobytes())
+    rc = main(["info", "--config", write_config(tmp_path, "n = 32\na = file:%s\n" % path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "E-CONFIG" in err and "magic" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("info", "a = const:nan\n"),
+    ("info", "a = const:1e400\n"),
+    ("solve", "n = 32\nbox = 1e200\n"),
+    ("solve", "n = 32\nbox = 9e153\n"),
+    ("ground-state", "n = 32\nbox = 9\n"),
+    ("multistart", "n = 32\nbox = 9\n"),
+], ids=["info-nan", "info-1e400", "solve-box-1e200", "solve-box-9e153", "ground-state-h", "multistart-h"])
+def test_configs_without_a_usable_grid_or_potential_exit_2(tmp_path, capsys, command, text):
+    # non-finite potential samples, and h > barycenter.MAX_H (box 9 at n = 32
+    # gives h = 0.5625), are refused before anything is written
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, text)]
+    if command != "info":
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "E-CONFIG" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _spec(kind, arity):
+    number = st.sampled_from(["0", "1", "-1", "0.5", "2.5", "1e-3", "1e400", "nan", "inf", "x"])
+    return st.lists(number, min_size=arity, max_size=arity).map(lambda v: kind + ":" + ",".join(v))
+
+
+# the README's keys, each over good, edge and bad values of its spec grammar
+CONFIG_VALUES = {
+    "box": st.sampled_from(["6", "4", "3", "8", "12", "0.5", "1e-3", "0", "-2", "9e153", "1e200", "nan", "x"]),
+    "n": st.sampled_from(["16", "24", "32", "15", "0", "-4", "x"]),
+    "a": st.one_of(
+        _spec("const", 1),
+        _spec("cos2d", 4),
+        _spec("radial-well", 2),
+        st.sampled_from(["const:", "cos2d:1,2", "file:missing.chq", "sombrero:1"]),
+    ),
+    "symmetry": st.one_of(
+        st.sampled_from(["trivial", "rot-zeta:1", "rot-zeta:2", "rot:1", "rot:2", "rot-zeta:3", "radial"]),
+        st.sampled_from(["lattice:1,0;0,1", "lattice:1,0;2,0", "lattice:1e300,0;0,1", "lattice:1,0"]),
+        st.sampled_from(["glide:1", "glide:0", "glide:0.75", "glide:nan", "glide:x"]),
+    ),
+    "k": st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+    "max_iters": st.sampled_from(["1", "2", "3", "0", "x"]),
+    "cerami_tol": st.sampled_from(["1e-6", "1", "1e-300", "0", "-1", "nan"]),
+    "riesz_tol": st.sampled_from(["1e-10", "1e-2", "1e-300", "0", "nan"]),
+    "tau_split": st.sampled_from(["0", "0.7", "-1", "nan"]),
+    "seed": st.sampled_from(["0", "5", "-1", "x"]),
+}
+
+
+@st.composite
+def config_texts(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True))
+    pairs = {key: draw(CONFIG_VALUES[key]) for key in keys}
+    # keep the runs small: n <= 32 and at most 3 descent rows
+    pairs.setdefault("n", "32")
+    pairs.setdefault("max_iters", "3")
+    return "".join("%s = %s\n" % kv for kv in pairs.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan specs
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["check", "info", "solve", "ground-state", "multistart"]), text=config_texts())
+def test_generated_configs_keep_the_exit_code_contract(command, text):
+    # 2 is a configuration error, 3 no convergence and 4 an invariant
+    # failure, which only check reports; nothing raises out of main
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--config", cfg]
+        if command not in ("check", "info"):
+            argv += ["--out", os.path.join(tmp, "o")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    allowed = (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT) if command == "check" else (
+        EXIT_OK, EXIT_CONFIG, EXIT_NO_CONVERGENCE)
+    assert rc in allowed
 
 
 def test_multistart_writes_results_csv(tmp_path, capsys):

@@ -38,11 +38,13 @@ from conftest import confined_field
 def test_grid_layout():
     g = Grid(L=6.0, n=32)
     assert g.h == pytest.approx(0.375)
-    assert g.axis[0] == -6.0
-    assert g.axis[-1] == pytest.approx(6.0 - g.h)
-    # origin is a grid node at index n/2
-    assert g.axis[16] == 0.0
-    assert g.r[16, 16] == 0.0
+    # cell centres x_i = -L + (i + 1/2) h, symmetric about the origin
+    assert g.axis[0] == -6.0 + g.h / 2
+    assert g.axis[-1] == pytest.approx(6.0 - g.h / 2)
+    assert np.array_equal(g.axis[::-1], -g.axis)
+    # the origin is the corner shared by cells n/2 - 1 and n/2
+    assert g.axis[15] == -g.h / 2 and g.axis[16] == g.h / 2
+    assert g.r[16, 16] == pytest.approx(g.h / np.sqrt(2))
 
 
 def test_grid_validation():
@@ -198,21 +200,20 @@ def test_shift_cells_whole_box_clears(grid32):
 
 
 def test_bump_field_compact_support(grid32):
-    u = bump_field(grid32, center=(1.5, -0.75), radius=0.8, amplitude=2.0)
-    d = np.hypot(grid32.x1 - 1.5, grid32.x2 + 0.75)
+    ic, jc = 20, 13
+    center = (grid32.axis[ic], grid32.axis[jc])
+    u = bump_field(grid32, center=center, radius=0.8, amplitude=2.0)
+    d = np.hypot(grid32.x1 - center[0], grid32.x2 - center[1])
     assert np.all(u.values[d >= 0.8] == 0.0)
     assert np.max(u.values) <= 2.0
-    assert np.max(u.values) > 1.0  # peak value is amp * e^0 = amp at the center node?
-    # center is on the grid (multiples of h = 0.375): value there is exactly amp
-    ic = int(round((1.5 + 6.0) / grid32.h))
-    jc = int(round((-0.75 + 6.0) / grid32.h))
+    assert np.max(u.values) > 1.0
+    # the center is a cell centre: the value there is exactly amp * e^0 = amp
     assert u.values[ic, jc] == pytest.approx(2.0)
 
 
 def test_gaussian_field_center_amplitude(grid32):
-    u = gaussian_field(grid32, width=0.9, center=(0.75, -1.5), amplitude=0.7)
-    ic = int(round((0.75 + 6.0) / grid32.h))
-    jc = int(round((-1.5 + 6.0) / grid32.h))
+    ic, jc = 18, 12
+    u = gaussian_field(grid32, width=0.9, center=(grid32.axis[ic], grid32.axis[jc]), amplitude=0.7)
     assert u.values[ic, jc] == pytest.approx(0.7, rel=1e-14)
 
 
@@ -234,7 +235,7 @@ def test_dump_header_layout(tmp_path, grid32):
     path = tmp_path / "u.chq"
     save_field(path, u)
     raw = path.read_bytes()
-    assert raw[:4] == b"CHQ1"
+    assert raw[:4] == b"CHQ2"
     assert int.from_bytes(raw[4:8], "little") == 32
     assert np.frombuffer(raw[8:16], dtype="<f8")[0] == 6.0
     assert len(raw) == 16 + 8 * 32 * 32

@@ -60,12 +60,16 @@ def test_potential_factories(grid32):
     p = const_potential(grid32, 1.5)
     assert p.sup_norm == 1.5 and p.ess_inf == 1.5
     c = cos2d_potential(grid32, base=1.0, amp=0.25, k1=0.25, k2=0.25)
-    assert c.sup_norm == pytest.approx(1.25)
-    assert c.ess_inf == pytest.approx(0.75)
+    # the formula's extrema over the cell centres, inside its range [0.75, 1.25]
+    wave = np.cos(0.5 * np.pi * grid32.axis)
+    vals = 1.0 + 0.25 * np.outer(wave, wave)
+    assert c.sup_norm == pytest.approx(np.max(vals)) and c.sup_norm <= 1.25
+    assert c.ess_inf == pytest.approx(np.min(vals)) and c.ess_inf >= 0.75
     w = radial_well_potential(grid32, depth=0.5, radius=2.0)
-    i0 = grid32.n // 2
-    assert w.a.values[i0, i0] == pytest.approx(0.5)  # 1 - depth at the center
-    assert w.ess_inf == pytest.approx(0.5)
+    i0 = grid32.n // 2  # a cell touching the origin: 1 - depth * e^(1 - 1/(1 - s^2))
+    s2 = (grid32.r[i0, i0] / 2.0) ** 2
+    assert w.a.values[i0, i0] == pytest.approx(1.0 - 0.5 * np.exp(1.0 - 1.0 / (1.0 - s2)))
+    assert w.ess_inf == w.a.values[i0, i0]
     assert np.all(w.a.values[grid32.r >= 2.0] == 1.0)
 
 
@@ -348,7 +352,7 @@ def test_scale_matches_the_scipy_cubic_spline(t):
     # map_coordinates(order=3); compact bumps keep the boundary conventions out
     g = Grid(L=6.0, n=128)
     u = Field(g, bump_field(g, (0.7, -0.4), 1.5).values - bump_field(g, (-1.1, 0.9), 0.8).values)
-    ci = (np.exp(-t) * g.axis + g.L) / g.h
+    ci = (np.exp(-t) * g.axis + g.L) / g.h - 0.5  # sample i sits at -L + (i + 1/2) h
     coords = np.broadcast_arrays(ci[:, None], ci[None, :])
     want = np.exp(-t) * map_coordinates(u.values, coords, order=3, mode="constant", cval=0.0)
     assert np.max(np.abs(scale_Tt(u, t).values - want)) <= 1e-13 * np.max(np.abs(u.values))

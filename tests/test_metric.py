@@ -34,7 +34,6 @@ from logchoquard import metric
 from logchoquard.field import grad_inner, neg_laplacian, x_inner
 from logchoquard.functionals import cos2d_potential, q_a_bilinear
 from logchoquard.metric import apply_metric_operator
-from logchoquard.symmetry import preserved_cells
 
 from conftest import confined_field
 
@@ -118,7 +117,8 @@ def test_context_centers_at_barycenter(grid32):
     u = bump_field(grid32, center=(1.5, -0.75), radius=1.0)
     ctx = metric_context(u)
     assert np.array_equal(ctx.center, beta(u))
-    assert ctx.weight.values[16, 16] == pytest.approx(np.log1p(float(np.hypot(*ctx.center))))
+    x = np.array([grid32.axis[16], grid32.axis[16]])
+    assert ctx.weight.values[16, 16] == pytest.approx(np.log1p(float(np.hypot(*(x - ctx.center)))))
 
 
 # ------------------------------------------------------------- the operator
@@ -247,20 +247,18 @@ def test_warm_start_converges_faster(grid32):
     lambda g: glide_reflection(g, 1.0, zeta_nontrivial=True),
 ], ids=["rot-zeta:2", "glide"])
 def test_restricted_solve_is_equivariant(grid32, make_action):
-    # on the cells the index-exact action preserves, A_u commutes with the
-    # action: an invariant rhs gives an invariant solution, and the solution
-    # represents the rhs pairing on invariant directions
+    # every point action is an index map of the whole box, so A_u commutes
+    # with it: an invariant rhs gives an invariant solution on the full grid,
+    # and the solution represents the rhs pairing on invariant directions
     action = make_action(grid32)
-    free = preserved_cells(grid32, action)
     rng = np.random.default_rng(9)
 
     def invariant():
-        vals = np.where(free, confined_field(grid32, rng), 0.0)
-        return project_invariant(Field(grid32, vals), action)
+        return project_invariant(Field(grid32, confined_field(grid32, rng)), action)
 
     u, rhs = invariant(), invariant()
     ctx = metric_context(u)
-    x, rel = solve_metric_system(ctx, rhs.values, tol=1e-12, free=free)
+    x, rel = solve_metric_system(ctx, rhs.values, tol=1e-12)
     assert rel <= 1e-12
     g = Field(grid32, x)
     defect = lp_norm(Field(grid32, project_invariant(g, action).values - x), 2) / lp_norm(g, 2)
@@ -271,82 +269,52 @@ def test_restricted_solve_is_equivariant(grid32, make_action):
         assert abs(inner_u(ctx, g, v) - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize("make_action", [
-    lambda g: rotation_zeta(2),
-    lambda g: glide_reflection(g, 1.0, zeta_nontrivial=True),
-], ids=["rot-zeta:2", "glide"])
-def test_restricted_solve_matches_dense_solve(make_action):
-    # the restricted system is the compression of A_u to the free cells
-    g = Grid(L=4.0, n=24)
-    free = preserved_cells(g, make_action(g))
-    ctx = metric_context_at(g, (0.5, -0.3))
-    rhs = confined_field(g, np.random.default_rng(10))
-    keep = free.ravel()
-    A = dense_metric_matrix(ctx)[np.ix_(keep, keep)]
-    exact = np.zeros(g.n * g.n)
-    exact[keep] = np.linalg.solve(A, rhs.ravel()[keep])
-    exact = exact.reshape(g.n, g.n)
-    x, rel = solve_metric_system(ctx, rhs, tol=1e-12, free=free)
-    assert rel <= 1e-12
-    assert np.max(np.abs(x - exact)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
-
-
-@pytest.mark.parametrize("n", [64, 128, 256])
-@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
-def test_cold_solve_iterations_are_mesh_independent(n, restricted):
+# the ids say "full": the solve and its preconditioner run on the whole grid
+@pytest.mark.parametrize("n", [64, 128, 256], ids=lambda n: "full-%d" % n)
+def test_cold_solve_iterations_are_mesh_independent(n):
     # the fast Poisson preconditioner removes the h^-2 spread of -Delta, so
     # a cold solve needs about as many iterations at every n
     g = Grid(L=12.0, n=n)
-    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
     ctx = metric_context_at(g, (1.3, -2.1))
     rhs = confined_field(g, np.random.default_rng(11))
-    _, rel = solve_metric_system(ctx, rhs, tol=1e-10, max_iter=25, free=free)
+    _, rel = solve_metric_system(ctx, rhs, tol=1e-10, max_iter=25)
     assert rel <= 1e-10
 
 
-def box_laplacian(m1, m2, h):
-    """Dense 5-point -Delta_h with zero extension on an m1 x m2 index box."""
-    def second_difference(m):
-        return (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / (h * h)
-
-    return np.kron(second_difference(m1), np.eye(m2)) + np.kron(np.eye(m1), second_difference(m2))
+def laplacian_matrix(n, h):
+    """Dense 5-point -Delta_h with zero extension on the n x n grid."""
+    second_difference = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+    return np.kron(second_difference, np.eye(n)) + np.kron(np.eye(n), second_difference)
 
 
-@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
-def test_shifted_preconditioner_inverts_the_mean_potential_operator(restricted):
-    # with a potential, the fast Poisson mass is its box mean, floored at
-    # the metric's 1 + mean(weight): the exact inverse of -Delta_h + mu
-    g = Grid(L=4.0, n=24)
-    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
-    box = metric._box(free, g.n)
+@pytest.mark.parametrize("n", [24], ids=["full"])
+def test_shifted_preconditioner_inverts_the_mean_potential_operator(n):
+    # with a potential, the fast Poisson mass is its mean, floored at the
+    # metric's 1 + mean(weight): the exact inverse of -Delta_h + mu
+    g = Grid(L=4.0, n=n)
     ctx = metric_context_at(g, (0.5, -0.3))
     potential = 6.0 + 3.0 * np.cos(g.x1) * np.sin(2.0 * g.x2)
-    mu = max(1.0 + np.mean(ctx.weight.values[box]), np.mean(potential[box]))
-    assert mu > 1.0 + np.mean(ctx.weight.values[box])
-    apply = metric.preconditioner(ctx, free, potential)
+    mu = max(1.0 + np.mean(ctx.weight.values), np.mean(potential))
+    assert mu > 1.0 + np.mean(ctx.weight.values)
+    apply = metric.preconditioner(ctx, potential)
     rng = np.random.default_rng(12)
     r, s = rng.standard_normal((2, g.n, g.n))
     z = apply(r)
-    m1, m2 = z[box].shape
-    A = box_laplacian(m1, m2, g.h) + mu * np.eye(m1 * m2)
-    rb = r[box].ravel()
-    assert np.linalg.norm(A @ z[box].ravel() - rb) <= 1e-12 * np.linalg.norm(rb)
-    if restricted:
-        assert np.all(z[~free] == 0.0) and np.all(free[box])
+    A = laplacian_matrix(g.n, g.h) + mu * np.eye(g.n * g.n)
+    assert np.linalg.norm(A @ z.ravel() - r.ravel()) <= 1e-12 * np.linalg.norm(r)
     assert abs(np.vdot(s, apply(r)) - np.vdot(r, apply(s))) <= 1e-12 * abs(np.vdot(s, apply(r)))
 
 
-@pytest.mark.parametrize("restricted", [False, True], ids=["full", "rot-zeta:2"])
-def test_a_potential_below_the_metric_mass_leaves_the_preconditioner_unchanged(restricted):
+@pytest.mark.parametrize("n", [24], ids=["full"])
+def test_a_potential_below_the_metric_mass_leaves_the_preconditioner_unchanged(n):
     # an indefinite a (mean near 0) floors at 1 + mean(weight): the same
     # SPD preconditioner as the metric solve's, bit for bit
-    g = Grid(L=4.0, n=24)
-    free = preserved_cells(g, rotation_zeta(2)) if restricted else None
+    g = Grid(L=4.0, n=n)
     ctx = metric_context_at(g, (0.5, -0.3))
     potential = cos2d_potential(g, 0.0, 0.5, 1.0, 1.0).a.values
     r = confined_field(g, np.random.default_rng(14))
-    z = metric.preconditioner(ctx, free, potential)(r)
-    assert np.array_equal(z, metric.preconditioner(ctx, free)(r))
+    z = metric.preconditioner(ctx, potential)(r)
+    assert np.array_equal(z, metric.preconditioner(ctx)(r))
 
 
 # ------------------------------------------------------------ Riesz gradient

@@ -1,6 +1,7 @@
 """The README's Library snippet imports names that exist, its Config table
 lists the CLI's keys and defaults, its symmetry specs parse, its check
-count is the battery's and its trace.csv columns are the descent's."""
+count is the battery's, its trace.csv columns are the descent's and its
+field-dump magic is the one save_field writes."""
 
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 from logchoquard import Grid, make_kernel_table
 from logchoquard.checks import battery
 from logchoquard.cli import _DEFAULTS, parse_config
+from logchoquard.field import MAGIC
 from logchoquard.solver import TRACE_COLUMNS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -53,3 +55,11 @@ def test_readme_check_count_matches_battery():
 def test_readme_trace_columns_match_the_descent():
     (line,) = re.findall(r"^`(iter,[^`]*)`", _readme(), flags=re.M)
     assert line == ",".join(TRACE_COLUMNS)
+
+
+def test_readme_dump_magic_is_the_written_magic():
+    readme = _readme()
+    (magic,) = re.findall(r"magic bytes `([^`]+)`", readme)
+    (file_spec,) = re.findall(r"^- `file:path.chq` — .* from a (\w+) dump", readme, flags=re.M)
+    assert magic.encode("ascii") == MAGIC
+    assert file_spec.encode("ascii") == MAGIC

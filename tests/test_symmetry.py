@@ -38,18 +38,32 @@ def interior_bump(grid):
 # ---------------------------------------------------------------- rotations
 
 
+def mirror_index(grid):
+    """neg[i], the index of the sample at -x_i: every cell centre has a mirror."""
+    return np.array([np.flatnonzero(grid.axis == -x)[0] for x in grid.axis])
+
+
 def test_quarter_turn_is_exact_index_map(grid32):
     rng = np.random.default_rng(0)
     u = Field(grid32, rng.standard_normal((32, 32)))
+    neg = mirror_index(grid32)
+    # (g*u)(x) = u(x2, -x1) at every cell, the edges included
     r = rotate(u, 0.5 * np.pi)
-    n = grid32.n
-    assert np.all(r.values[0, :] == 0.0)
-    for i, j in ((1, 0), (5, 20), (17, 31), (31, 16)):
-        assert r.values[i, j] == u.values[j, n - i]
+    for i in range(grid32.n):
+        for j in range(grid32.n):
+            assert r.values[i, j] == u.values[j, neg[i]]
+    # u(x1, -x2), the glide's point part
+    reflect = glide_reflection(grid32, shift=0.0)
+    assert np.array_equal(act(1, reflect, u).values, u.values[:, neg])
+    # four quarter turns and two reflections give u back bit for bit
+    for _ in range(3):
+        r = rotate(r, 0.5 * np.pi)
+    assert np.array_equal(r.values, u.values)
+    assert np.array_equal(act(1, reflect, act(1, reflect, u)).values, u.values)
 
 
 def test_quarter_turn_gaussian_analytic_image(grid32):
-    # rotating a node-centered bump lands exactly on the rotated center
+    # the axis is antisymmetric, so a rotated bump lands exactly on the rotated center
     u = interior_bump(grid32)
     r = rotate(u, 0.5 * np.pi)
     expect = bump_field(grid32, center=(-0.75, 1.5), radius=0.9, amplitude=1.3)
@@ -104,11 +118,10 @@ def test_lattice_snap_warns_on_large_move(grid32):
 
 
 def test_glide_square_is_pure_translation(grid32):
-    # group law on interior-supported fields (the x2 = -L column has no
-    # mirror node, so boundary-supported samples are excluded by design)
+    # group law on the whole box: the reflection maps every cell onto a cell
     action = glide_reflection(grid32, shift=0.75, zeta_nontrivial=True)
     rng = np.random.default_rng(1)
-    u = Field(grid32, rng.standard_normal((32, 32)) * (grid32.r < 3.0))
+    u = Field(grid32, rng.standard_normal((32, 32)))
     twice = act(1, action, act(1, action, u))
     square = act(2, action, u)
     assert np.array_equal(twice.values, square.values)
@@ -169,8 +182,7 @@ def test_glide_projection_reflection_part(grid32):
     u = interior_bump(grid32)
     p = project_invariant(u, action)
     # p is invariant under the point reflection x2 -> -x2
-    refl = np.zeros_like(p.values)
-    refl[:, 1:] = p.values[:, :0:-1]
+    refl = p.values[:, mirror_index(grid32)]
     assert np.max(np.abs(refl - p.values)) <= 1e-13
 
 

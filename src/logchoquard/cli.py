@@ -360,6 +360,7 @@ def cmd_solve(args) -> int:
     except DESCENT_ERRORS as exc:
         res = getattr(exc, "result", None)
         if res is None:
+            write_manifest(args.out, "solve", extra["pairs"], [])  # no iterate to write
             raise
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
     save_field(os.path.join(args.out, "solution.chq"), res.u)
@@ -378,7 +379,11 @@ def cmd_ground_state(args) -> int:
     table = _load_table(grid, cfg)
     outputs = ["solution.chq", "trace.csv"]
     write_manifest(args.out, "ground-state", extra["pairs"], outputs)
-    res = ground_state(action, pot, table, cfg)
+    try:
+        res = ground_state(action, pot, table, cfg)
+    except ChoquardError:
+        write_manifest(args.out, "ground-state", extra["pairs"], [])  # nothing was written
+        raise
     save_field(os.path.join(args.out, "solution.chq"), res.u)
     write_trace(os.path.join(args.out, "trace.csv"), res)
     _print_result(res)
@@ -393,7 +398,11 @@ def cmd_multistart(args) -> int:
     # the orbit count is known only after the search: the manifest goes
     # first with results.csv and is rewritten with every output after it
     write_manifest(args.out, "multistart", extra["pairs"], ["results.csv"])
-    results = multistart_search(k, action, pot, table, cfg)
+    try:
+        results = multistart_search(k, action, pot, table, cfg)
+    except ChoquardError:
+        write_manifest(args.out, "multistart", extra["pairs"], [])  # nothing was written
+        raise
     outputs = ["results.csv"] + [
         name
         for i in range(len(results))

@@ -13,13 +13,14 @@ same iteration solves it again to riesz_tol; only such a value can end the
 descent as converged. The Armijo slope is the exact Phi'(u) d = h^2 r.d
 rather than the metric pairing of an inexact gradient.
 
-The first row steps along the metric gradient; every later row steps along
-a truncated Newton-CG solve of H d = r, H the second variation of Phi
-corrected along the ray (the Hessian of Psi at a critical point), whose
-tail is quadratic. Its PCG is preconditioned by a fast Poisson solve
-whose mass is the mean of the Hessian's potential a + w0, which sits far
-above the metric's mass at a solution; with that shift a Newton row is
-cheap enough far from a critical point too.
+Every row, the first included, steps along a truncated Newton-CG solve
+of H d = r, H the second variation of Phi corrected along the ray (the
+Hessian of Psi at a critical point). Its PCG stops at a relative
+residual of the order of the row's Cerami value, so the tail is
+quadratic. It is preconditioned by a fast Poisson solve whose mass is the
+mean of the Hessian's potential a + w0, which sits far above the metric's
+mass at a solution; with that shift a Newton row is cheap enough far
+from a critical point too.
 
 Starts come from families of k+1 disjoint mollifier bumps placed and
 symmetrized according to the group action; the multistart search
@@ -82,7 +83,7 @@ from .symmetry import (
 CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cells apart
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
-NEWTON_CG_TOL = 0.1  # relative residual of the truncated Newton PCG
+NEWTON_CG_TOL = 0.1  # cap on the forcing term (relative residual) of the Newton PCG
 LOOSE_RIESZ_TOL = 1e-2  # relative residual of a descent solve that certifies nothing
 TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within this of cerami_tol
 # Armijo backtracking: the first and largest step, its halving factor and the
@@ -174,7 +175,7 @@ class _Iterate:
 
 
 def _newton_direction(
-    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, action, pot, table
+    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, eta: float, action, pot, table
 ):
     """Truncated PCG on H d = r; returns d, its slope Psi'(u) d, its kind and the H products.
 
@@ -184,13 +185,13 @@ def _newton_direction(
     tail is Psi's. Each product is one convolution. metric.pcg
     (Steihaug's truncated CG) is preconditioned by the fast Poisson solve
     whose mass is the box mean of H's potential a + w0
-    (metric.preconditioner), and stops at relative residual NEWTON_CG_TOL
-    (the inexact Newton forcing term of Dembo, Eisenstat & Steihaug, 1982),
-    at the first p.Hp <= 0, or after n products. It never steps along
-    negative curvature: it returns the iterate so far, or g if that is
-    still zero or no descent direction. Under a projecting action H and
-    the preconditioner commute with the action, so x is invariant and is
-    projected once, against rounding, before its slope is taken.
+    (metric.preconditioner), and stops at relative residual eta (the
+    row's forcing term, see descend), at the first p.Hp <= 0, or after n
+    products. It never steps along negative curvature: it returns the
+    iterate so far, or g if that is still zero or no descent direction.
+    Under a projecting action H and the preconditioner commute with the
+    action, so x is invariant and is projected once, against rounding,
+    before its slope is taken.
     """
     grid = st.grid
     h2 = grid.h * grid.h
@@ -205,7 +206,7 @@ def _newton_direction(
         return out
 
     res = r.copy()
-    stop = NEWTON_CG_TOL * float(np.sqrt(np.vdot(res, res)))
+    stop = eta * float(np.sqrt(np.vdot(res, res)))
     x = np.zeros_like(res)
     products = pcg(hess, precondition, res, x, stop, grid.n)
     d = Field(grid, x)
@@ -311,19 +312,23 @@ def descend(
     invariance). An error raised after the start carries .result with the
     last iterate.
 
-    Row 0 solves for g to cfg.riesz_tol and steps along g. Every later row
-    solves loosely (relative residual LOOSE_RIESZ_TOL, or riesz_tol if that
-    is larger) and steps along the truncated PCG solve of _newton_direction;
-    g serves only the Cerami value and the fallback when that solve meets
-    negative curvature at once. A loose Cerami value within
-    TIGHT_CERAMI_FACTOR of cfg.cerami_tol is solved again to riesz_tol in
-    the same row, from the loose g, and only a value solved to riesz_tol
-    can return converged (the forcing terms of Dembo, Eisenstat & Steihaug,
-    SIAM J. Numer. Anal. 19, 1982). A row that converges takes no step, so
-    the descent never steps away from a point a loose solve shows to be
-    converged. A CG solve from zero keeps r.g = g.A_u g > 0 (Galerkin), so
-    a direction without a positive slope means g = 0 and raises
-    LineSearchError. Every line search starts at STEP_INIT.
+    Every row solves loosely (relative residual LOOSE_RIESZ_TOL, or
+    riesz_tol if that is larger) and steps along the truncated PCG solve of
+    _newton_direction, stopped at relative residual
+    eta = min(NEWTON_CG_TOL, max(C, cerami_tol / (2C))), C the row's
+    Cerami value: eta = O(C) makes the tail quadratic (Dembo, Eisenstat &
+    Steihaug, SIAM J. Numer. Anal. 19, 1982), and the floor keeps the last
+    row from solving past what ends the descent (Kelley, Iterative Methods
+    for Linear and Nonlinear Equations, SIAM 1995, 6.3). g serves only the
+    Cerami value and the fallback when that solve meets negative curvature
+    at once. A loose Cerami value within TIGHT_CERAMI_FACTOR of
+    cfg.cerami_tol is solved again to riesz_tol in the same row, from the
+    loose g, and only a value solved to riesz_tol can return converged. A
+    row that converges takes no step, so the descent never steps away from
+    a point a loose solve shows to be converged. A CG solve from zero keeps
+    r.g = g.A_u g > 0 (Galerkin), so a direction without a positive slope
+    means g = 0 and raises LineSearchError. Every line search starts at
+    STEP_INIT.
 
     Under a projecting action A_u commutes with the action (every point
     action is an index map of the whole cell-centred box), so the group
@@ -343,12 +348,11 @@ def descend(
 
     trace: List[tuple] = []
     cerami, accepted = np.inf, 0
-    loose_tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
     try:
         for it in range(cfg.max_iters):
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-            tol = cfg.riesz_tol if it == 0 else loose_tol
+            tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
             steps = []
             g_vals, g, cerami = _gradient(st, ctx, r, tol, None, action, steps)
             if tol > cfg.riesz_tol and cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
@@ -360,10 +364,8 @@ def descend(
             if tol == cfg.riesz_tol and cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
-            if it == 0:
-                d, slope, kind, hess = g, grid.h * grid.h * float(np.vdot(r, g.values)), GRADIENT, 0
-            else:
-                d, slope, kind, hess = _newton_direction(st, ctx, r, g, action, pot, table)
+            eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
+            d, slope, kind, hess = _newton_direction(st, ctx, r, g, eta, action, pot, table)
             trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)

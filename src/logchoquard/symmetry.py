@@ -66,8 +66,15 @@ def rotation_zeta(m: int, zeta_nontrivial: bool = True) -> GroupAction:
 
 
 def _snap(grid: Grid, vec, what: str) -> Tuple[int, int]:
+    """vec in whole cells; ValueError unless it is finite and shorter than n cells per axis."""
     vec = np.asarray(vec, dtype=float)
-    cells = np.rint(vec / grid.h).astype(int)
+    steps = vec / grid.h
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("%s %s is not finite" % (what, vec.tolist()))
+    cells = np.rint(steps)
+    if np.any(np.abs(cells) >= grid.n):
+        raise ValueError("%s %s spans n = %d cells or more" % (what, vec.tolist(), grid.n))
+    cells = cells.astype(int)
     moved = float(np.hypot(*(vec - cells * grid.h)))
     if moved > grid.h / 2:
         warnings.warn(

@@ -240,6 +240,21 @@ def test_solve_descent_error_writes_outputs_and_exits_3(tmp_path, capsys):
     assert lines[0] == ",".join(TRACE_COLUMNS)
 
 
+def test_solve_error_before_the_first_row_lists_no_outputs(tmp_path, capsys):
+    # the invariant projection of rot-zeta:1 (u(-x) = -u(x)) annihilates a
+    # centred Gaussian, so the descent raises before its first row and
+    # there is no iterate to write: the manifest lists nothing
+    start = tmp_path / "g.chq"
+    save_field(str(start), gaussian_field(Grid(L=6.0, n=32), width=0.7))
+    cfg = write_config(tmp_path, "n = 32\nsymmetry = rot-zeta:1\n")
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", cfg, "--start", str(start), "--out", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "E-NEHARI-DEGENERATE" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 # ------------------------------------------------------------------ battery
 
 
@@ -441,10 +456,14 @@ def test_a_chq1_potential_dump_exits_2(tmp_path, capsys):
     ("solve", "n = 32\nbox = 9e153\n"),
     ("ground-state", "n = 32\nbox = 9\n"),
     ("multistart", "n = 32\nbox = 9\n"),
-], ids=["info-nan", "info-1e400", "solve-box-1e200", "solve-box-9e153", "ground-state-h", "multistart-h"])
+    ("solve", "n = 32\nsymmetry = lattice:1e300,0;0,1\n"),
+    ("solve", "n = 32\nsymmetry = glide:nan\n"),
+], ids=["info-nan", "info-1e400", "solve-box-1e200", "solve-box-9e153", "ground-state-h", "multistart-h",
+        "solve-lattice-1e300", "solve-glide-nan"])
 def test_configs_without_a_usable_grid_or_potential_exit_2(tmp_path, capsys, command, text):
     # non-finite potential samples, and h > barycenter.MAX_H (box 9 at n = 32
-    # gives h = 0.5625), are refused before anything is written
+    # gives h = 0.5625), and symmetry vectors that are not finite or span n
+    # cells or more, are refused before anything is written
     out = tmp_path / "o"
     argv = [command, "--config", write_config(tmp_path, text)]
     if command != "info":
@@ -498,16 +517,23 @@ def config_texts(draw):
 @given(command=st.sampled_from(["check", "info", "solve", "ground-state", "multistart"]), text=config_texts())
 def test_generated_configs_keep_the_exit_code_contract(command, text):
     # 2 is a configuration error, 3 no convergence and 4 an invariant
-    # failure, which only check reports; nothing raises out of main
+    # failure, which only check reports; nothing raises out of main, and a
+    # solving command that exits 0 or 3 leaves its manifest and every
+    # output the manifest lists
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
+        out = os.path.join(tmp, "o")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
         argv = [command, "--config", cfg]
         if command not in ("check", "info"):
-            argv += ["--out", os.path.join(tmp, "o")]
+            argv += ["--out", out]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
+        if command not in ("check", "info") and rc in (EXIT_OK, EXIT_NO_CONVERGENCE):
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                listed = json.load(fh)["outputs"]
+            assert all(os.path.exists(os.path.join(out, name)) for name in listed)
     allowed = (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT) if command == "check" else (
         EXIT_OK, EXIT_CONFIG, EXIT_NO_CONVERGENCE)
     assert rc in allowed

@@ -61,7 +61,14 @@ def barycenter_defects(u: Field, shifts, factors):
 
 def metric_shift_defect(u: Field, cells, v: Field) -> float:
     """| |v shifted|_(u shifted) - |v|_u | / |v|_u for a shift by the given cells:
-    the u-metric commutes with grid translations."""
+    the u-metric commutes with grid translations.
+
+    u and v are first shifted there and back, which drops what the shift
+    pushes out of the box, so the shifted pair is an exact translate.
+    """
+    back = (-cells[0], -cells[1])
+    u = shift_cells(shift_cells(u, *cells), *back)
+    v = shift_cells(shift_cells(v, *cells), *back)
     n0 = norm_u(metric_context(u), v)
     n1 = norm_u(metric_context(shift_cells(u, *cells)), shift_cells(v, *cells))
     return abs(n1 - n0) / n0

@@ -92,7 +92,6 @@ _DEFAULTS = {
     "k": "2",
     "max_iters": "1200",
     "cerami_tol": "1e-6",
-    "riesz_tol": "1e-10",
     "tau_split": "0.0",
     "seed": "0",
 }
@@ -184,7 +183,6 @@ def parse_config(text: str):
         cfg = SolveConfig(
             max_iters=int(pairs["max_iters"]),
             cerami_tol=float(pairs["cerami_tol"]),
-            riesz_tol=float(pairs["riesz_tol"]),
             tau_split=float(pairs["tau_split"]),
         )
         k, seed = int(pairs["k"]), int(pairs["seed"])
@@ -425,8 +423,8 @@ def cmd_multistart(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    if args.tau < 0:
-        raise ConfigError("--tau must be >= 0, got %g" % args.tau)
+    if not (np.isfinite(args.tau) and args.tau >= 0):
+        raise ConfigError("--tau must be finite and >= 0, got %g" % args.tau)
     u = _read_field(args.infile)
     grid = u.grid
     khat = getattr(make_kernel_table(grid, args.tau), args.kernel + "_hat")

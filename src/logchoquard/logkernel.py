@@ -104,8 +104,8 @@ class KernelTable:
 
 
 def make_kernel_table(grid: Grid, tau: float = 0.0) -> KernelTable:
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0")
     ro = offset_lattice(grid)
     origin = ro == 0.0
     k0 = np.where(origin, origin_cell_log_mean(grid.h), np.log(np.where(origin, 1.0, ro)))

@@ -7,11 +7,11 @@ q_a -> t^2 q_a, V0 -> t^4 V0). On the manifold Psi'(u) = Phi'(u), so the
 metric (Riesz) gradient of Phi at an iterate is already the metric gradient
 of Psi (Szulkin & Weth, The method of Nehari manifold, 2010): each
 iteration solves one metric system, takes an Armijo-backtracked step on Psi
-and lands on the manifold again. The step only needs a descent direction,
-so that solve is loose unless its Cerami value nears cerami_tol, when the
-same iteration solves it again to riesz_tol; only such a value can end the
-descent as converged. The Armijo slope is the exact Phi'(u) d = h^2 r.d
-rather than the metric pairing of an inexact gradient.
+and lands on the manifold again. That solve is loose: A_u >= I bounds its
+error by its own residual, so the row's Cerami value is a certified upper
+bound, and it alone can end the descent as converged. The Armijo slope is
+the exact Phi'(u) d = h^2 r.d rather than the metric pairing of an
+inexact gradient.
 
 Every row, the first included, steps along a truncated Newton-CG solve
 of H d = r, H the second variation of Phi corrected along the ray (the
@@ -84,8 +84,7 @@ CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cel
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
 NEWTON_CG_TOL = 0.1  # cap on the forcing term (relative residual) of the Newton PCG
-LOOSE_RIESZ_TOL = 1e-2  # relative residual of a descent solve that certifies nothing
-TIGHT_CERAMI_FACTOR = 3.0  # solve to riesz_tol once the Cerami value is within this of cerami_tol
+LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _gradient bounds its error
 # Armijo backtracking: the first and largest step, its halving factor and the
 # sufficient-decrease constant c1 (Nocedal & Wright, Numerical Optimization, 2006)
 STEP_INIT = 1.0
@@ -97,17 +96,15 @@ ARMIJO_C = 1e-4
 class SolveConfig:
     max_iters: int = 1200
     cerami_tol: float = 1e-6
-    riesz_tol: float = 1e-10
     tau_split: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("cerami_tol", "riesz_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be > 0" % name)
-        if self.tau_split < 0:
-            raise ValueError("tau_split must be >= 0")
+        if not (np.isfinite(self.cerami_tol) and self.cerami_tol > 0):
+            raise ValueError("cerami_tol must be finite and > 0")
+        if not (np.isfinite(self.tau_split) and self.tau_split >= 0):
+            raise ValueError("tau_split must be finite and >= 0")
 
 
 @dataclass
@@ -133,9 +130,8 @@ class StartFamily:
 # GRADIENT or NEWTON (code 1, an L-BFGS direction in older traces, is not
 # written). A row that takes no step (the last one of a converged descent,
 # or one whose line search fails) records 0, 0, 0 there.
-# cg: the CG iterations of the row's metric solves (a loose solve and its
-# re-solve to riesz_tol together); hess: the Hessian products of its Newton
-# solve.
+# cg: the CG iterations of the row's one metric solve; hess: the Hessian
+# products of its Newton solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
     "alpha", "backtracks", "direction", "cg", "hess",
@@ -280,19 +276,28 @@ def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> Solv
     )
 
 
-def _gradient(st: _Iterate, ctx: MetricContext, r, tol, x0, action, steps):
-    """The metric gradient at st.u, solved to relative residual tol from x0 (cold if None).
+def _gradient(st: _Iterate, ctx: MetricContext, r, action, steps):
+    """The metric gradient at st.u, solved to relative residual LOOSE_RIESZ_TOL.
 
-    Returns the solve's output, g (projected under a projecting action) and
-    the Cerami value of g; the CG iterations are appended to steps.
+    Returns g (projected under a projecting action) and the certified
+    Cerami value C = (||g||_u + h rel |r|_2)(1 + |u|_2) >= the exact one,
+    rel the solve's true relative residual; the CG iterations are appended
+    to steps. The bound (an a-posteriori CG error bound as in Arioli,
+    Numer. Math. 97, 2004), with g* the exact gradient and x the solve:
+    A_u (g* - x) = r - A_u x = res and A_u >= I give
+    ||g* - x||_u^2 = h^2 res.A_u^-1 res <= h^2 |res|_2^2 = (h rel |r|_2)^2.
+    The group average P commutes with A_u and is orthogonal, hence
+    A_u-orthogonal, and P g* = g* (r is invariant), so
+    ||g* - P x||_u <= ||g* - x||_u and ||g*||_u <= ||g||_u + h rel |r|_2.
     """
     grid = st.grid
-    g_vals, _ = solve_metric_system(ctx, r, tol, x0=x0, strict=True, callback=steps.append)
+    g_vals, rel = solve_metric_system(ctx, r, LOOSE_RIESZ_TOL, strict=True, callback=steps.append)
     g = Field(grid, g_vals)
     if action.has_projection:
         g = project_invariant(g, action)
     lg = lower_u(ctx, g.values)
-    return g_vals, g, cerami_weight(Field(grid, st.u), np.sqrt(np.vdot(g.values, lg)))
+    bound = np.sqrt(np.vdot(g.values, lg)) + grid.h * rel * np.sqrt(np.vdot(r, r))
+    return g, cerami_weight(Field(grid, st.u), bound)
 
 
 def descend(
@@ -312,8 +317,10 @@ def descend(
     invariance). An error raised after the start carries .result with the
     last iterate.
 
-    Every row solves loosely (relative residual LOOSE_RIESZ_TOL, or
-    riesz_tol if that is larger) and steps along the truncated PCG solve of
+    Every row solves one metric system to relative residual
+    LOOSE_RIESZ_TOL, whose certified Cerami value C (_gradient) bounds the
+    exact one from above; C <= cfg.cerami_tol returns converged, with no
+    step. Otherwise the row steps along the truncated PCG solve of
     _newton_direction, stopped at relative residual
     eta = min(NEWTON_CG_TOL, max(C, cerami_tol / (2C))), C the row's
     Cerami value: eta = O(C) makes the tail quadratic (Dembo, Eisenstat &
@@ -321,14 +328,11 @@ def descend(
     row from solving past what ends the descent (Kelley, Iterative Methods
     for Linear and Nonlinear Equations, SIAM 1995, 6.3). g serves only the
     Cerami value and the fallback when that solve meets negative curvature
-    at once. A loose Cerami value within TIGHT_CERAMI_FACTOR of
-    cfg.cerami_tol is solved again to riesz_tol in the same row, from the
-    loose g, and only a value solved to riesz_tol can return converged. A
-    row that converges takes no step, so the descent never steps away from
-    a point a loose solve shows to be converged. A CG solve from zero keeps
-    r.g = g.A_u g > 0 (Galerkin), so a direction without a positive slope
-    means g = 0 and raises LineSearchError. Every line search starts at
-    STEP_INIT.
+    at once. A row that converges takes no step, so the descent never
+    steps away from a point its bound shows to be converged. A CG solve
+    from zero keeps r.g = g.A_u g > 0 (Galerkin), so a direction without a
+    positive slope means g = 0 and raises LineSearchError. Every line
+    search starts at STEP_INIT.
 
     Under a projecting action A_u commutes with the action (every point
     action is an index map of the whole cell-centred box), so the group
@@ -352,16 +356,12 @@ def descend(
         for it in range(cfg.max_iters):
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-            tol = max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
             steps = []
-            g_vals, g, cerami = _gradient(st, ctx, r, tol, None, action, steps)
-            if tol > cfg.riesz_tol and cerami <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
-                tol = cfg.riesz_tol
-                g_vals, g, cerami = _gradient(st, ctx, r, tol, g_vals, action, steps)
+            g, cerami = _gradient(st, ctx, r, action, steps)
             res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
-            if tol == cfg.riesz_tol and cerami <= cfg.cerami_tol:
+            if cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))

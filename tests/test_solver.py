@@ -57,7 +57,6 @@ from logchoquard.solver import (
     NEWTON,
     NEWTON_CG_TOL,
     STEP_INIT,
-    TIGHT_CERAMI_FACTOR,
     TRACE_COLUMNS,
     _bump_sites,
     _dilate,
@@ -79,6 +78,13 @@ def test_solve_config_validation():
         SolveConfig(cerami_tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(tau_split=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolveConfig(cerami_tol=bad)
+        with pytest.raises(ValueError):
+            SolveConfig(tau_split=bad)
+        with pytest.raises(ValueError):
+            make_kernel_table(Grid(L=6.0, n=16), bad)
     assert SolveConfig().cerami_tol == 1e-6
 
 
@@ -345,9 +351,8 @@ def descent_case(which):
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
 def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
-    # each row solves A_u g = r once, loosely, and again to riesz_tol from
-    # the loose g exactly when the loose Cerami value is within
-    # TIGHT_CERAMI_FACTOR of cerami_tol; the row records the last value
+    # each row solves A_u g = r exactly once, loosely, and records the
+    # certified Cerami value of that solve
     import logchoquard.solver as solver_mod
 
     real_solve, real_gradient = solver_mod.solve_metric_system, solver_mod._gradient
@@ -359,25 +364,34 @@ def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
 
     def gradient(*args):
         out = real_gradient(*args)
-        values.append(out[2])
+        values.append(out[1])
         return out
 
     monkeypatch.setattr(solver_mod, "solve_metric_system", counted)
     monkeypatch.setattr(solver_mod, "_gradient", gradient)
     u0, action, pot, table = descent_case(which)
-    cfg = SolveConfig()
-    res = descend(u0, action, pot, table, cfg)
+    res = descend(u0, action, pot, table, SolveConfig())
     assert res.converged and len(res.trace) >= 3
-    assert len(tols) == len(values) > len(res.trace)
-    solves = iter(zip(tols, values))
-    for row in res.trace:
-        tol, value = next(solves)
-        assert tol == max(cfg.riesz_tol, LOOSE_RIESZ_TOL)
-        if value <= TIGHT_CERAMI_FACTOR * cfg.cerami_tol:
-            tol, value = next(solves)
-            assert tol == cfg.riesz_tol
-        assert row[5] == value
-    assert next(solves, None) is None
+    assert len(tols) == len(values) == len(res.trace)
+    assert all(tol == LOOSE_RIESZ_TOL for tol in tols)
+    assert [row[5] for row in res.trace] == values
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2", "glide"])
+def test_gradient_bounds_the_tight_cerami_value(which):
+    # at the start, where the loose solve's error weighs most, the
+    # certified value of _gradient still sits above the tight one
+    import logchoquard.solver as solver_mod
+
+    u0, action, pot, table = descent_case(which)
+    grid = pot.a.grid
+    st = solver_mod._Iterate(project_invariant(u0, action).values, pot, table)
+    u = Field(grid, st.u)
+    ctx = metric_context_at(grid, beta(u))
+    r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
+    _, bound = solver_mod._gradient(st, ctx, r, action, [])
+    _, gn = riesz_gradient(u, pot, table, tol=1e-10)
+    assert cerami_weight(u, gn) <= bound
 
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
@@ -412,18 +426,19 @@ def test_descent_slope_is_the_reduced_energy_slope(which):
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2", "glide"])
 def test_converged_descent_is_certified_by_a_tight_solve(which):
-    # descent solves are loose; converged rests on a Cerami value solved to
-    # riesz_tol, which a fresh tight solve at the result reproduces. That
-    # solve is unrestricted: a critical point of Phi on the invariant fields
-    # is critical for the full problem (Palais), at every cell of the grid
+    # descent solves are loose; converged rests on their certified upper
+    # bound of the Cerami value, which a fresh tight solve at the result
+    # stays below, and closely. That solve is unrestricted: a critical point
+    # of Phi on the invariant fields is critical for the full problem
+    # (Palais), at every cell of the grid
     u0, action, pot, table = descent_case(which)
     cfg = SolveConfig()
     res = descend(u0, action, pot, table, cfg)
     assert res.converged
-    _, gn = riesz_gradient(res.u, pot, table, tol=cfg.riesz_tol)
+    _, gn = riesz_gradient(res.u, pot, table, tol=1e-10)
     cerami = cerami_weight(res.u, gn)
-    assert cerami <= cfg.cerami_tol
-    assert res.cerami == pytest.approx(cerami, rel=1e-6)
+    assert cerami <= res.cerami <= cfg.cerami_tol
+    assert res.cerami <= 1.2 * cerami
 
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
@@ -441,13 +456,8 @@ def test_loose_iterations_step_with_the_exact_slope(monkeypatch, which):
         # off centre, so the descent also drifts: from the centred Gaussian
         # Newton converges after 5 loose steps, too few to test
         u0 = bump_field(grid, center=(0.5, 0.0), radius=1.0)
-    real_solve, real_step = solver_mod.solve_metric_system, solver_mod._line_search
-    real_newton = solver_mod._newton_direction
-    tols, errs, newton, kinds = [], [], [], []
-
-    def solve(ctx, rhs, tol, **kwargs):
-        tols.append(tol)
-        return real_solve(ctx, rhs, tol, **kwargs)
+    real_step, real_newton = solver_mod._line_search, solver_mod._newton_direction
+    errs, newton, kinds = [], [], []
 
     def newton_direction(*args):
         out = real_newton(*args)
@@ -455,14 +465,12 @@ def test_loose_iterations_step_with_the_exact_slope(monkeypatch, which):
         return out
 
     def step(st, d, slope, *args):
-        if tols[-1] > cfg.riesz_tol:
-            r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-            exact = grid.h ** 2 * float(np.sum(r * d.values))
-            errs.append(abs(slope - exact) / abs(exact))
-            kinds.append(bool(newton) and d is newton[-1])
+        r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
+        exact = grid.h ** 2 * float(np.sum(r * d.values))
+        errs.append(abs(slope - exact) / abs(exact))
+        kinds.append(bool(newton) and d is newton[-1])
         return real_step(st, d, slope, *args)
 
-    monkeypatch.setattr(solver_mod, "solve_metric_system", solve)
     monkeypatch.setattr(solver_mod, "_newton_direction", newton_direction)
     monkeypatch.setattr(solver_mod, "_line_search", step)
     res = descend(u0, action, pot, table, cfg)
@@ -589,8 +597,8 @@ def test_periodic_drift_tail_converges_in_few_steps():
 def test_a_loose_converged_value_takes_no_step():
     # the k=2 family's start at (2, 0) on L = 6, n = 128 sits in a sliding
     # valley: a Newton step from a point a loose solve already shows to be
-    # converged sets off a slide of about 200 rows. The row that sees it
-    # solves again to riesz_tol and ends the descent instead
+    # converged sets off a slide of about 200 rows. The row whose certified
+    # Cerami value shows it ends the descent instead
     g = Grid(L=6.0, n=128)
     pot = const_potential(g)
     table = make_kernel_table(g)

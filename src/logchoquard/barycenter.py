@@ -1,6 +1,6 @@
 """Generalized barycenter: local unit-ball mass, half-maximum set, weighted centroid.
 
-beta(u) = beta0/beta1 with uhat(x) = int_{B_1(x)} |u|^p, Omega = {uhat > peak/2},
+beta(u) = beta0/beta1 with uhat(x) = int_{B_1(x)} u^2, Omega = {uhat > peak/2},
 beta0 = int_Omega x (uhat - peak/2), beta1 = int_Omega (uhat - peak/2) > 0.
 Continuous, equivariant under euclidean motions, and invariant under
 u -> t u and u -> |u|; the anchor for the recentered metric.
@@ -36,15 +36,13 @@ class BarycenterWork:
     beta1: float
 
 
-def local_mass(u: Field, p: float = 2.0) -> Field:
-    """uhat(x) = h^2 sum_{|x-y|<1} |u(y)|^p, cells counted by their centers.
+def local_mass(u: Field) -> Field:
+    """uhat(x) = h^2 sum_{|x-y|<1} u(y)^2, cells counted by their centers.
 
     Summed directly over the disc as row segments: one prefix sum along
     each row gives the segment sums c-w..c+w of every half-width w, and
     each row offset r of the disc adds its segments shifted by +-r rows.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     grid = u.grid
     if grid.h > MAX_H:
         raise GridResolutionError(
@@ -53,11 +51,11 @@ def local_mass(u: Field, p: float = 2.0) -> Field:
     n = grid.n
     widths = _disc_half_widths(grid)[:n]
     W = int(widths[0])
-    # rows of pitch M hold prefix[i, W + k] = sum_{c < k} |u[i, c]|^p for
+    # rows of pitch M hold prefix[i, W + k] = sum_{c < k} u[i, c]^2 for
     # -W <= k <= n + W; flat, a segment is one slice and a row shift r is r*M
     M = n + 2 * W + 1
     prefix = np.zeros((n, M))
-    np.cumsum(np.abs(u.values) ** p, axis=1, out=prefix[:, W + 1 : W + 1 + n])
+    np.cumsum(u.values * u.values, axis=1, out=prefix[:, W + 1 : W + 1 + n])
     prefix[:, W + 1 + n :] = prefix[:, W + n : W + n + 1]
     flat = prefix.ravel()
     size = (n - 1) * M + n  # flat extent of the n x n cells
@@ -72,11 +70,11 @@ def local_mass(u: Field, p: float = 2.0) -> Field:
     return Field(grid, grid.h * grid.h * out[:, :n])
 
 
-def barycenter_work(u: Field, p: float = 2.0) -> BarycenterWork:
+def barycenter_work(u: Field) -> BarycenterWork:
     grid = u.grid
     if float(grid.h ** 2 * np.sum(u.values * u.values)) <= 1e-28:
         raise BarycenterUndefinedError("barycenter undefined at 0")
-    uhat = local_mass(u, p)
+    uhat = local_mass(u)
     peak = float(np.max(uhat.values))
     omega = uhat.values > 0.5 * peak  # strict superlevel set
     excess = np.where(omega, uhat.values - 0.5 * peak, 0.0)
@@ -86,6 +84,6 @@ def barycenter_work(u: Field, p: float = 2.0) -> BarycenterWork:
     return BarycenterWork(uhat=uhat, peak=peak, omega_mask=omega, beta0=beta0, beta1=beta1)
 
 
-def beta(u: Field, p: float = 2.0) -> np.ndarray:
-    work = barycenter_work(u, p)
+def beta(u: Field) -> np.ndarray:
+    work = barycenter_work(u)
     return work.beta0 / work.beta1

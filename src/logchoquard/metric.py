@@ -167,17 +167,16 @@ def solve_metric_system(
     ctx: MetricContext,
     rhs: np.ndarray,
     tol: float,
-    x0: np.ndarray | None = None,
     max_iter: int | None = None,
     strict: bool = False,
     callback=None,
 ):
     """pcg for A_u x = rhs; returns (x, achieved_rel_residual).
 
-    The fast Poisson preconditioner makes the
-    iteration count depends on the spread of the log weight, not on n; the
-    cap is 10*n iterations. The returned residual is recomputed from x (not
-    the CG recursion, which drifts below the attainable floor near 1e-16).
+    With the fast Poisson preconditioner the iteration count depends on
+    the spread of the log weight, not on n; the cap is 10*n iterations.
+    The returned residual is recomputed from x (not the CG recursion,
+    which drifts below the attainable floor near 1e-16).
 
     This is the one Riesz path: the descent and riesz_gradient solve with
     strict=True, which raises RieszSolveError (carrying .residual) when the
@@ -192,7 +191,7 @@ def solve_metric_system(
     def apply(vals):
         return apply_metric_operator(ctx, vals)
 
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    x = np.zeros_like(rhs)
     r = rhs - apply(x)
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:

@@ -80,7 +80,6 @@ from .symmetry import (
     project_invariant,
 )
 
-CORE_GAP_CELLS = 2  # half-peak cores of distinct start bumps stay this many cells apart
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
 NEWTON_CG_TOL = 0.1  # cap on the forcing term (relative residual) of the Newton PCG
@@ -425,33 +424,6 @@ def _bump_sites(action: GroupAction, grid, k: int):
     return centers, radius
 
 
-def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
-    """mask grown by steps cross-shaped (4-neighbour) dilations, nothing past the edges."""
-    out = mask.copy()
-    for _ in range(steps):
-        grown = out.copy()
-        grown[1:] |= out[:-1]
-        grown[:-1] |= out[1:]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
-
-
-def _cores_disjoint(bumps: List[Field]) -> bool:
-    """Half-peak cores pairwise more than CORE_GAP_CELLS cells apart.
-
-    Spline rescaling spreads faint ripple past the true supports, so
-    disjointness is judged on the cores, where the mass lives.
-    """
-    cores = [np.abs(b.values) > 0.5 * np.max(np.abs(b.values)) for b in bumps]
-    for i, core in enumerate(cores[:-1]):
-        grown = _dilate(core, CORE_GAP_CELLS)
-        if any(np.any(grown & other) for other in cores[i + 1:]):
-            return False
-    return True
-
-
 def _layout(k: int, action: GroupAction, grid):
     """Seeds [(center, radius)] of k+1 bumps and their noun."""
     h = grid.h
@@ -480,13 +452,11 @@ def make_bump_family(
     _layout places the seed bumps of the action's kind. One build loop
     checks each seed against the resolution floor (radius >= 3h, for every
     kind) and the box, builds it and, under a projecting action,
-    symmetrizes it. One rescale loop then moves the bumps jointly along
-    T_t (t < 0) until every bump satisfies q_a > 0 and V0 < 0, and onward
-    while the worst projected energy improves, mirroring the
-    disjoint-support start construction of the multiplicity argument.
-    Disjointness is re-checked after every rescale: half-peak cores stay
-    more than CORE_GAP_CELLS cells apart (StartFamilyError if reaching O
-    would merge them).
+    symmetrizes it; the seeds are disjoint, mirroring the disjoint-support
+    start construction of the multiplicity argument. Each bump is then
+    moved on its own along T_t (t < 0) until it satisfies q_a > 0 and
+    V0 < 0, and onward while its own projected energy Phi(sigma(b))
+    improves: each bump starts a descent of its own.
 
     Starts stay on their sites: without a projection (the trivial and
     lattice families, bumps on _bump_sites) a bump starts from its unscaled
@@ -496,8 +466,8 @@ def make_bump_family(
     if k < 0:
         raise ValueError("k must be >= 0")
     grid = pot.a.grid
-    # keep supports clear of the T_t clip band so the joint rescale below
-    # can always take at least one step
+    # keep supports clear of the T_t clip band so the rescale below can
+    # always take at least one step
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
 
     seeds, what = _layout(k, action, grid)
@@ -514,64 +484,47 @@ def make_bump_family(
                 raise StartFamilyError("invariant projection annihilated one of the %s" % what)
         bumps.append(bump)
 
-    def worst_phi(terms):
-        """max Phi(sigma(b)) over the bumps' (q_a, V0); inf if one lies outside O."""
-        if not all(qa > 0 and v0 < 0 for qa, v0 in terms):
-            return np.inf
-        return max(-qa * qa / (4.0 * v0) for qa, v0 in terms)
-
-    def nehari_diagonal(bump_list):
-        return [nehari_terms(b, pot, table)[:2] for b in bump_list]
-
-    def rescaled(bump_list):
-        try:
-            out = [scale_Tt(b, -0.25) for b in bump_list]
-        except ScalingClipError as exc:
-            raise StartFamilyError(
-                "rescaling the start family hit the boundary band (%s); "
-                "enlarge the box" % exc
-            ) from exc
-        if action.has_projection:
-            # spline resampling breaks exact invariance; restore it
-            out = [project_invariant(b, action) for b in out]
-        return out
-
-    # joint T_t rescaling in steps of -1/4 down to t = -2: until every bump
-    # lies in O (worst_phi is finite), then onward while the worst projected
-    # energy still improves. Stopping at the first O-entry leaves V0 barely
-    # negative, and sigma-projection catapults such starts to enormous
-    # energies whose transients dominate the descent.
-    unscaled, unscaled_terms = bumps, nehari_diagonal(bumps)
-    phi_now = worst_phi(unscaled_terms)
-    for _ in range(8):
-        in_o = np.isfinite(phi_now)
-        deeper = rescaled(bumps)
-        if not _cores_disjoint(deeper):
-            if in_o:
-                break
-            raise StartFamilyError(
-                "rescaling into O merged the bump cores; enlarge the box or reduce k"
-            )
-        phi_deeper = worst_phi(nehari_diagonal(deeper))
-        if in_o and not phi_deeper < phi_now:
-            break
-        bumps, phi_now = deeper, phi_deeper
-    if not np.isfinite(phi_now):
-        raise StartFamilyError(
-            "cannot satisfy q_a > 0 and V0 < 0 within the scaling guard; "
-            "enlarge the box or reduce k"
-        )
+    def sigma_phi(b):
+        """Phi(sigma(b)) = -q_a^2 / (4 V0); inf outside O = {q_a > 0, V0 < 0}."""
+        qa, v0 = nehari_terms(b, pot, table)[:2]
+        return -qa * qa / (4.0 * v0) if qa > 0 and v0 < 0 else np.inf
 
     # T_t is a dilation about the origin: it pulls the bumps of a site family
     # off their sites and shrinks them, and their descents then fall to the
     # ground orbit. A bump therefore starts unscaled, on its site, whenever
     # it already lies in O.
     on_site = not action.has_projection
-    starts = [
-        b if on_site and qa > 0 and v0 < 0 else scaled
-        for b, scaled, (qa, v0) in zip(unscaled, bumps, unscaled_terms)
-    ]
-    return StartFamily(bumps=bumps, starts=starts)
+    scaled, starts = [], []
+    for seed in bumps:
+        # T_t steps of -1/4 down to t = -2: into O, then onward while
+        # Phi(sigma) still improves. Stopping at the first O-entry leaves V0
+        # barely negative, and sigma-projection catapults such starts to
+        # enormous energies whose transients dominate the descent.
+        bump, phi = seed, sigma_phi(seed)
+        in_o = np.isfinite(phi)
+        for _ in range(8):
+            try:
+                deeper = scale_Tt(bump, -0.25)
+            except ScalingClipError as exc:
+                raise StartFamilyError(
+                    "rescaling the start family hit the boundary band (%s); "
+                    "enlarge the box" % exc
+                ) from exc
+            if action.has_projection:
+                # spline resampling breaks exact invariance; restore it
+                deeper = project_invariant(deeper, action)
+            phi_deeper = sigma_phi(deeper)
+            if np.isfinite(phi) and not phi_deeper < phi:
+                break
+            bump, phi = deeper, phi_deeper
+        if not np.isfinite(phi):
+            raise StartFamilyError(
+                "cannot satisfy q_a > 0 and V0 < 0 within the scaling guard; "
+                "enlarge the box or reduce k"
+            )
+        scaled.append(bump)
+        starts.append(seed if on_site and in_o else bump)
+    return StartFamily(bumps=scaled, starts=starts)
 
 
 def multistart_search(

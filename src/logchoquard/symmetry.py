@@ -183,10 +183,10 @@ class InvarianceCertificate:
     sign_changing: bool
 
 
-def _generator_defects(u: Field, action: GroupAction):
+def _generator_defect(u: Field, action: GroupAction) -> float:
     l2 = lp_norm(u, 2)
     if l2 == 0.0:
-        return [0.0]
+        return 0.0
     kind = action.kind
 
     def rel(v: Field) -> float:
@@ -195,17 +195,17 @@ def _generator_defects(u: Field, action: GroupAction):
     if kind in (KIND_TRIVIAL, KIND_LATTICE):
         # the lattice imposes no pointwise constraint (it only dedups orbits),
         # and no L2 field is invariant under its shifts
-        return [0.0]
+        return 0.0
     if kind == KIND_ROTATION:
-        return [rel(act(1, action, u))]
+        return rel(act(1, action, u))
     if kind == KIND_GLIDE:
         # what project_invariant imposes: no L2 field is invariant under the shift
-        return [rel(Field(u.grid, _glide_point(u.values, action)))]
+        return rel(Field(u.grid, _glide_point(u.values, action)))
     raise ValueError("unknown action kind %r" % kind)
 
 
 def is_invariant(u: Field, action: GroupAction) -> InvarianceCertificate:
-    defect = max(_generator_defects(u, action))
+    defect = _generator_defect(u, action)
     amax = float(np.max(np.abs(u.values)))
     sign_changing = bool(
         amax > 0

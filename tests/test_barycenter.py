@@ -37,7 +37,7 @@ def two_bumps(grid, amp2=1.0):
 def test_local_mass_matches_direct_disc_sum(grid32):
     rng = np.random.default_rng(0)
     u = Field(grid32, confined_field(grid32, rng))
-    fast = local_mass(u, p=2.0).values
+    fast = local_mass(u).values
     dens = np.abs(u.values) ** 2
     h = grid32.h
     slow = np.zeros_like(dens)
@@ -58,19 +58,14 @@ def test_local_mass_matches_padded_fft_disc_convolution():
     padded = np.zeros((256, 256))
     padded[:128, :128] = u.values ** 2
     ref = g.h * g.h * np.fft.irfft2(np.fft.rfft2(padded) * np.fft.rfft2(disc), s=(256, 256))[:128, :128]
-    fast = local_mass(u, p=2.0).values
+    fast = local_mass(u).values
     assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_local_mass_needs_resolved_disc():
     g = Grid(L=6.0, n=16)  # h = 0.75 > 0.5
     with pytest.raises(GridResolutionError):
-        local_mass(gaussian_field(g), p=2.0)
-
-
-def test_local_mass_p_validation(grid32):
-    with pytest.raises(ValueError):
-        local_mass(gaussian_field(grid32), p=0.5)
+        local_mass(gaussian_field(g))
 
 
 # ------------------------------------------------------------- barycenter

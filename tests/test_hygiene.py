@@ -98,8 +98,7 @@ out = sys.argv[1]
 config = os.path.join(out, "rot.cfg")
 with open(config, "w") as fh:
     fh.write("box = 3\\nsymmetry = rot-zeta:2\\nmax_iters = 5\\n")
-# the capped rot-zeta solve (exit 3) rescales its start bumps with T_t and
-# tests their cores with the shift dilation
+# the capped rot-zeta solve (exit 3) rescales its start bumps with T_t
 runs = (["solve", "--config", config], ["ground-state"], ["multistart", "--k", "1"])
 codes = [cli.main(args + ["--out", os.path.join(out, str(i))]) for i, args in enumerate(runs)]
 assert codes == [3, 0, 0], codes

@@ -233,15 +233,6 @@ def test_zero_rhs_shortcut(grid32):
     assert np.all(x == 0.0) and rel == 0.0
 
 
-def test_warm_start_converges_faster(grid32):
-    rng = np.random.default_rng(7)
-    ctx = metric_context_at(grid32, (0.2, 0.1))
-    rhs = confined_field(grid32, rng)
-    x, rel = solve_metric_system(ctx, rhs, tol=1e-12)
-    x2, rel2 = solve_metric_system(ctx, rhs, tol=1e-12, x0=x)
-    assert rel2 <= 1e-12
-
-
 @pytest.mark.parametrize("make_action", [
     lambda g: rotation_zeta(2),
     lambda g: glide_reflection(g, 1.0, zeta_nontrivial=True),

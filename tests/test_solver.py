@@ -7,6 +7,8 @@ the descent slope against a difference quotient of the reduced energy) are
 asserted along real runs.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
@@ -59,7 +61,6 @@ from logchoquard.solver import (
     STEP_INIT,
     TRACE_COLUMNS,
     _bump_sites,
-    _dilate,
 )
 
 
@@ -108,14 +109,6 @@ def core_masks(bumps):
     return [np.abs(b.values) > 0.5 * np.max(np.abs(b.values)) for b in bumps]
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3])
-def test_shift_dilation_matches_scipy(steps):
-    rng = np.random.default_rng(steps)
-    for _ in range(50):
-        mask = rng.random(tuple(rng.integers(3, 40, 2))) < rng.uniform(0.01, 0.3)
-        assert np.array_equal(_dilate(mask, steps), binary_dilation(mask, iterations=steps))
-
-
 def test_bump_family_trivial(grid64, table64, pot64):
     fam = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig())
     assert len(fam.bumps) == 3
@@ -144,15 +137,33 @@ def test_bump_family_deterministic(grid64, table64, pot64):
 
 
 def test_bump_family_rotation_invariant():
+    # each sector bump settles into O along T_t on its own
     g = Grid(L=6.0, n=128)
     pot = const_potential(g)
     tb = make_kernel_table(g)
-    fam = make_bump_family(1, rotation_zeta(2), pot, tb, SolveConfig())
-    from logchoquard import is_invariant
+    cases = [(1, True), (2, False), (2, True)]  # rot-zeta:1, rot:2, rot-zeta:2
+    for (m, zeta), k in itertools.product(cases, [1, 2]):
+        action = rotation_zeta(m, zeta_nontrivial=zeta)
+        fam = make_bump_family(k, action, pot, tb, SolveConfig())
+        assert len(fam.starts) == k + 1
+        for start in fam.starts:
+            bk = energy(start, pot, tb)
+            assert bk.q_a > 0 > bk.v0
+            assert is_invariant(start, action).defect <= 1e-12
+            if zeta:
+                assert np.min(start.values) < 0 < np.max(start.values)  # zeta forces sign changes
 
-    for b in fam.bumps:
-        assert is_invariant(b, rotation_zeta(2)).defect <= 1e-12
-        assert np.min(b.values) < 0 < np.max(b.values)  # zeta forces sign changes
+
+def test_bump_family_deep_lattice_well_lies_in_O():
+    # in a deep well each bump needs several T_t steps to reach O, taken on its own
+    g = Grid(L=8.0, n=128)
+    pot = const_potential(g, -200.0)
+    tb = make_kernel_table(g)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    fam = make_bump_family(1, action, pot, tb, SolveConfig())
+    for start in fam.starts:
+        bk = energy(start, pot, tb)
+        assert bk.q_a > 0 > bk.v0
 
 
 def test_bump_family_glide():
@@ -175,7 +186,7 @@ def test_bump_family_glide_needs_resolved_bumps(grid32, table32, pot32):
 
 
 def test_bump_family_vertex_starts_on_site():
-    # the joint rescale dilates about the origin; the starts must still sit
+    # the rescale dilates about the origin; the starts must still sit
     # on the inequivalent lattice sites their bumps were placed on
     g = Grid(L=4.0, n=64)
     pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
@@ -201,9 +212,7 @@ def test_bump_family_guards(grid64, table64, pot64):
         make_bump_family(
             1, rotation_zeta(2), const_potential(small, 1.0), make_kernel_table(small), SolveConfig()
         )
-    # a deep well: reaching O merges the cores, or no scale reaches it
-    with pytest.raises(StartFamilyError, match="merged"):
-        make_bump_family(1, trivial_action(), const_potential(grid64, -500.0), table64, SolveConfig())
+    # a deep well: no scale reaches O
     with pytest.raises(StartFamilyError, match="cannot satisfy"):
         make_bump_family(0, trivial_action(), const_potential(grid64, -5000.0), table64, SolveConfig())
 
@@ -669,6 +678,16 @@ def test_multistart_k0_collapses_to_ground_orbit():
     assert results[0].converged
     assert results[0].start_index is not None
     assert results[0].breakdown.phi == pytest.approx(7.26809407, rel=1e-6)
+
+
+def test_multistart_rotation_bumps_reach_one_orbit():
+    # three sector bumps, each rescaled into O on its own, descend to one orbit
+    g = Grid(L=6.0, n=128)
+    pot = const_potential(g)
+    results = multistart_search(2, rotation_zeta(2), pot, make_kernel_table(g), SolveConfig())
+    assert len(results) == 1
+    assert results[0].converged
+    assert results[0].breakdown.phi == pytest.approx(308.052905849, rel=1e-9)
 
 
 def test_multistart_results_sorted_by_energy():

@@ -59,7 +59,7 @@ from .functionals import (
     q_a_bilinear,
     scale_Tt,
 )
-from .logkernel import KernelTable, padded_convolve
+from .logkernel import KernelTable, log_potential, padded_convolve
 from .metric import (
     MetricContext,
     lower_u,
@@ -81,7 +81,6 @@ from .symmetry import (
 )
 
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
-REPROJECT_EVERY = 25  # invariant reprojection cadence (fp drift control)
 NEWTON_CG_TOL = 0.1  # cap on the forcing term (relative residual) of the Newton PCG
 LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _gradient bounds its error
 # Armijo backtracking: the first and largest step, its halving factor and the
@@ -139,40 +138,36 @@ GRADIENT, NEWTON = 0, 2
 
 
 class _Iterate:
-    """A descent iterate u with q_a(u), V0(u), w0 = log * u^2 and Phi(u)."""
+    """The descent iterate of (u, w0), w0 = log * u^2, rescaled onto {J = 0}.
 
-    def __init__(self, u: np.ndarray, pot: Potential, table: KernelTable):
-        self.grid = pot.a.grid
-        self.u = u
-        self.refresh(pot, table)
+    q_a (by the stencil), V0 = h^2 sum u^2 w0 and the residual field
+    r = -Delta u + (a + w0) u all come from u and w0, so an iterate is a
+    function of its state alone. The rescale along the ray is exact
+    (q_a ~ t^2, V0 ~ t^4, w0 ~ t^2), and Phi = q_a/2 + V0/4. Only the start
+    passes no w0 and pays its convolution; _line_search updates w0 exactly.
+    """
 
-    def refresh(self, pot: Potential, table: KernelTable) -> None:
-        """Recompute q_a, V0 and w0 from u, which caps their drift; then onto_nehari."""
-        qa, v0, w0 = nehari_terms(Field(self.grid, self.u), pot, table)
-        self.qa, self.v0, self.w0 = qa, v0, w0.values
-        self.onto_nehari()
-
-    def onto_nehari(self, phi: Optional[float] = None) -> None:
-        """Rescale along the ray onto {J = 0}, exactly: q_a ~ t^2, V0 ~ t^4, w0 ~ t^2.
-
-        Phi is recomputed from q_a and V0 unless given; the line search
-        computes it without the cancellation of that sum.
-        """
-        t = nehari_scale(self.qa, self.v0)
-        self.u = t * self.u
-        self.qa, self.v0, self.w0 = t * t * self.qa, t ** 4 * self.v0, t * t * self.w0
-        self.phi = 0.5 * self.qa + 0.25 * self.v0 if phi is None else phi
-        h = self.grid.h
-        if in_nzero(self.v0, h * h * float(np.sum(self.u * self.u))):
+    def __init__(self, u: np.ndarray, w0: Optional[np.ndarray], pot: Potential, table: KernelTable):
+        grid = self.grid = pot.a.grid
+        h2 = grid.h * grid.h
+        if w0 is None:
+            w0 = log_potential(Field(grid, u * u), table).values
+        qa = q_a_bilinear(Field(grid, u), Field(grid, u), pot)
+        v0 = h2 * float(np.vdot(u * u, w0))
+        t = nehari_scale(qa, v0)
+        self.u, self.w0 = t * u, t * t * w0
+        self.qa, self.v0 = t * t * qa, t ** 4 * v0
+        self.phi = 0.5 * self.qa + 0.25 * self.v0
+        self.r = neg_laplacian(self.u, grid.h)
+        self.r += (pot.a.values + self.w0) * self.u
+        if in_nzero(self.v0, h2 * float(np.vdot(self.u, self.u))):
             raise DegenerateNehariError(
                 "degenerate Nehari direction: |V0| = %.3g below threshold" % abs(self.v0)
             )
 
 
-def _newton_direction(
-    st: _Iterate, ctx: MetricContext, r: np.ndarray, g: Field, eta: float, action, pot, table
-):
-    """Truncated PCG on H d = r; returns d, its slope Psi'(u) d, its kind and the H products.
+def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, action, pot, table):
+    """Truncated PCG on H d = st.r; returns d, its slope Psi'(u) d, its kind and the H products.
 
     H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
     costs no convolution: H is symmetric, H u = 0, and at a critical point
@@ -191,6 +186,7 @@ def _newton_direction(
     grid = st.grid
     h2 = grid.h * grid.h
     u, w0 = Field(grid, st.u), Field(grid, st.w0)
+    r = st.r
     precondition = preconditioner(ctx, pot.a.values + st.w0)
     b = r + 2.0 * st.w0 * st.u
     ub = float(np.vdot(st.u, b))
@@ -214,13 +210,15 @@ def _newton_direction(
 
 
 def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
-    """Armijo backtracking on Psi along u - alpha*d from alpha = STEP_INIT; moves st to
-    sigma of the accepted point.
+    """Armijo backtracking on Psi along u - alpha*d from alpha = STEP_INIT.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
     decrease from these exact coefficients avoids the large-scale
-    cancellation that floors a direct re-evaluation of Phi. Returns alpha
-    and the number of halvings before it was accepted.
+    cancellation that floors a direct re-evaluation of Phi. The two
+    convolutions behind them also update w0 exactly:
+    log * (u - alpha d)^2 = w0 - 2 alpha log * (u d) + alpha^2 log * d^2.
+    Returns the _Iterate of the accepted point, alpha and the number of
+    halvings before it was accepted; st is not changed.
     """
     grid = st.grid
     h2 = grid.h * grid.h
@@ -235,6 +233,7 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
     bcc = h2 * float(np.sum(cross * kcross))
     bcw = h2 * float(np.sum(wsq * kcross))
     bww = h2 * float(np.sum(wsq * kwsq))
+    del cross, wsq  # only kcross and kwsq build the next iterate
     qa, v0 = st.qa, st.v0
     alpha = STEP_INIT
     for backtracks in range(60):
@@ -251,11 +250,8 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
             # squaring the large baselines
             dphi = (-2.0 * qa * v0 * dq - v0 * dq * dq + qa * qa * dv) / (4.0 * v0_t * v0)
             if dphi <= -ARMIJO_C * alpha * slope:
-                st.u = st.u - alpha * d.values
-                st.w0 = st.w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq
-                st.qa, st.v0 = qa_t, v0_t
-                st.onto_nehari(st.phi + dphi)
-                return alpha, backtracks
+                w0 = st.w0 - 2.0 * alpha * kcross + alpha * alpha * kwsq
+                return _Iterate(st.u - alpha * d.values, w0, pot, table), alpha, backtracks
         alpha *= BACKTRACK_FACTOR
     raise LineSearchError("Armijo backtracking exhausted after 60 halvings")
 
@@ -275,7 +271,7 @@ def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> Solv
     )
 
 
-def _gradient(st: _Iterate, ctx: MetricContext, r, action, steps):
+def _gradient(st: _Iterate, ctx: MetricContext, action, steps):
     """The metric gradient at st.u, solved to relative residual LOOSE_RIESZ_TOL.
 
     Returns g (projected under a projecting action) and the certified
@@ -289,7 +285,7 @@ def _gradient(st: _Iterate, ctx: MetricContext, r, action, steps):
     A_u-orthogonal, and P g* = g* (r is invariant), so
     ||g* - P x||_u <= ||g* - x||_u and ||g*||_u <= ||g||_u + h rel |r|_2.
     """
-    grid = st.grid
+    grid, r = st.grid, st.r
     g_vals, rel = solve_metric_system(ctx, r, LOOSE_RIESZ_TOL, strict=True, callback=steps.append)
     g = Field(grid, g_vals)
     if action.has_projection:
@@ -308,13 +304,12 @@ def descend(
 ) -> SolveResult:
     """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
-    Each row depends on its own iterate u only: the gradient g and its
+    Each row depends on its own iterate (u, w0) only (_Iterate: q_a, V0,
+    Phi and the residual field r on {J = 0}): the gradient g and its
     Cerami value (_gradient), the convergence test, a direction d with the
-    exact slope Psi'(u) d = h^2 r.d (r the residual field of u), an
-    exact-ray Armijo line search with Nehari re-projection (_line_search),
-    and every REPROJECT_EVERY steps a refresh of the tracked scalars (and
-    invariance). An error raised after the start carries .result with the
-    last iterate.
+    exact slope Psi'(u) d = h^2 r.d, and an exact-ray Armijo line search
+    (_line_search) that returns the next iterate. An error raised after
+    the start carries .result with the last iterate.
 
     Every row solves one metric system to relative residual
     LOOSE_RIESZ_TOL, whose certified Cerami value C (_gradient) bounds the
@@ -341,41 +336,34 @@ def descend(
     critical for the full problem, on the grid as on the continuum.
     """
     grid = pot.a.grid
-    project = action.has_projection
     u = u0.values
-    if project:
+    if action.has_projection:
         u = project_invariant(u0, action).values
         if np.sqrt(np.sum(u * u)) * grid.h <= 1e-14:
             raise DegenerateNehariError("invariant projection annihilated the start")
-    st = _Iterate(u, pot, table)
+    st = _Iterate(u, None, pot, table)
 
     trace: List[tuple] = []
     cerami, accepted = np.inf, 0
     try:
         for it in range(cfg.max_iters):
             ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
-            r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
             steps = []
-            g, cerami = _gradient(st, ctx, r, action, steps)
-            res_l2 = float(np.sqrt(np.sum(r * r)) * grid.h)
+            g, cerami = _gradient(st, ctx, action, steps)
+            res_l2 = float(np.sqrt(np.sum(st.r * st.r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
                 return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
-            d, slope, kind, hess = _newton_direction(st, ctx, r, g, eta, action, pot, table)
+            d, slope, kind, hess = _newton_direction(st, ctx, g, eta, action, pot, table)
             trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
-            alpha, backtracks = _line_search(st, d, slope, pot, table)
+            st, alpha, backtracks = _line_search(st, d, slope, pot, table)
             trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
             accepted += 1
-
-            if (it + 1) % REPROJECT_EVERY == 0:
-                if project:
-                    st.u = project_invariant(Field(grid, st.u), action).values
-                st.refresh(pot, table)
     except DESCENT_ERRORS as err:
         err.result = _finish(st.u, pot, table, action, cerami, accepted, False, trace)
         raise

@@ -272,6 +272,20 @@ def test_solve_error_before_the_first_row_lists_no_outputs(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_solve_start_outside_O_exits_2_and_lists_no_outputs(tmp_path, capsys):
+    # a faint wide Gaussian has q_a * V0 >= 0: the descent refuses it before
+    # its first row, so it is a configuration error with nothing to write
+    start = tmp_path / "g.chq"
+    save_field(str(start), gaussian_field(Grid(L=6.0, n=64), width=3.5, amplitude=0.1))
+    cfg = write_config(tmp_path, "n = 64\n")
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", cfg, "--start", str(start), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "E-OUTSIDE-O" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 # ------------------------------------------------------------------ battery
 
 

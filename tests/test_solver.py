@@ -224,8 +224,9 @@ def test_descend_rejects_start_outside_O(grid64, table64, pot64):
     tiny = gaussian_field(grid64, width=3.5, amplitude=0.1)
     bk = energy(tiny, pot64, table64)
     assert bk.q_a * bk.v0 >= 0
-    with pytest.raises(OutsideScalingRegionError):
+    with pytest.raises(OutsideScalingRegionError) as info:
         descend(tiny, trivial_action(), pot64, table64, SolveConfig())
+    assert not hasattr(info.value, "result")  # raised before the first row
 
 
 def test_descend_budget_exhaustion_is_not_an_error(grid64, table64, pot64):
@@ -304,7 +305,7 @@ def test_descend_trace_monotone_and_consistent(ground64):
     trace = ground64.trace
     phis = [row[1] for row in trace]
     for a, b in zip(phis, phis[1:]):
-        assert b <= a + 1e-9 * (1 + abs(a))  # refresh jitter only
+        assert b <= a + 1e-9 * (1 + abs(a))  # each row recomputes Phi: rounding only
     for row in trace:
         it, phi, qa, v0, nj, cw, res = row[:7]
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
@@ -319,6 +320,27 @@ def test_descend_trace_monotone_and_consistent(ground64):
         assert hess > 0
     assert NEWTON in [row[9] for row in trace]
     assert trace[-1][7:10] == (0.0, 0, GRADIENT) and trace[-1][11] == 0
+
+
+def test_descend_stays_on_the_manifold_below_its_resolution():
+    # with an unreachable tolerance the Newton rows go on past what the grid
+    # resolves, with huge directions and tiny steps along near-null
+    # translation modes; every row's Phi comes from its own (u, w0), so it
+    # neither falls below the critical level nor jumps back up
+    g = Grid(L=6.0, n=128)
+    pot, table = const_potential(g), make_kernel_table(g)
+    cfg = SolveConfig(cerami_tol=1e-300, max_iters=24)
+    u0 = make_bump_family(0, trivial_action(), pot, table, cfg).starts[0]
+    try:
+        res = descend(u0, trivial_action(), pot, table, cfg)
+    except DESCENT_ERRORS as err:
+        res = err.result
+    phis = [row[1] for row in res.trace]
+    for a, b in zip(phis, phis[1:]):
+        assert b <= a + 1e-12 * abs(a)
+    assert phis[-1] == pytest.approx(7.468775762, rel=1e-9)
+    assert res.breakdown.phi == pytest.approx(7.468775762, rel=1e-9)
+    assert res.nehari.label == "Nminus"
 
 
 def test_descend_restart_from_solution_returns_immediately(ground64, table64, pot64):
@@ -394,11 +416,10 @@ def test_gradient_bounds_the_tight_cerami_value(which):
 
     u0, action, pot, table = descent_case(which)
     grid = pot.a.grid
-    st = solver_mod._Iterate(project_invariant(u0, action).values, pot, table)
+    st = solver_mod._Iterate(project_invariant(u0, action).values, None, pot, table)
     u = Field(grid, st.u)
     ctx = metric_context_at(grid, beta(u))
-    r = neg_laplacian(st.u, grid.h) + (pot.a.values + st.w0) * st.u
-    _, bound = solver_mod._gradient(st, ctx, r, action, [])
+    _, bound = solver_mod._gradient(st, ctx, action, [])
     _, gn = riesz_gradient(u, pot, table, tol=1e-10)
     assert cerami_weight(u, gn) <= bound
 
@@ -495,13 +516,12 @@ def test_newton_direction_is_invariant(which):
 
     u0, action, pot, table = descent_case(which)
     g = pot.a.grid
-    st = solver_mod._Iterate(u0.values, pot, table)
+    st = solver_mod._Iterate(u0.values, None, pot, table)
     ctx = metric_context_at(g, beta(Field(g, st.u)))
-    r = neg_laplacian(st.u, g.h) + (pot.a.values + st.w0) * st.u
-    vals, _ = solve_metric_system(ctx, r, 1e-10, strict=True)
+    vals, _ = solve_metric_system(ctx, st.r, 1e-10, strict=True)
     grad = project_invariant(Field(g, vals), action)
     d, slope, kind, products = solver_mod._newton_direction(
-        st, ctx, r, grad, NEWTON_CG_TOL, action, pot, table
+        st, ctx, grad, NEWTON_CG_TOL, action, pot, table
     )
     assert kind == NEWTON and slope > 0.0 and products > 0
     assert is_invariant(d, action).defect <= 1e-14

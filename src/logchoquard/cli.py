@@ -25,18 +25,10 @@ from .barycenter import MAX_H as BARYCENTER_MAX_H, beta as barycenter_beta
 from .blas import blas_threads, pin_blas_threads
 from .checks import battery
 from .errors import (
-    DESCENT_ERRORS,
-    AdmissibilityError,
     ChoquardError,
     ConfigError,
-    DegenerateNehariError,
     FieldDataError,
     GridResolutionError,
-    GroundStateError,
-    LineSearchError,
-    OutsideScalingRegionError,
-    RieszSolveError,
-    StartFamilyError,
 )
 from .field import (
     Field,
@@ -233,22 +225,6 @@ def write_trace(path: str, res: SolveResult) -> None:
             fh.write("%d," % row[0] + ",".join("%.17g" % v for v in row[1:-1]) + ",%d\n" % row[-1])
 
 
-def _result_summary_row(idx: int, res: SolveResult) -> str:
-    bk = res.breakdown
-    return "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%d" % (
-        idx,
-        1 if res.converged else 0,
-        bk.phi,
-        bk.q_a,
-        bk.v0,
-        bk.nehari_j,
-        res.cerami,
-        res.nehari.label,
-        res.certificate.defect,
-        res.iters,
-    )
-
-
 def _load_table(grid: Grid, cfg: SolveConfig) -> KernelTable:
     table = make_kernel_table(grid, cfg.tau_split)
     if os.environ.get("LOGCHOQUARD_CORRUPT_KERNEL"):
@@ -323,103 +299,107 @@ def cmd_check(args) -> int:
 # run commands
 
 
-def _print_result(res: SolveResult, prefix: str = "") -> None:
+# the nine fields of a result, read by the solve line and results.csv alike
+_RESULT_COLUMNS = "index,converged,phi,q_a,v0,nehari_j,cerami,class,defect,iters"
+_RESULT_ROW = (
+    "%(converged)d,%(phi).17g,%(q_a).17g,%(v0).17g,%(nehari_j).17g,%(cerami).17g,"
+    "%(class)s,%(defect).17g,%(iters)d"
+)
+_RESULT_LINE = (
+    "phi=%(phi).9g q_a=%(q_a).9g V0=%(v0).9g J=%(nehari_j).3g cerami=%(cerami).3g "
+    "iters=%(iters)d class=%(class)s defect=%(defect).3g converged=%(converged)s"
+)
+
+
+def _result_fields(res: SolveResult) -> dict:
     bk = res.breakdown
-    print(
-        "%sphi=%.9g q_a=%.9g V0=%.9g J=%.3g cerami=%.3g iters=%d "
-        "class=%s defect=%.3g converged=%s"
-        % (
-            prefix,
-            bk.phi,
-            bk.q_a,
-            bk.v0,
-            bk.nehari_j,
-            res.cerami,
-            res.iters,
-            res.nehari.label,
-            res.certificate.defect,
-            res.converged,
-        )
-    )
+    return {
+        "converged": res.converged,
+        "phi": bk.phi,
+        "q_a": bk.q_a,
+        "v0": bk.v0,
+        "nehari_j": bk.nehari_j,
+        "cerami": res.cerami,
+        "class": res.nehari.label,
+        "defect": res.certificate.defect,
+        "iters": res.iters,
+    }
+
+
+def _run(args, command: str, prepare) -> int:
+    """The one path of the solving commands.
+
+    prepare(grid, pot, action, table, cfg, k) makes the config checks of
+    its command and returns the search, which runs after the manifest and
+    returns a list of SolveResult. An error that carries .result is a
+    descent that started: its result is written as the unconverged outcome.
+    Any other error leaves a manifest that lists no outputs. `multistart`
+    knows its result count only after the search, so its manifest first
+    lists results.csv and is rewritten with every output after it. Exit 0
+    if any result converged, else 3.
+    """
+    grid, pot, action, cfg, extra = _load_config(args)
+    _require_resolved(grid, command)
+    table = _load_table(grid, cfg)
+    search = prepare(grid, pot, action, table, cfg, extra["k"])
+    pairs, indexed = extra["pairs"], command == "multistart"
+    listed = ["results.csv"] if indexed else ["solution.chq", "trace.csv"]
+    write_manifest(args.out, command, pairs, listed)
+    try:
+        results = search()
+    except ChoquardError as exc:
+        if getattr(exc, "result", None) is None:
+            write_manifest(args.out, command, pairs, [])  # nothing was written
+            raise
+        print("%s: %s" % (exc.code, exc), file=sys.stderr)
+        results = [exc.result]
+    files = [("solution.chq", "trace.csv", "")]
+    if indexed:
+        files = [
+            ("solution_%02d.chq" % i, "trace_%02d.csv" % i, "[%02d] " % i)
+            for i in range(len(results))
+        ]
+        write_manifest(args.out, command, pairs, listed + [name for f in files for name in f[:2]])
+        with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_RESULT_COLUMNS + "\n")
+            for i, res in enumerate(results):
+                fh.write("%d," % i + _RESULT_ROW % _result_fields(res) + "\n")
+    for (solution, trace, prefix), res in zip(files, results):
+        save_field(os.path.join(args.out, solution), res.u)
+        write_trace(os.path.join(args.out, trace), res)
+        print(prefix + _RESULT_LINE % _result_fields(res))
+    return EXIT_OK if any(r.converged for r in results) else EXIT_NO_CONVERGENCE
 
 
 def cmd_solve(args) -> int:
-    grid, pot, action, cfg, extra = _load_config(args)
-    _require_resolved(grid, "solve")
-    table = _load_table(grid, cfg)
-    if args.start:
-        u0 = _read_field(args.start, grid)
-    else:
-        u0 = make_bump_family(0, action, pot, table, cfg).starts[0]
-    outputs = ["solution.chq", "trace.csv"]
-    write_manifest(args.out, "solve", extra["pairs"], outputs)
-    try:
-        res = descend(u0, action, pot, table, cfg)
-    except DESCENT_ERRORS as exc:
-        res = getattr(exc, "result", None)
-        if res is None:
-            write_manifest(args.out, "solve", extra["pairs"], [])  # no iterate to write
-            raise
-        print("%s: %s" % (exc.code, exc), file=sys.stderr)
-    save_field(os.path.join(args.out, "solution.chq"), res.u)
-    write_trace(os.path.join(args.out, "trace.csv"), res)
-    _print_result(res)
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    def prepare(grid, pot, action, table, cfg, k):
+        u0 = _read_field(args.start, grid) if args.start else None
+
+        def search():
+            start = make_bump_family(0, action, pot, table, cfg).starts[0] if u0 is None else u0
+            return [descend(start, action, pot, table, cfg)]
+
+        return search
+
+    return _run(args, "solve", prepare)
 
 
 def cmd_ground_state(args) -> int:
-    grid, pot, action, cfg, extra = _load_config(args)
-    _require_resolved(grid, "ground-state")
-    if pot.ess_inf <= 0:
-        raise ConfigError(
-            "indefinite potential: global minimality not certified; use multistart_search"
-        )
-    table = _load_table(grid, cfg)
-    outputs = ["solution.chq", "trace.csv"]
-    write_manifest(args.out, "ground-state", extra["pairs"], outputs)
-    try:
-        res = ground_state(action, pot, table, cfg)
-    except ChoquardError:
-        write_manifest(args.out, "ground-state", extra["pairs"], [])  # nothing was written
-        raise
-    save_field(os.path.join(args.out, "solution.chq"), res.u)
-    write_trace(os.path.join(args.out, "trace.csv"), res)
-    _print_result(res)
-    return EXIT_OK
+    def prepare(grid, pot, action, table, cfg, k):
+        if pot.ess_inf <= 0:
+            raise ConfigError(
+                "indefinite potential: global minimality not certified; use multistart_search"
+            )
+        return lambda: [ground_state(action, pot, table, cfg)]
+
+    return _run(args, "ground-state", prepare)
 
 
 def cmd_multistart(args) -> int:
-    grid, pot, action, cfg, extra = _load_config(args)
-    _require_resolved(grid, "multistart")
-    k = extra["k"]
-    table = _load_table(grid, cfg)
-    # the orbit count is known only after the search: the manifest goes
-    # first with results.csv and is rewritten with every output after it
-    write_manifest(args.out, "multistart", extra["pairs"], ["results.csv"])
-    try:
-        results = multistart_search(k, action, pot, table, cfg)
-    except ChoquardError:
-        write_manifest(args.out, "multistart", extra["pairs"], [])  # nothing was written
-        raise
-    outputs = ["results.csv"] + [
-        name
-        for i in range(len(results))
-        for name in ("solution_%02d.chq" % i, "trace_%02d.csv" % i)
-    ]
-    write_manifest(args.out, "multistart", extra["pairs"], outputs)
-    with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "index,converged,phi,q_a,v0,nehari_j,cerami,class,defect,iters\n"
-        )
-        for i, res in enumerate(results):
-            fh.write(_result_summary_row(i, res) + "\n")
-    for i, res in enumerate(results):
-        save_field(os.path.join(args.out, "solution_%02d.chq" % i), res.u)
-        write_trace(os.path.join(args.out, "trace_%02d.csv" % i), res)
-        _print_result(res, prefix="[%02d] " % i)
-    if not any(r.converged for r in results):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    def prepare(grid, pot, action, table, cfg, k):
+        return lambda: multistart_search(k, action, pot, table, cfg)
+
+    return _run(args, "multistart", prepare)
 
 
 def cmd_convolve(args) -> int:
@@ -512,34 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    AdmissibilityError,
-    StartFamilyError,
-    OutsideScalingRegionError,
-)
-_CONVERGENCE_ERRORS = (
-    LineSearchError,
-    RieszSolveError,
-    DegenerateNehariError,
-    GroundStateError,
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     pin_blas_threads()  # OpenBLAS sums round by its thread split
     try:
         return args.fn(args)
-    except _CONFIG_ERRORS as exc:
-        print("%s: %s" % (exc.code, exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except _CONVERGENCE_ERRORS as exc:
-        print("%s: %s" % (exc.code, exc), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except ChoquardError as exc:
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
-        return EXIT_INVARIANT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

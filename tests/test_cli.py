@@ -233,8 +233,8 @@ def test_solve_budget_exhaustion_exits_3(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
-def test_solve_descent_error_writes_outputs_and_exits_3(monkeypatch, tmp_path, capsys):
-    # a metric solve that stalls in the third row ends the descent
+def stall_metric_solves(monkeypatch):
+    """Every metric solve from the third on raises RieszSolveError."""
     import logchoquard.solver as solver_mod
 
     real_solve, calls = solver_mod.solve_metric_system, []
@@ -246,6 +246,11 @@ def test_solve_descent_error_writes_outputs_and_exits_3(monkeypatch, tmp_path, c
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "solve_metric_system", stalling)
+
+
+def test_solve_descent_error_writes_outputs_and_exits_3(monkeypatch, tmp_path, capsys):
+    # a metric solve that stalls in the third row ends the descent
+    stall_metric_solves(monkeypatch)
     cfg = write_config(tmp_path, "box = 6\nn = 32\n")
     out = tmp_path / "o"
     rc = main(["solve", "--config", cfg, "--out", str(out)])
@@ -284,6 +289,72 @@ def test_solve_start_outside_O_exits_2_and_lists_no_outputs(tmp_path, capsys):
     assert "E-OUTSIDE-O" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["outputs"] == []
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_multistart_descent_error_writes_every_listed_output_and_exits_3(monkeypatch, tmp_path, capsys):
+    # multistart_search keeps the stalled descent's last iterate as an
+    # unconverged result; the runner writes it like any other result
+    stall_metric_solves(monkeypatch)
+    cfg = write_config(tmp_path, "box = 6\nn = 32\nk = 0\n")
+    out = tmp_path / "o"
+    rc = main(["multistart", "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_NO_CONVERGENCE
+    assert "converged=False" in capsys.readouterr().out
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert listed == ["results.csv", "solution_00.chq", "trace_00.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + listed)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", "n = 16\nbox = 4\nk = 0\n"),
+    ("multistart", "n = 16\nbox = 4\nk = 0\n"),
+    ("ground-state", "n = 32\nbox = 4\n"),
+], ids=["solve", "multistart", "ground-state"])
+def test_a_start_family_that_does_not_fit_exits_2_and_lists_no_outputs(tmp_path, capsys, command, text):
+    # every solving command builds its start family after the manifest, so
+    # a family that does not fit the box leaves a manifest with no outputs
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    assert "E-START-FAMILY" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+# each error class of logchoquard.errors and the exit status main returns for it
+ERROR_EXIT_CODES = {
+    "ChoquardError": EXIT_INVARIANT,
+    "GridMismatchError": EXIT_INVARIANT,
+    "GridResolutionError": EXIT_INVARIANT,
+    "FieldDataError": EXIT_INVARIANT,
+    "ConfigError": EXIT_CONFIG,
+    "OutsideScalingRegionError": EXIT_CONFIG,
+    "ScalingClipError": EXIT_INVARIANT,
+    "BarycenterUndefinedError": EXIT_INVARIANT,
+    "DegenerateNehariError": EXIT_NO_CONVERGENCE,
+    "RieszSolveError": EXIT_NO_CONVERGENCE,
+    "LineSearchError": EXIT_NO_CONVERGENCE,
+    "StartFamilyError": EXIT_CONFIG,
+    "AdmissibilityError": EXIT_CONFIG,
+    "GroundStateError": EXIT_NO_CONVERGENCE,
+}
+
+
+def test_main_exits_with_the_code_of_each_error_class(monkeypatch, capsys):
+    import logchoquard.cli as cli
+    import logchoquard.errors as errors
+
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.ChoquardError)
+    ]
+    assert sorted(cls.__name__ for cls in classes) == sorted(ERROR_EXIT_CODES)
+    for cls in classes:
+        def raising(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_info", raising)
+        assert main(["info"]) == ERROR_EXIT_CODES[cls.__name__], cls.__name__
+        assert capsys.readouterr().err == "%s: boom\n" % cls.code
 
 
 # ------------------------------------------------------------------ battery
@@ -364,20 +435,25 @@ def test_crash_hook_leaves_manifest_only(monkeypatch, tmp_path):
     assert not (out / "trace.csv").exists()
 
 
-def test_multistart_writes_its_manifest_before_the_search(monkeypatch, tmp_path):
+@pytest.mark.parametrize("command, search, listed", [
+    ("solve", "descend", ["solution.chq", "trace.csv"]),
+    ("ground-state", "ground_state", ["solution.chq", "trace.csv"]),
+    ("multistart", "multistart_search", ["results.csv"]),
+], ids=["solve", "ground-state", "multistart"])
+def test_solving_commands_write_their_manifest_before_the_search(monkeypatch, tmp_path, command, search, listed):
     import logchoquard.cli as cli
 
     def searched(*args, **kwargs):
-        raise AssertionError("multistart_search ran before the manifest was written")
+        raise AssertionError("%s ran before the manifest was written" % search)
 
     monkeypatch.setenv("LOGCHOQUARD_CRASH_AFTER_MANIFEST", "1")
-    monkeypatch.setattr(cli, "multistart_search", searched)
+    monkeypatch.setattr(cli, search, searched)
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
-        main(["multistart", "--out", str(out), "--n", "32", "--k", "0"])
+        main([command, "--out", str(out), "--n", "32"])
     assert exc.value.code == 70
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["results.csv"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == listed
 
 
 def test_solve_writes_outputs(tmp_path, capsys):

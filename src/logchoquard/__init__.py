@@ -21,7 +21,6 @@ from .errors import (
     LineSearchError,
     OutsideScalingRegionError,
     RieszSolveError,
-    ScalingClipError,
     StartFamilyError,
 )
 from .field import (
@@ -58,7 +57,6 @@ from .functionals import (
     q_a_bilinear,
     radial_well_potential,
     residual_field,
-    scale_Tt,
 )
 from .logkernel import (
     KernelTable,

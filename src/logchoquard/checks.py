@@ -19,7 +19,6 @@ from .functionals import (
     fiber,
     nehari_project,
     phi_prime,
-    scale_Tt,
 )
 from .logkernel import KernelTable, b_form, direct_oracle, make_kernel_table
 from .metric import inner_u, metric_context, metric_context_at, norm_u, riesz_gradient
@@ -31,6 +30,19 @@ def splitting_defect(table: KernelTable, f: Field, g: Field) -> float:
     b1 = b_form(f, g, "B1", table)
     b2 = b_form(f, g, "B2", table)
     return abs(b1 - b2 - b0) / (1.0 + abs(b0))
+
+
+def origin_cell_defect(table: KernelTable) -> float:
+    """|k0 at the origin cell - the mean of log|y| over that h x h cell|, the mean
+    from its polar form (8/h^2) int_0^{pi/4} R^2/2 (log R - 1/2) dtheta,
+    R = (h/2)/cos(theta), by the 12-node Gauss-Legendre rule: a quadrature of
+    its own, not the closed form the table is built from."""
+    h = table.grid.h
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    theta = 0.125 * np.pi * (nodes + 1.0)  # [-1, 1] onto [0, pi/4]
+    r = 0.5 * h / np.cos(theta)
+    mean = np.pi / (h * h) * float(np.sum(weights * 0.5 * r * r * (np.log(r) - 0.5)))
+    return abs(float(table.k0[0, 0]) - mean)
 
 
 def oracle_defect(table: KernelTable, f: Field, g: Field) -> float:
@@ -105,10 +117,13 @@ def riesz_defect(u: Field, pot: Potential, table: KernelTable, probes, tol: floa
     return max(abs(inner_u(ctx, g, v) - r) / (1 + abs(r)) for v, r in zip(probes, rhs))
 
 
-def scaling_defects(u: Field, t: float, pot: Potential, table: KernelTable):
+def scaling_defects(grid: Grid, width: float, t: float, pot: Potential, table: KernelTable):
     """Relative defects (gradient, V0) of |grad T_t u|^2 = e^(-2t) |grad u|^2 and
-    V0(T_t u) = V0(u) + t |u|_2^4."""
-    ut = scale_Tt(u, t)
+    V0(T_t u) = V0(u) + t |u|_2^4 for the centred Gaussian u of the given width,
+    whose image T_t u(x) = e^-t u(e^-t x) is the Gaussian of width e^t width and
+    height e^-t; the defects are those of the grid's quadratures."""
+    u = gaussian_field(grid, width=width)
+    ut = gaussian_field(grid, width=np.exp(t) * width, amplitude=np.exp(-t))
     pred = np.exp(-2 * t) * norms(u).grad_sq
     v0 = energy(u, pot, table).v0
     l2q = lp_norm(u, 2) ** 4
@@ -138,8 +153,10 @@ def battery(grid: Grid, table: KernelTable, rng: np.random.Generator):
     run() yields one (passed, detail) per name, passed None for a skipped check.
 
     Every random input is drawn here, so a check that raises leaves the others'
-    inputs as they were. B0-splitting at tau = table.tau and the pointwise check
-    read `table` itself, so a corrupted table fails them.
+    inputs as they were. B0-splitting at tau = table.tau, the pointwise check
+    and the origin-cell check read `table` itself, so a corrupted table fails
+    them; the origin cell of k0 is seen by the last alone, since k2's origin
+    cell is defined from it.
     """
     n = grid.n
 
@@ -174,6 +191,10 @@ def battery(grid: Grid, table: KernelTable, rng: np.random.Generator):
     def pointwise():
         pw = float(np.max(np.abs(table.k1 - table.k2 - table.k0)))
         yield pw <= 1e-12, "max |k1-k2-k0| = %.3g" % pw
+
+    def origin_cell():
+        err = origin_cell_defect(table)
+        yield err <= 1e-12, "|k0(0) - cell mean| = %.3g" % err
 
     def symmetry():
         b0 = b_form(f, g, "B0", table)
@@ -227,7 +248,7 @@ def battery(grid: Grid, table: KernelTable, rng: np.random.Generator):
 
     def scaling():
         # smoke level; 0.1 e^-0.4 of the predicted gradient is 0.1 of the unscaled one
-        rel_g, rel_v = scaling_defects(gaussian_field(grid, width=0.55), -0.2, pot, table)
+        rel_g, rel_v = scaling_defects(grid, 0.55, -0.2, pot, table)
         yield rel_g <= 0.1 * np.exp(-0.4), "rel err %.3g" % rel_g
         yield rel_v <= 0.1, "rel err %.3g" % rel_v
 
@@ -245,6 +266,7 @@ def battery(grid: Grid, table: KernelTable, rng: np.random.Generator):
     return [
         (("B0-splitting",), splitting),
         (("kernel-table-pointwise",), pointwise),
+        (("kernel-origin-cell",), origin_cell),
         (("B0-symmetry",), symmetry),
         (("B0-oracle",), oracle),
         (("V1-lower-bound",), v1_lower_bound),

@@ -228,9 +228,11 @@ def write_trace(path: str, res: SolveResult) -> None:
 def _load_table(grid: Grid, cfg: SolveConfig) -> KernelTable:
     table = make_kernel_table(grid, cfg.tau_split)
     if os.environ.get("LOGCHOQUARD_CORRUPT_KERNEL"):
-        k1 = table.k1.copy()
-        k1[0, 0] += 1e-6  # corrupt the smooth kernel's origin cell
-        vars(table).update(k1=k1, k1_hat=kernel_fft(k1))  # overwrite the cached kernel
+        # corrupt the origin cell of the smooth kernel and of log|x|
+        k1, k0 = table.k1.copy(), table.k0.copy()
+        k1[0, 0] += 1e-6
+        k0[0, 0] += 1e-6
+        vars(table).update(k1=k1, k1_hat=kernel_fft(k1), k0=k0, k0_hat=kernel_fft(k0))
     return table
 
 

@@ -55,12 +55,6 @@ class OutsideScalingRegionError(ChoquardError):
     exit_code = 2
 
 
-class ScalingClipError(ChoquardError):
-    """scale_Tt would move significant mass across the box boundary."""
-
-    code = "E-SCALING-CLIP"
-
-
 class BarycenterUndefinedError(ChoquardError):
     code = "E-BARYCENTER-ZERO"
 
@@ -87,7 +81,7 @@ class LineSearchError(ChoquardError):
 
 
 class StartFamilyError(ChoquardError):
-    """Bump family construction failed (box too small, scaling guard hit)."""
+    """Bump family construction failed (grid too coarse, box too small, no start in O)."""
 
     code = "E-START-FAMILY"
     exit_code = 2

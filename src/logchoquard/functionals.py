@@ -10,11 +10,10 @@ t_u = sqrt(-q_a/V0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutsideScalingRegionError, ScalingClipError
+from .errors import OutsideScalingRegionError
 from .field import (
     Field,
     Grid,
@@ -161,7 +160,7 @@ def nehari_scale(q_a: float, v0: float) -> float:
     """t_u = sqrt(-q_a/V0), the ray factor onto {J = 0}; requires q_a * V0 < 0."""
     if not (q_a * v0 < 0):
         raise OutsideScalingRegionError(
-            "outside O: q_a=%.6g, V0=%.6g have q_a*V0 >= 0; rescale via scale_Tt first"
+            "outside O: q_a=%.6g, V0=%.6g have q_a*V0 >= 0; dilate along T_t (t < 0) to enter O"
             % (q_a, v0)
         )
     return float(np.sqrt(-q_a / v0))
@@ -170,62 +169,6 @@ def nehari_scale(q_a: float, v0: float) -> float:
 def nehari_project(u: Field, cached: EnergyBreakdown) -> Field:
     """sigma(u) = t_u u with t_u = nehari_scale(q_a, V0)."""
     return Field(u.grid, nehari_scale(cached.q_a, cached.v0) * u.values)
-
-
-def _cubic_bspline(x: np.ndarray) -> np.ndarray:
-    """The centred cubic B-spline beta_3, supported on |x| < 2."""
-    ax = np.abs(x)
-    inner = 2.0 / 3.0 - ax * ax + 0.5 * ax ** 3
-    outer = np.maximum(2.0 - ax, 0.0) ** 3 / 6.0
-    return np.where(ax < 1.0, inner, outer)
-
-
-@lru_cache(maxsize=16)
-def _spline_resampler(grid: Grid, t: float) -> np.ndarray:
-    """M = W P^-1, so that M U M^T samples the cubic interpolating spline of U
-    at the tensor points (c_i, c_j), c = (e^-t x + L)/h - 1/2 in cell units
-    (sample i sits at x_i = -L + (i + 1/2) h).
-
-    P = beta_3(i - j) turns samples into spline coefficients (collocation);
-    W = beta_3(c_i - j) evaluates them, its rows zero where c_i lies
-    outside [0, n-1].
-    """
-    idx = np.arange(grid.n)
-    ci = (np.exp(-t) * grid.axis + grid.L) / grid.h - 0.5
-    w = _cubic_bspline(ci[:, None] - idx[None, :])
-    w[(ci < 0.0) | (ci > grid.n - 1)] = 0.0
-    p = _cubic_bspline(idx[:, None] - idx[None, :])
-    m = np.linalg.solve(p, w.T).T  # W P^-1, P symmetric
-    m.flags.writeable = False
-    return m
-
-
-def scale_Tt(u: Field, t: float) -> Field:
-    """T_t u(x) = e^-t u(e^-t x), resampled with a cubic spline.
-
-    The samples lie on a tensor grid, so the spline is separable:
-    e^-t M U M^T with M from _spline_resampler. The clip guard keeps u
-    near zero at the box edges, where the spline's boundary convention
-    would otherwise show.
-
-    Mass-preserving in L2 on the continuum; the discrete version carries a
-    declared resampling budget (1e-4 on the gradient transform law, 1e-3 on
-    the V0 law at |t| = 0.25 for well-resolved states).
-    """
-    if abs(t) > 2.0:
-        raise ScalingClipError("scale_Tt guard: |t| = %.3g > 2" % abs(t))
-    if t == 0.0:
-        return u
-    grid = u.grid
-    margin = grid.L * (1.0 - np.exp(-abs(t)))
-    band = (np.abs(grid.x1) > grid.L - margin) | (np.abs(grid.x2) > grid.L - margin)
-    if np.any(band) and np.max(np.abs(u.values[band])) > 1e-10:
-        raise ScalingClipError(
-            "scaling would clip support: |u| reaches %.3g inside the boundary band of width %.3g"
-            % (float(np.max(np.abs(u.values[band]))), margin)
-        )
-    m = _spline_resampler(grid, float(t))
-    return Field(grid, np.exp(-t) * (m @ u.values @ m.T))
 
 
 def cerami_weight(u: Field, grad_norm_u: float) -> float:

@@ -41,7 +41,6 @@ from .errors import (
     DegenerateNehariError,
     GroundStateError,
     LineSearchError,
-    ScalingClipError,
     StartFamilyError,
 )
 from .field import Field, bump_field, lp_norm, neg_laplacian
@@ -57,7 +56,6 @@ from .functionals import (
     nehari_scale,
     nehari_terms,
     q_a_bilinear,
-    scale_Tt,
 )
 from .logkernel import KernelTable, log_potential, padded_convolve
 from .metric import (
@@ -442,9 +440,13 @@ def make_bump_family(
     kind) and the box, builds it and, under a projecting action,
     symmetrizes it; the seeds are disjoint, mirroring the disjoint-support
     start construction of the multiplicity argument. Each bump is then
-    moved on its own along T_t (t < 0) until it satisfies q_a > 0 and
-    V0 < 0, and onward while its own projected energy Phi(sigma(b))
-    improves: each bump starts a descent of its own.
+    moved on its own along T_t u(x) = e^-t u(e^-t x), t < 0, until it
+    satisfies q_a > 0 and V0 < 0, and onward while its own projected
+    energy Phi(sigma(b)) improves: each bump starts a descent of its own.
+    T_t is evaluated exactly: T_t of the bump of radius rho about c is the
+    bump of radius e^t rho about e^t c, of height e^-t, and the action's
+    point maps are linear, so they commute with T_t. Every step is built
+    from the seed, so no error accumulates.
 
     Starts stay on their sites: without a projection (the trivial and
     lattice families, bumps on _bump_sites) a bump starts from its unscaled
@@ -454,9 +456,17 @@ def make_bump_family(
     if k < 0:
         raise ValueError("k must be >= 0")
     grid = pot.a.grid
-    # keep supports clear of the T_t clip band so the rescale below can
-    # always take at least one step
+    # keep each seed's support clear of the box edge, where the zero
+    # extension cuts an iterate that spreads: by one length unit, and on
+    # boxes with L > 4.5 by L (1 - e^-1/4), so that even the expansion
+    # T_1/4 of a seed stays inside the box
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
+
+    def dilated(center, radius, t):
+        """T_t of the seed bump (center, radius), projected under a projecting action."""
+        s = np.exp(t)
+        bump = bump_field(grid, (s * center[0], s * center[1]), s * radius, np.exp(-t))
+        return project_invariant(bump, action) if action.has_projection else bump
 
     seeds, what = _layout(k, action, grid)
     bumps = []
@@ -465,11 +475,9 @@ def make_bump_family(
             raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
         if np.max(np.abs(center)) + radius > fit_limit:
             raise StartFamilyError("%d %s do not fit the box" % (k + 1, what))
-        bump = bump_field(grid, center=center, radius=radius)
-        if action.has_projection:
-            bump = project_invariant(bump, action)
-            if lp_norm(bump, 2) <= 1e-14:
-                raise StartFamilyError("invariant projection annihilated one of the %s" % what)
+        bump = dilated(center, radius, 0.0)
+        if action.has_projection and lp_norm(bump, 2) <= 1e-14:
+            raise StartFamilyError("invariant projection annihilated one of the %s" % what)
         bumps.append(bump)
 
     def sigma_phi(b):
@@ -483,32 +491,23 @@ def make_bump_family(
     # it already lies in O.
     on_site = not action.has_projection
     scaled, starts = [], []
-    for seed in bumps:
+    for (center, radius), seed in zip(seeds, bumps):
         # T_t steps of -1/4 down to t = -2: into O, then onward while
         # Phi(sigma) still improves. Stopping at the first O-entry leaves V0
         # barely negative, and sigma-projection catapults such starts to
         # enormous energies whose transients dominate the descent.
         bump, phi = seed, sigma_phi(seed)
         in_o = np.isfinite(phi)
-        for _ in range(8):
-            try:
-                deeper = scale_Tt(bump, -0.25)
-            except ScalingClipError as exc:
-                raise StartFamilyError(
-                    "rescaling the start family hit the boundary band (%s); "
-                    "enlarge the box" % exc
-                ) from exc
-            if action.has_projection:
-                # spline resampling breaks exact invariance; restore it
-                deeper = project_invariant(deeper, action)
+        for j in range(1, 9):
+            deeper = dilated(center, radius, -0.25 * j)
             phi_deeper = sigma_phi(deeper)
             if np.isfinite(phi) and not phi_deeper < phi:
                 break
             bump, phi = deeper, phi_deeper
         if not np.isfinite(phi):
             raise StartFamilyError(
-                "cannot satisfy q_a > 0 and V0 < 0 within the scaling guard; "
-                "enlarge the box or reduce k"
+                "cannot satisfy q_a > 0 and V0 < 0 along T_t down to t = -2; "
+                "refine the grid so the shrinking bumps stay resolved"
             )
         scaled.append(bump)
         starts.append(seed if on_site and in_o else bump)

@@ -328,7 +328,6 @@ ERROR_EXIT_CODES = {
     "FieldDataError": EXIT_INVARIANT,
     "ConfigError": EXIT_CONFIG,
     "OutsideScalingRegionError": EXIT_CONFIG,
-    "ScalingClipError": EXIT_INVARIANT,
     "BarycenterUndefinedError": EXIT_INVARIANT,
     "DegenerateNehariError": EXIT_NO_CONVERGENCE,
     "RieszSolveError": EXIT_NO_CONVERGENCE,
@@ -361,8 +360,8 @@ def test_main_exits_with_the_code_of_each_error_class(monkeypatch, capsys):
 
 
 BATTERY_NAMES = (
-    "B0-splitting", "kernel-table-pointwise", "B0-symmetry", "B0-oracle", "V1-lower-bound",
-    "barycenter-shift", "barycenter-scale", "metric-M1", "metric-M3", "metric-M4",
+    "B0-splitting", "kernel-table-pointwise", "kernel-origin-cell", "B0-symmetry", "B0-oracle",
+    "V1-lower-bound", "barycenter-shift", "barycenter-scale", "metric-M1", "metric-M3", "metric-M4",
     "gradient-fd", "riesz-identity", "scaling-gradient", "scaling-v0",
     "nehari-projection", "nehari-identity", "fiber-maximum",
 )
@@ -417,8 +416,9 @@ def test_corrupted_kernel_fails_battery(monkeypatch, capsys):
     rc = main(["check", "--n", "24"])
     assert rc == EXIT_INVARIANT
     out = capsys.readouterr().out
-    line = [l for l in out.splitlines() if l.startswith("B0-splitting")]
-    assert line and "FAIL" in line[0]
+    lines = battery_lines(out)
+    for name in ("B0-splitting", "kernel-origin-cell"):
+        assert lines[name].split()[1] == "FAIL", name
 
 
 # ---------------------------------------------------------- run commands

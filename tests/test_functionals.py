@@ -1,20 +1,18 @@
-"""Energy breakdown, fiber maps, Nehari projection, T_t scaling.
+"""Energy breakdown, fiber maps, Nehari projection.
 
 Oracles: finite differences for the derivative, fresh energy evaluations
-for the fiber map, the analytic Gaussian image of T_t, and exact
-floating-point homogeneity under power-of-two scalings.
+for the fiber map, and exact floating-point homogeneity under
+power-of-two scalings.
 """
 
 import numpy as np
 import pytest
-from scipy.ndimage import map_coordinates
 
 from logchoquard import (
     EnergyBreakdown,
     Field,
     Grid,
     OutsideScalingRegionError,
-    ScalingClipError,
     SolveConfig,
     cerami_weight,
     classify,
@@ -24,7 +22,6 @@ from logchoquard import (
     energy,
     fiber,
     gaussian_field,
-    grad_norm_sq,
     hessian_product,
     log_potential,
     lp_norm,
@@ -35,10 +32,8 @@ from logchoquard import (
     q_a_bilinear,
     radial_well_potential,
     residual_field,
-    scale_Tt,
     trivial_action,
     b_form,
-    bump_field,
 )
 from logchoquard.functionals import NEHARI_REL_TOL
 
@@ -309,81 +304,6 @@ def test_classify_labels():
     assert classify(_bk(1e-20, -1e-20), 1.0).label == "Nzero"
     v = classify(_bk(2.0, -8.0), 1.0).violation
     assert v == pytest.approx(6.0 / 8.0)
-
-
-# ---------------------------------------------------------------- scaling
-
-
-def test_scale_identity_at_zero(grid32):
-    u = gaussian_field(grid32, width=0.6)
-    assert scale_Tt(u, 0.0) is u
-
-
-def test_scale_guard_range(grid32):
-    u = gaussian_field(grid32, width=0.6)
-    with pytest.raises(ScalingClipError, match="> 2"):
-        scale_Tt(u, 2.5)
-
-
-def test_scale_clip_guard():
-    g = Grid(L=6.0, n=64)
-    wide = gaussian_field(g, width=2.0)  # visible mass in the boundary band
-    with pytest.raises(ScalingClipError, match="clip"):
-        scale_Tt(wide, -0.5)
-
-
-def test_scale_matches_analytic_gaussian_image():
-    # T_t Gaussian(w) = e^-t Gaussian(w e^t): compare against the closed form
-    A, w = 1.3, 0.6
-    errs = []
-    for n in (64, 128):
-        g = Grid(L=8.0, n=n)
-        u = gaussian_field(g, width=w, amplitude=A)
-        v = scale_Tt(u, 0.25)
-        exact = gaussian_field(g, width=w * np.exp(0.25), amplitude=A * np.exp(-0.25))
-        errs.append(np.max(np.abs(v.values - exact.values)))
-    assert errs[0] <= 1e-3
-    assert errs[0] / errs[1] > 8.0  # cubic resampling: better than third order
-
-
-@pytest.mark.parametrize("t", [-0.25, 0.25])
-def test_scale_matches_the_scipy_cubic_spline(t):
-    # the separable spline samples the same interpolant as scipy's
-    # map_coordinates(order=3); compact bumps keep the boundary conventions out
-    g = Grid(L=6.0, n=128)
-    u = Field(g, bump_field(g, (0.7, -0.4), 1.5).values - bump_field(g, (-1.1, 0.9), 0.8).values)
-    ci = (np.exp(-t) * g.axis + g.L) / g.h - 0.5  # sample i sits at -L + (i + 1/2) h
-    coords = np.broadcast_arrays(ci[:, None], ci[None, :])
-    want = np.exp(-t) * map_coordinates(u.values, coords, order=3, mode="constant", cval=0.0)
-    assert np.max(np.abs(scale_Tt(u, t).values - want)) <= 1e-13 * np.max(np.abs(u.values))
-
-
-def test_scale_preserves_l2_mass():
-    g = Grid(L=8.0, n=64)
-    u = gaussian_field(g, width=0.6, amplitude=1.3)
-    for t in (0.25, -0.25, 0.5):
-        v = scale_Tt(u, t)
-        assert lp_norm(v, 2) == pytest.approx(lp_norm(u, 2), rel=5e-4)
-
-
-def test_scale_composition():
-    g = Grid(L=8.0, n=64)
-    u = gaussian_field(g, width=0.6, amplitude=1.3)
-    two = scale_Tt(scale_Tt(u, 0.2), 0.15)
-    one = scale_Tt(u, 0.35)
-    assert np.max(np.abs(two.values - one.values)) <= 1e-3
-
-
-def test_scale_gradient_transform_law():
-    # |grad T_t u|^2 = e^{-2t} |grad u|^2 within the declared budget; wide
-    # Gaussians keep the h^2 quadrature error of each side below the budget,
-    # and a tiny amplitude keeps the boundary band under the clip guard
-    g = Grid(L=12.0, n=256)
-    for t, w in ((0.25, 2.3), (-0.25, 3.0)):
-        u = gaussian_field(g, width=w, amplitude=1e-8)
-        base = grad_norm_sq(u)
-        scaled = grad_norm_sq(scale_Tt(u, t))
-        assert scaled == pytest.approx(np.exp(-2 * t) * base, rel=1e-4)
 
 
 # ------------------------------------------------------------- cerami weight

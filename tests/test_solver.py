@@ -103,16 +103,15 @@ def test_trace_columns():
 # ------------------------------------------------------------ start families
 
 
-def core_masks(bumps):
-    # spline rescaling spreads faint ripple well past the true supports, so
-    # disjointness is asserted on the half-peak cores where the mass lives
-    return [np.abs(b.values) > 0.5 * np.max(np.abs(b.values)) for b in bumps]
+def supports(bumps):
+    # T_t images are exact, so every bump keeps its compact support
+    return [b.values != 0 for b in bumps]
 
 
 def test_bump_family_trivial(grid64, table64, pot64):
     fam = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig())
     assert len(fam.bumps) == 3
-    masks = core_masks(fam.bumps)
+    masks = supports(fam.bumps)
     for i in range(3):
         grown = binary_dilation(masks[i], iterations=2)  # 2h separation
         for j in range(i + 1, 3):
@@ -155,15 +154,26 @@ def test_bump_family_rotation_invariant():
 
 
 def test_bump_family_deep_lattice_well_lies_in_O():
-    # in a deep well each bump needs several T_t steps to reach O, taken on its own
+    # in a deep well each bump needs several T_t steps to reach O, taken on
+    # its own; each step is the exact image of its seed. Deeper still, the
+    # bumps shrink below the grid before they reach O, and the family is
+    # refused rather than built from samples that are no image of T_t
     g = Grid(L=8.0, n=128)
-    pot = const_potential(g, -200.0)
     tb = make_kernel_table(g)
     action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    pot = const_potential(g, -150.0)
     fam = make_bump_family(1, action, pot, tb, SolveConfig())
-    for start in fam.starts:
+    centers, radius = _bump_sites(action, g, 1)
+    for start, center in zip(fam.starts, centers):
         bk = energy(start, pot, tb)
         assert bk.q_a > 0 > bk.v0
+        images = [
+            bump_field(g, np.exp(t) * center, np.exp(t) * radius, np.exp(-t)).values
+            for t in -0.25 * np.arange(2, 9)
+        ]
+        assert any(np.array_equal(start.values, image) for image in images)
+    with pytest.raises(StartFamilyError, match="cannot satisfy"):
+        make_bump_family(1, action, const_potential(g, -200.0), tb, SolveConfig())
 
 
 def test_bump_family_glide():
@@ -174,7 +184,7 @@ def test_bump_family_glide():
         # the point part only: the glide's shift part is not compact
         assert np.max(np.abs(project_invariant(b, action).values - b.values)) <= 1e-12
         assert np.min(b.values) < 0 < np.max(b.values)  # zeta forces sign changes
-    masks = core_masks(fam.bumps)
+    masks = supports(fam.bumps)
     assert not np.any(binary_dilation(masks[0], iterations=2) & masks[1])
 
 
@@ -601,6 +611,25 @@ def test_newton_pcg_stops_at_the_forcing_term(monkeypatch, which):
         assert stop == pytest.approx(eta * rnorm, rel=1e-12)
         regimes.add("cap" if eta == NEWTON_CG_TOL else ("C" if eta == c else "floor"))
     assert regimes == {"cap", "C", "floor"}
+
+
+def test_newton_falls_back_to_the_gradient(monkeypatch):
+    # a Newton PCG that meets p.Hp <= 0 at its first product leaves x = 0:
+    # no descent direction, so every row steps along the metric gradient
+    import logchoquard.solver as solver_mod
+
+    def pcg(apply, precondition, r, x, stop, max_iter, callback=None):
+        return 1
+
+    monkeypatch.setattr(solver_mod, "pcg", pcg)
+    u0, action, pot, table = descent_case("trivial")
+    res = descend(u0, action, pot, table, SolveConfig(max_iters=4))
+    assert not res.converged and len(res.trace) == 4
+    for row in res.trace:
+        assert row[7] > 0 and row[9] == GRADIENT and row[11] == 1
+    phis = [row[1] for row in res.trace] + [res.breakdown.phi]
+    for a, b in zip(phis, phis[1:]):
+        assert b <= a + 1e-9 * (1 + abs(a))
 
 
 def test_periodic_drift_tail_converges_in_few_steps():

@@ -270,6 +270,18 @@ def _require_resolved(grid: Grid, command: str) -> None:
         )
 
 
+def _say(line: str) -> None:
+    """Print line to stdout. Once the reader has closed it, drop this line and
+    every later one: stdout's descriptor is pointed at the null device, so the
+    command still ends with its own exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 # ---------------------------------------------------------------------------
 # invariant battery
 
@@ -288,12 +300,12 @@ def cmd_check(args) -> int:
             lines = [(False, "%s: %s" % (exc.code, exc))] * len(names)
         for name, (passed, detail) in zip(names, lines):
             status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
-            print("%-24s %s  (%s)" % (name, status, detail))
+            _say("%-24s %s  (%s)" % (name, status, detail))
             failures += status == "FAIL"
     if failures:
-        print("%d invariant check(s) failed" % failures)
+        _say("%d invariant check(s) failed" % failures)
         return EXIT_INVARIANT
-    print("all invariant checks passed")
+    _say("all invariant checks passed")
     return EXIT_OK
 
 
@@ -301,8 +313,9 @@ def cmd_check(args) -> int:
 # run commands
 
 
-# the nine fields of a result, read by the solve line and results.csv alike
-_RESULT_COLUMNS = "index,converged,phi,q_a,v0,nehari_j,cerami,class,defect,iters"
+# the results.csv header: row index, the nine fields of _RESULT_ROW, start
+_RESULT_COLUMNS = "index,converged,phi,q_a,v0,nehari_j,cerami,class,defect,iters,start"
+# the nine fields of a result, as results.csv writes them
 _RESULT_ROW = (
     "%(converged)d,%(phi).17g,%(q_a).17g,%(v0).17g,%(nehari_j).17g,%(cerami).17g,"
     "%(class)s,%(defect).17g,%(iters)d"
@@ -365,11 +378,11 @@ def _run(args, command: str, prepare) -> int:
         with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_RESULT_COLUMNS + "\n")
             for i, res in enumerate(results):
-                fh.write("%d," % i + _RESULT_ROW % _result_fields(res) + "\n")
+                fh.write("%d," % i + _RESULT_ROW % _result_fields(res) + ",%d\n" % res.start_index)
     for (solution, trace, prefix), res in zip(files, results):
         save_field(os.path.join(args.out, solution), res.u)
         write_trace(os.path.join(args.out, trace), res)
-        print(prefix + _RESULT_LINE % _result_fields(res))
+        _say(prefix + _RESULT_LINE % _result_fields(res))
     return EXIT_OK if any(r.converged for r in results) else EXIT_NO_CONVERGENCE
 
 
@@ -417,32 +430,32 @@ def cmd_convolve(args) -> int:
     write_manifest(args.out, "convolve", pairs, ["convolved.chq"])
     w = padded_convolve(grid, u.values, khat)
     save_field(os.path.join(args.out, "convolved.chq"), Field(grid, w))
-    print("convolved %s with %s (tau=%g)" % (args.infile, args.kernel, args.tau))
+    _say("convolved %s with %s (tau=%g)" % (args.infile, args.kernel, args.tau))
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
-    print("grid: L=%g n=%d h=%.6g" % (grid.L, grid.n, grid.h))
-    print("potential: %s  ess_inf=%.6g  sup=%.6g" % (extra["pairs"]["a"], pot.ess_inf, pot.sup_norm))
+    _say("grid: L=%g n=%d h=%.6g" % (grid.L, grid.n, grid.h))
+    _say("potential: %s  ess_inf=%.6g  sup=%.6g" % (extra["pairs"]["a"], pot.ess_inf, pot.sup_norm))
     ok, reason = check_admissible(action)
-    print("symmetry: %s  admissible=%s (%s)" % (action.describe(), ok, reason))
-    print("config_hash: %s" % config_hash(extra["pairs"]))
+    _say("symmetry: %s  admissible=%s (%s)" % (action.describe(), ok, reason))
+    _say("config_hash: %s" % config_hash(extra["pairs"]))
     if args.infile:
         u = _read_field(args.infile, grid)
         rep = norms(u)
         table = make_kernel_table(grid, cfg.tau_split)
         bk = energy(u, pot, table)
         cls = classify(bk, lp_norm(u, 2) ** 2)
-        print(
+        _say(
             "field: |u|_2=%.9g H1^2=%.9g X^2=%.9g"
             % (np.sqrt(rep.l2_sq), rep.h1_sq, rep.x_sq)
         )
-        print(
+        _say(
             "energy: phi=%.9g q_a=%.9g V0=%.9g J=%.3g class=%s"
             % (bk.phi, bk.q_a, bk.v0, bk.nehari_j, cls.label)
         )
-        print("barycenter: (%.6g, %.6g)" % tuple(barycenter_beta(u)))
+        _say("barycenter: (%.6g, %.6g)" % tuple(barycenter_beta(u)))
     return EXIT_OK
 
 

@@ -24,7 +24,17 @@ from a critical point too.
 
 Starts come from families of k+1 disjoint mollifier bumps placed and
 symmetrized according to the group action; the multistart search
-descends once from each bump.
+descends once per translation class of bumps. Phi is invariant under
+every translation that leaves a invariant, and the metric, recentred at
+the barycenter, is equivariant under every translation,
+<T v, T w>_{T u} = <v, w>_u; so on the plane the descent from a
+translated start is the translate of the descent. The box breaks this at
+its edge, where the zero extension cuts the Riesz gradient off, and a
+start near the edge can slide off a saddle that its translate rests on.
+So a start that is a whole-cell translate of one already descended, under
+a shift that leaves a invariant, is skipped only when a > 0 and either a
+is constant (the edge then only moves a descent along the translates of
+its critical point) or both starts keep EDGE_CLEARANCE from the edge.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from .errors import (
     LineSearchError,
     StartFamilyError,
 )
-from .field import Field, bump_field, lp_norm, neg_laplacian
+from .field import Field, bump_field, lp_norm, neg_laplacian, shift_cells
 from .functionals import (
     EnergyBreakdown,
     NehariClass,
@@ -86,6 +96,17 @@ LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _gradient bo
 STEP_INIT = 1.0
 BACKTRACK_FACTOR = 0.5
 ARMIJO_C = 1e-4
+# a is invariant under a whole-cell shift when its samples at x and x + tau
+# agree within TRANSLATE_A_REL * max(1, sup |a|): a periodic a sampled one
+# period apart differs by the rounding of its argument, a few 1e-16 |x|
+# times its slope, far below this, while a shift that is no period moves
+# the samples by the order of a's own variation
+TRANSLATE_A_REL = 1e-12
+# the box edge cuts off the Riesz gradient of a start's residual; A_u >=
+# -Delta + 1, so that gradient decays at least like e^-r, and a start whose
+# support keeps this distance from the edge loses less of it than the
+# relative error LOOSE_RIESZ_TOL that every descent solve accepts
+EDGE_CLEARANCE = float(np.log(1.0 / LOOSE_RIESZ_TOL))
 
 
 @dataclass(frozen=True)
@@ -442,7 +463,7 @@ def make_bump_family(
     start construction of the multiplicity argument. Each bump is then
     moved on its own along T_t u(x) = e^-t u(e^-t x), t < 0, until it
     satisfies q_a > 0 and V0 < 0, and onward while its own projected
-    energy Phi(sigma(b)) improves: each bump starts a descent of its own.
+    energy Phi(sigma(b)) improves: each bump gives a start of its own.
     T_t is evaluated exactly: T_t of the bump of radius rho about c is the
     bump of radius e^t rho about e^t c, of height e^-t, and the action's
     point maps are linear, so they commute with T_t. Every step is built
@@ -514,6 +535,51 @@ def make_bump_family(
     return StartFamily(bumps=scaled, starts=starts)
 
 
+def _is_translate(u: Field, v: Field, pot: Potential) -> bool:
+    """True when u equals v shifted by whole cells, sample for sample, and a
+    is invariant under that shift on the overlap of the box and its shift.
+
+    The candidate shift carries the first largest |v| sample onto u's.
+    """
+    i, j = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
+    p, q = np.unravel_index(np.argmax(np.abs(v.values)), v.values.shape)
+    di, dj = int(i - p), int(j - q)
+    if not np.array_equal(shift_cells(v, di, dj).values, u.values):
+        return False
+    n, a = u.grid.n, pot.a.values
+    moved = a[max(0, di):n + min(0, di), max(0, dj):n + min(0, dj)]
+    fixed = a[max(0, -di):n - max(0, di), max(0, -dj):n - max(0, dj)]
+    return float(np.max(np.abs(moved - fixed))) <= TRANSLATE_A_REL * max(1.0, pot.sup_norm)
+
+
+def _edge_clearance(u: Field) -> float:
+    """Distance from the samples where u is nonzero to the box edge."""
+    i, j = np.nonzero(u.values)
+    n = u.grid.n
+    return (min(i.min(), j.min(), n - 1 - i.max(), n - 1 - j.max()) + 0.5) * u.grid.h
+
+
+def _descends_alike(u: Field, v: Field, pot: Potential) -> bool:
+    """True when the descent from u may stand for the translate of the one
+    from v: u is a translate of v under a shift that leaves a invariant, and
+    the box edge cannot tell them apart.
+
+    Under a positive constant a, Phi does not change along translations,
+    so the edge has no saddle to tip a descent off: it can only move it
+    along the translates of the critical point it settles into. Under any
+    other positive a, Phi changes along translations, and the edge can tip
+    a start off a saddle onto another orbit, so both starts must keep
+    EDGE_CLEARANCE from the edge. Where a <= 0 somewhere, a descent may
+    spread over the box (a vanishing iterate) and the edge decides where it
+    stops, so no start stands for another.
+    """
+    if pot.ess_inf <= 0 or not _is_translate(u, v, pot):
+        return False
+    if pot.sup_norm - pot.ess_inf <= TRANSLATE_A_REL * pot.sup_norm:
+        return True
+    return min(_edge_clearance(u), _edge_clearance(v)) >= EDGE_CLEARANCE
+
+
 def multistart_search(
     k: int,
     action: GroupAction,
@@ -521,8 +587,16 @@ def multistart_search(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> List[SolveResult]:
-    """Descend once from each start of the bump family; dedup by orbit
-    distance, converged results first; sort by Phi."""
+    """Descend once per translation class of starts of the bump family;
+    dedup by orbit distance, converged results first; sort by Phi.
+
+    Without a projection (trivial and lattice actions) a start is skipped
+    when the descent of a start already descended stands for its own
+    (_descends_alike): it is that start's translate under a shift that
+    leaves a invariant, and the box edge cannot tell the two apart. The
+    earlier start's result stands for the class. A projecting action's
+    point maps about the origin do not commute with translations, so there
+    every start is descended."""
     ok, reason = check_admissible(action)
     if not ok and pot.ess_inf <= 0:
         raise AdmissibilityError(
@@ -531,7 +605,11 @@ def multistart_search(
     family = make_bump_family(k, action, pot, table, cfg)
 
     results: List[SolveResult] = []
+    descended: List[Field] = []
     for idx, u0 in enumerate(family.starts):
+        if not action.has_projection and any(_descends_alike(u0, v, pot) for v in descended):
+            continue
+        descended.append(u0)
         try:
             res = descend(u0, action, pot, table, cfg)
         except DESCENT_ERRORS as exc:

@@ -679,6 +679,48 @@ def test_multistart_writes_results_csv(tmp_path, capsys):
     assert "[00]" in capsys.readouterr().out
 
 
+def test_default_multistart_returns_one_orbit(tmp_path, capsys):
+    # the default family's three bumps are whole-cell translates of one
+    # another under a constant a: one descent, one orbit, from start 0
+    out = tmp_path / "o"
+    assert main(["multistart", "--out", str(out)]) == EXIT_OK
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    assert header.split(",")[:3] == ["index", "converged", "phi"]
+    assert header.split(",")[-1] == "start"
+    assert len(rows) == 1
+    assert rows[0].split(",")[1] == "1" and rows[0].split(",")[-1] == "0"
+    assert capsys.readouterr().out.count("[") == 1
+
+
+def test_default_ground_state_descends_once(tmp_path, monkeypatch, capsys):
+    import logchoquard.solver as solver_mod
+
+    calls = []
+    real = solver_mod.descend
+    monkeypatch.setattr(solver_mod, "descend", lambda *args: calls.append(args[0]) or real(*args))
+    assert main(["ground-state", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("corrupt, rc", [("", EXIT_OK), ("1", EXIT_INVARIANT)], ids=["clean", "corrupt"])
+def test_closed_stdout_keeps_the_exit_code(corrupt, rc):
+    # a reader that takes one line and closes the pipe (as `check | head -1`
+    # does): the rest of the output is dropped, with no traceback, and the
+    # command exits with the code of its checks; unbuffered, each later line
+    # meets the closed pipe
+    env = dict(os.environ, PYTHONUNBUFFERED="1", LOGCHOQUARD_CORRUPT_KERNEL=corrupt)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logchoquard", "check"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.readline().startswith("B0-splitting")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == rc
+    assert err == ""
+
+
 def test_convolve_matches_library(tmp_path, capsys):
     grid = Grid(L=6.0, n=32)
     u = gaussian_field(grid, width=0.7, amplitude=1.2)

@@ -50,10 +50,11 @@ from logchoquard import (
     solve_metric_system,
     trivial_action,
 )
-from logchoquard.field import neg_laplacian
+from logchoquard.field import neg_laplacian, shift_cells
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import (
     BACKTRACK_FACTOR,
+    EDGE_CLEARANCE,
     GRADIENT,
     LOOSE_RIESZ_TOL,
     NEWTON,
@@ -61,6 +62,7 @@ from logchoquard.solver import (
     STEP_INIT,
     TRACE_COLUMNS,
     _bump_sites,
+    _edge_clearance,
 )
 
 
@@ -771,29 +773,108 @@ def test_multistart_survives_failing_starts(monkeypatch, grid64, table64, pot64)
     assert results == []
 
 
-def test_multistart_descends_once_per_start(monkeypatch, grid64, table64, pot64):
+def record_descents(monkeypatch, starts):
+    """Patch descend to record the index in starts of each start it is
+    handed, and to raise, so no descent runs. Returns the record."""
     import logchoquard.solver as solver_mod
     from logchoquard import LineSearchError
 
-    starts = []
+    seen = []
 
     def counted(u0, action, pot, table, cfg):
-        starts.append(u0)
+        seen.append(next(i for i, s in enumerate(starts) if np.array_equal(s.values, u0.values)))
         raise LineSearchError("counted only")
 
     monkeypatch.setattr(solver_mod, "descend", counted)
+    return seen
+
+
+def descended_starts(monkeypatch, k, action, pot, table, cfg=SolveConfig()):
+    """Indices of the family's starts that multistart_search hands to descend."""
+    import logchoquard.solver as solver_mod
+
+    seen = record_descents(monkeypatch, make_bump_family(k, action, pot, table, cfg).starts)
+    assert solver_mod.multistart_search(k, action, pot, table, cfg) == []
+    return seen
+
+
+def test_multistart_descends_once_per_translation_class(monkeypatch, grid64, table64, pot64):
+    import logchoquard.solver as solver_mod
+
+    # a constant a is invariant under every shift, and the three trivial
+    # bumps are whole-cell translates of one another (by 12 and (-14, 2)
+    # cells); under a positive constant a they are skipped even nearer the
+    # edge than EDGE_CLEARANCE
+    starts = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig()).starts
+    assert np.array_equal(shift_cells(starts[0], 12, 0).values, starts[1].values)
+    assert np.array_equal(shift_cells(starts[0], -14, 2).values, starts[2].values)
+    assert _edge_clearance(starts[1]) < EDGE_CLEARANCE
     for k in (0, 2):
-        starts.clear()
-        solver_mod.multistart_search(k, trivial_action(), pot64, table64, SolveConfig())
-        assert len(starts) == k + 1
-    # the ground state has no start of its own: one descent per bump of k=2
-    starts.clear()
+        assert descended_starts(monkeypatch, k, trivial_action(), pot64, table64) == [0]
+    # the ground state has no start of its own: one descent for the k=2 family
+    seen = record_descents(monkeypatch, starts)
     with pytest.raises(GroundStateError, match="no start converged"):
         solver_mod.ground_state(trivial_action(), pot64, table64, SolveConfig())
-    assert len(starts) == 3
+    assert seen == [0]
 
 
-def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64, pot64):
+def test_translation_classes_of_the_periodic_family(monkeypatch):
+    # the periodic benchmark lattice: starts 3 and 4 are start 0 moved by
+    # (-1/2, -3/2) and (-3, 0), under which cos(2 pi x1) cos(2 pi x2) is
+    # invariant; start 1 is moved by (3/2, 0) and start 2 by (-7/4, 1/4), which
+    # are no periods of a
+    g = Grid(L=8.0, n=128)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    table = make_kernel_table(g)
+    cfg = SolveConfig(max_iters=400)
+    starts = make_bump_family(4, action, pot, table, cfg).starts
+    assert np.array_equal(shift_cells(starts[0], -4, -12).values, starts[3].values)
+    assert np.array_equal(shift_cells(starts[0], -24, 0).values, starts[4].values)
+    assert descended_starts(monkeypatch, 1, action, pot, table, cfg) == [0, 1]
+    assert descended_starts(monkeypatch, 4, action, pot, table, cfg) == [0, 1, 2]
+
+
+def test_translates_under_no_period_of_a_are_all_descended(monkeypatch, grid64, table64):
+    # the trivial family's starts are exact translates (by 12 cells = 2.25 and
+    # by (-14, 2) cells), but no shift of them is a period of a
+    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
+    starts = make_bump_family(2, trivial_action(), pot, table64, SolveConfig()).starts
+    assert np.array_equal(shift_cells(starts[0], 12, 0).values, starts[1].values)
+    assert descended_starts(monkeypatch, 2, trivial_action(), pot, table64) == [0, 1, 2]
+
+
+def test_translates_near_the_edge_or_under_a_nonpositive_a_descend(monkeypatch):
+    # trivial family, L=8, n=64: starts 1 to 4 are start 0 at (1, 0), on a
+    # maximum of a, moved by periods of a. Start 2 keeps EDGE_CLEARANCE from
+    # the edge and is skipped; start 4 at (-5, 0) does not, and descends (on
+    # its own it slides off the saddle that start 0 rests on, to a lower orbit)
+    g = Grid(L=8.0, n=64)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    table = make_kernel_table(g)
+    starts = make_bump_family(4, trivial_action(), pot, table, SolveConfig()).starts
+    assert np.array_equal(shift_cells(starts[0], -24, 0).values, starts[4].values)
+    assert _edge_clearance(starts[4]) < EDGE_CLEARANCE
+    assert min(_edge_clearance(starts[0]), _edge_clearance(starts[2])) >= EDGE_CLEARANCE
+    assert descended_starts(monkeypatch, 4, trivial_action(), pot, table) == [0, 1, 3, 4]
+    # where a <= 0 no translate is skipped, however far from the edge: every
+    # start of this lattice family keeps EDGE_CLEARANCE
+    g = Grid(L=8.0, n=128)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    table = make_kernel_table(g)
+    pot = const_potential(g, -5.0)
+    starts = make_bump_family(2, action, pot, table, SolveConfig()).starts
+    assert min(_edge_clearance(s) for s in starts) >= EDGE_CLEARANCE
+    assert descended_starts(monkeypatch, 2, action, pot, table) == [0, 1, 2]
+
+
+def test_projecting_actions_descend_every_start(monkeypatch):
+    g = Grid(L=6.0, n=128)
+    pot = const_potential(g)
+    assert descended_starts(monkeypatch, 1, rotation_zeta(2), pot, make_kernel_table(g)) == [0, 1]
+
+
+def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64):
     # a capped start within DEDUP_REL of a converged orbit is a copy of it,
     # even when it stopped at a lower Phi
     import types
@@ -814,7 +895,9 @@ def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64,
         )
 
     monkeypatch.setattr(solver_mod, "descend", fake)
-    results = solver_mod.multistart_search(1, trivial_action(), pot64, table64, SolveConfig())
+    # under this a the two starts are no translates of each other, so both descend
+    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
+    results = solver_mod.multistart_search(1, trivial_action(), pot, table64, SolveConfig())
     assert [(r.breakdown.phi, r.converged, r.start_index) for r in results] == [(1.1, True, 1)]
 
 

@@ -88,15 +88,14 @@ from .solver import (
 from .symmetry import (
     GroupAction,
     InvarianceCertificate,
-    act,
     check_admissible,
     glide_reflection,
     is_invariant,
     lattice_translation,
     orbit_distance,
+    point_images,
     project_invariant,
     radial_average,
-    rotate,
     rotation_zeta,
     trivial_action,
 )

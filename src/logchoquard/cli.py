@@ -436,6 +436,8 @@ def cmd_convolve(args) -> int:
 
 def cmd_info(args) -> int:
     grid, pot, action, cfg, extra = _load_config(args)
+    if args.infile:
+        _require_resolved(grid, "info --in")  # the field report ends with the barycenter
     _say("grid: L=%g n=%d h=%.6g" % (grid.L, grid.n, grid.h))
     _say("potential: %s  ess_inf=%.6g  sup=%.6g" % (extra["pairs"]["a"], pot.ess_inf, pot.sup_norm))
     ok, reason = check_admissible(action)

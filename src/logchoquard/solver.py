@@ -435,7 +435,7 @@ def _layout(k: int, action: GroupAction, grid):
     """Seeds [(center, radius)] of k+1 bumps and their noun."""
     h = grid.h
     if action.kind == KIND_ROTATION:
-        chord = 2.0 * np.sin(np.pi / (2 * action.m)) if action.m > 1 else 2.0
+        chord = 2.0 * np.sin(np.pi / (2 * action.m))
         ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep the rings disjoint
         rings = [1.2 + 0.9 * j for j in range(k + 1)]
         seeds = [((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings]

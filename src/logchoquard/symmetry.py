@@ -4,17 +4,21 @@ Admissible symmetry classes: rotation groups generated by a turn of pi/m,
 m in {1, 2}, with an optional alternating sign character (nontrivial zeta
 forces sign-changing invariant functions), rank-2 translation lattices and
 glide reflections. These are the point rotations a Z^2-invariant potential
-can have. Lattice and glide shifts are snapped to integer cell multiples,
-and rotations are by multiples of pi/2, so every action is index-exact;
-the point parts (quarter turns, the x2-reflection) map the cell-centred
-box onto itself.
+can have. Lattice and glide shifts are snapped to integer cell multiples.
+
+A solve imposes only the finite point part of an action (by symmetric
+criticality that is all it needs), and `point_images` is its one
+representation: the quarter turns and the x2-reflection are exact index
+maps of the cell-centred box onto itself. `project_invariant` averages
+over those images and the invariance defect compares a field with its
+first nontrivial one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -94,53 +98,28 @@ def glide_reflection(grid: Grid, shift: float, zeta_nontrivial: bool = False) ->
     return GroupAction(kind=KIND_GLIDE, shift_c=sc, zeta_nontrivial=zeta_nontrivial)
 
 
-def _glide_point(vals: np.ndarray, action: GroupAction) -> np.ndarray:
-    """The glide's point part: the x2-reflection u(x1, -x2) with its sign character."""
-    refl = vals[:, ::-1]
-    return -refl if action.zeta_nontrivial else refl
+def point_images(vals: np.ndarray, action: GroupAction) -> List[np.ndarray]:
+    """The images zeta(g) u(g^-1 x) of the samples vals over the action's
+    finite point group, identity first.
 
-
-def rotate(u: Field, angle: float) -> Field:
-    """Rotate CCW by a multiple of pi/2 as an exact index map.
-
-    A quarter turn is (g*u)(x) = u(R_{-pi/2} x) = u(x2, -x1): on the
-    cell-centred axis, -x1 is index n-1-i, so it is vals[:, ::-1].T.
+    A rotation group gives its 2m turns by j pi/m. A quarter turn is
+    u(R_{-pi/2} x) = u(x2, -x1): on the cell-centred axis, -x1 is index
+    n-1-i, so it is vals[:, ::-1].T; under zeta, turn j carries (-1)^j. A
+    glide gives the identity and its point part, the x2-reflection
+    u(x1, -x2), with its sign. The trivial and lattice actions impose
+    nothing pointwise and give the identity alone.
     """
-    quarter = angle / (0.5 * np.pi)
-    q = int(np.rint(quarter))
-    if abs(quarter - q) >= 1e-12:
-        raise ValueError("rotation angle %.6g is not a multiple of pi/2" % angle)
-    vals = u.values
-    for _ in range(q % 4):
-        vals = vals[:, ::-1].T
-    return Field(u.grid, vals)
-
-
-def act(element, action: GroupAction, u: Field) -> Field:
-    """(g *_zeta u)(x) = zeta(g) u(g^-1 x).
-
-    element: integer group-power index for rotation/glide, an integer pair
-    (p, q) for lattice translations by p b1 + q b2.
-    """
-    kind = action.kind
-    if kind == KIND_TRIVIAL:
-        return u
-    if kind == KIND_ROTATION:
-        j = int(element)
-        out = rotate(u, j * np.pi / action.m)
-        if action.zeta_nontrivial and j % 2:
-            out = Field(u.grid, -out.values)
-        return out
-    if kind == KIND_LATTICE:
-        p, q = element
-        di = p * action.cells1[0] + q * action.cells2[0]
-        dj = p * action.cells1[1] + q * action.cells2[1]
-        return shift_cells(u, di, dj)
-    if kind == KIND_GLIDE:
-        j = int(element)
-        vals = _glide_point(u.values, action) if j % 2 else u.values
-        return shift_cells(Field(u.grid, vals), j * action.shift_c, 0)
-    raise ValueError("unknown action kind %r" % kind)
+    zeta = action.zeta_nontrivial
+    if action.kind == KIND_ROTATION:
+        images, turned = [vals], vals
+        for j in range(1, 2 * action.m):
+            for _ in range(2 // action.m):
+                turned = turned[:, ::-1].T
+            images.append(-turned if zeta and j % 2 else turned)
+        return images
+    if action.kind == KIND_GLIDE:
+        return [vals, -vals[:, ::-1] if zeta else vals[:, ::-1]]
+    return [vals]
 
 
 def radial_average(u: Field) -> Field:
@@ -159,21 +138,15 @@ def radial_average(u: Field) -> Field:
 
 
 def project_invariant(u: Field, action: GroupAction) -> Field:
-    """Average over the finite point group with its sign character."""
-    kind = action.kind
-    if kind == KIND_TRIVIAL:
+    """Average over the finite point group with its sign character; u itself
+    when the group has one element."""
+    images = point_images(u.values, action)
+    if len(images) == 1:
         return u
-    if kind == KIND_LATTICE:
-        raise ValueError("lattice translations have no finite invariant projection")
-    if kind == KIND_ROTATION:
-        acc = np.zeros_like(u.values)
-        for j in range(2 * action.m):
-            acc += act(j, action, u).values
-        return Field(u.grid, acc / (2 * action.m))
-    if kind == KIND_GLIDE:
-        # point part only: the reflection (with sign); the shift part is non-compact
-        return Field(u.grid, 0.5 * (u.values + _glide_point(u.values, action)))
-    raise ValueError("unknown action kind %r" % kind)
+    acc = np.zeros_like(u.values)
+    for img in images:
+        acc += img
+    return Field(u.grid, acc / len(images))
 
 
 @dataclass(frozen=True)
@@ -184,24 +157,15 @@ class InvarianceCertificate:
 
 
 def _generator_defect(u: Field, action: GroupAction) -> float:
+    """Relative L2 change of u under the point group's generator, 0 when the
+    group has one element: what project_invariant imposes. A lattice or
+    glide shift imposes nothing pointwise, and no L2 field is invariant
+    under it."""
     l2 = lp_norm(u, 2)
-    if l2 == 0.0:
+    images = point_images(u.values, action)
+    if l2 == 0.0 or len(images) == 1:
         return 0.0
-    kind = action.kind
-
-    def rel(v: Field) -> float:
-        return float(np.sqrt(np.sum((v.values - u.values) ** 2)) * u.grid.h) / l2
-
-    if kind in (KIND_TRIVIAL, KIND_LATTICE):
-        # the lattice imposes no pointwise constraint (it only dedups orbits),
-        # and no L2 field is invariant under its shifts
-        return 0.0
-    if kind == KIND_ROTATION:
-        return rel(act(1, action, u))
-    if kind == KIND_GLIDE:
-        # what project_invariant imposes: no L2 field is invariant under the shift
-        return rel(Field(u.grid, _glide_point(u.values, action)))
-    raise ValueError("unknown action kind %r" % kind)
+    return float(np.sqrt(np.sum((images[1] - u.values) ** 2)) * u.grid.h) / l2
 
 
 def is_invariant(u: Field, action: GroupAction) -> InvarianceCertificate:

@@ -768,6 +768,19 @@ def test_info_reports_config_and_field(tmp_path, capsys):
     assert "class=" in out
 
 
+def test_info_in_on_coarse_grid_exits_2_before_output(tmp_path, capsys):
+    # h = 0.75 > 0.5: the field report ends with the barycenter, which
+    # cannot resolve its unit ball, so info --in refuses before printing
+    grid = Grid(L=6.0, n=16)
+    src = tmp_path / "f.chq"
+    save_field(str(src), gaussian_field(grid, width=1.5))
+    rc = main(["info", "--n", "16", "--box", "6", "--in", str(src)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "E-CONFIG" in captured.err and "h <=" in captured.err
+
+
 def test_cli_overrides_fold_into_hash(capsys):
     rc = main(["info", "--n", "32", "--seed", "7"])
     assert rc == EXIT_OK

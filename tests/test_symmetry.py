@@ -1,8 +1,9 @@
-"""Group actions, invariant projections, orbit distance, admissibility.
+"""Group actions, point images, invariant projections, orbit distance, admissibility.
 
-Exactness oracles: quarter turns and cell translations are index
-permutations, so norms and energies must match to rounding; analytic
-image checks use Gaussians whose rotated centers stay on the lattice.
+Exactness oracles: quarter turns, the x2-reflection and cell translations
+are index permutations, so norms and energies must match to rounding;
+analytic image checks use Gaussians whose rotated centers stay on the
+lattice.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from logchoquard import (
     BarycenterUndefinedError,
     Field,
-    act,
     b_form,
     bump_field,
     check_admissible,
@@ -22,9 +22,9 @@ from logchoquard import (
     lattice_translation,
     lp_norm,
     orbit_distance,
+    point_images,
     project_invariant,
     radial_average,
-    rotate,
     rotation_zeta,
     shift_cells,
     trivial_action,
@@ -43,62 +43,91 @@ def mirror_index(grid):
     return np.array([np.flatnonzero(grid.axis == -x)[0] for x in grid.axis])
 
 
+def quarter_turn(vals):
+    """The generator image of the plain quarter-turn group."""
+    return point_images(vals, rotation_zeta(2, zeta_nontrivial=False))[1]
+
+
 def test_quarter_turn_is_exact_index_map(grid32):
     rng = np.random.default_rng(0)
     u = Field(grid32, rng.standard_normal((32, 32)))
     neg = mirror_index(grid32)
     # (g*u)(x) = u(x2, -x1) at every cell, the edges included
-    r = rotate(u, 0.5 * np.pi)
+    r = quarter_turn(u.values)
     for i in range(grid32.n):
         for j in range(grid32.n):
-            assert r.values[i, j] == u.values[j, neg[i]]
+            assert r[i, j] == u.values[j, neg[i]]
     # u(x1, -x2), the glide's point part
-    reflect = glide_reflection(grid32, shift=0.0)
-    assert np.array_equal(act(1, reflect, u).values, u.values[:, neg])
-    # four quarter turns and two reflections give u back bit for bit
-    for _ in range(3):
-        r = rotate(r, 0.5 * np.pi)
-    assert np.array_equal(r.values, u.values)
-    assert np.array_equal(act(1, reflect, act(1, reflect, u)).values, u.values)
+    reflect = point_images(u.values, glide_reflection(grid32, shift=0.0))
+    assert np.array_equal(reflect[1], u.values[:, neg])
 
 
 def test_quarter_turn_gaussian_analytic_image(grid32):
     # the axis is antisymmetric, so a rotated bump lands exactly on the rotated center
     u = interior_bump(grid32)
-    r = rotate(u, 0.5 * np.pi)
     expect = bump_field(grid32, center=(-0.75, 1.5), radius=0.9, amplitude=1.3)
-    assert np.array_equal(r.values, expect.values)
+    assert np.array_equal(quarter_turn(u.values), expect.values)
 
 
 def test_four_quarter_turns_identity(grid32):
     u = interior_bump(grid32)
-    r = u
-    for _ in range(4):
-        r = rotate(r, 0.5 * np.pi)
-    assert np.array_equal(r.values, u.values)
+    images = point_images(u.values, rotation_zeta(2, zeta_nontrivial=False))
+    r = u.values
+    for j in range(4):
+        assert np.array_equal(r, images[j])
+        r = quarter_turn(r)
+    assert np.array_equal(r, u.values)
+    # the half turn of m = 1 is two quarter turns
+    half = point_images(u.values, rotation_zeta(1, zeta_nontrivial=False))[1]
+    assert np.array_equal(half, images[2])
 
 
 def test_rotation_preserves_l2(grid32):
     u = interior_bump(grid32)
-    assert lp_norm(rotate(u, 0.5 * np.pi), 2) == pytest.approx(lp_norm(u, 2), rel=1e-13)
+    r = Field(grid32, quarter_turn(u.values))
+    assert lp_norm(r, 2) == pytest.approx(lp_norm(u, 2), rel=1e-13)
 
 
 def test_rotation_zeta_signs(grid32):
-    action = rotation_zeta(2, zeta_nontrivial=True)
     u = interior_bump(grid32)
-    odd = act(1, action, u)
-    assert np.array_equal(odd.values, -rotate(u, 0.5 * np.pi).values)
-    even = act(2, action, u)
-    assert np.array_equal(even.values, rotate(rotate(u, 0.5 * np.pi), 0.5 * np.pi).values)
+    for m in (1, 2):
+        signed = point_images(u.values, rotation_zeta(m, zeta_nontrivial=True))
+        plain = point_images(u.values, rotation_zeta(m, zeta_nontrivial=False))
+        for j, (s_img, p_img) in enumerate(zip(signed, plain)):
+            assert np.array_equal(s_img, -p_img if j % 2 else p_img)
 
 
-def test_rotation_zeta_validation(grid32):
+def test_rotation_zeta_validation():
     # only the turns by pi and pi/2 are index-exact
     for m in (0, 3, 4):
         with pytest.raises(ValueError):
             rotation_zeta(m)
-    with pytest.raises(ValueError, match="multiple of pi/2"):
-        rotate(interior_bump(grid32), 0.25 * np.pi)
+
+
+POINT_GROUPS = {
+    "rot:1": (lambda g: rotation_zeta(1, zeta_nontrivial=False), 2),
+    "rot-zeta:1": (lambda g: rotation_zeta(1), 2),
+    "rot:2": (lambda g: rotation_zeta(2, zeta_nontrivial=False), 4),
+    "rot-zeta:2": (lambda g: rotation_zeta(2), 4),
+    "glide": (lambda g: glide_reflection(g, shift=0.75), 2),
+    "glide-zeta": (lambda g: glide_reflection(g, shift=0.75, zeta_nontrivial=True), 2),
+    "lattice": (lambda g: lattice_translation(g, (0.75, 0.0), (0.0, 0.75)), 1),
+    "trivial": (lambda g: trivial_action(), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_GROUPS))
+def test_point_group_order_and_closure(grid32, name):
+    make, order = POINT_GROUPS[name]
+    action = make(grid32)
+    u = Field(grid32, np.random.default_rng(4).standard_normal((32, 32)))
+    images = point_images(u.values, action)
+    assert len(images) == order
+    assert images[0] is u.values  # identity first
+    # the generator (image 1; the identity in a one-element group) maps the
+    # last image back onto u, sign included
+    closed = point_images(images[-1], action)[1 % order]
+    assert np.array_equal(closed, u.values)
 
 
 # ------------------------------------------------------- lattices and glides
@@ -107,9 +136,6 @@ def test_rotation_zeta_validation(grid32):
 def test_lattice_action_is_cell_shift(grid32):
     action = lattice_translation(grid32, (0.75, 0.0), (0.0, 1.125))  # 2 and 3 cells
     assert action.cells1 == (2, 0) and action.cells2 == (0, 3)
-    u = interior_bump(grid32)
-    moved = act((2, -1), action, u)
-    assert np.array_equal(moved.values, shift_cells(u, 4, -3).values)
 
 
 def test_lattice_snap_warns_on_large_move(grid32):
@@ -117,23 +143,11 @@ def test_lattice_snap_warns_on_large_move(grid32):
         lattice_translation(grid32, (0.55, 0.55), (-0.75, 0.75))
 
 
-def test_glide_square_is_pure_translation(grid32):
-    # group law on the whole box: the reflection maps every cell onto a cell
-    action = glide_reflection(grid32, shift=0.75, zeta_nontrivial=True)
-    rng = np.random.default_rng(1)
-    u = Field(grid32, rng.standard_normal((32, 32)))
-    twice = act(1, action, act(1, action, u))
-    square = act(2, action, u)
-    assert np.array_equal(twice.values, square.values)
-    # the square carries no sign and no reflection
-    assert np.array_equal(square.values, shift_cells(u, 4, 0).values)
-
-
 def test_glide_zeta_sign(grid32):
     action = glide_reflection(grid32, shift=0.75, zeta_nontrivial=True)
     plain = glide_reflection(grid32, shift=0.75, zeta_nontrivial=False)
     u = interior_bump(grid32)
-    assert np.array_equal(act(1, action, u).values, -act(1, plain, u).values)
+    assert np.array_equal(point_images(u.values, action)[1], -point_images(u.values, plain)[1])
 
 
 # ------------------------------------------------------------- projections
@@ -187,9 +201,10 @@ def test_glide_projection_reflection_part(grid32):
 
 
 def test_lattice_has_no_finite_projection(grid32):
+    # the lattice imposes nothing pointwise: its projection is u itself
     action = lattice_translation(grid32, (0.75, 0.0), (0.0, 0.75))
-    with pytest.raises(ValueError):
-        project_invariant(interior_bump(grid32), action)
+    u = interior_bump(grid32)
+    assert project_invariant(u, action) is u
 
 
 def test_trivial_projection_is_identity(grid32):
@@ -203,10 +218,11 @@ def test_trivial_projection_is_identity(grid32):
 def test_energy_invariant_under_exact_actions(grid32, table32, pot32):
     u = interior_bump(grid32)
     phi = energy(u, pot32, table32).phi
+    glide = glide_reflection(grid32, shift=0.75, zeta_nontrivial=True)
     images = [
-        rotate(u, 0.5 * np.pi),
+        Field(grid32, quarter_turn(u.values)),
         shift_cells(u, 3, -2),
-        act(1, glide_reflection(grid32, shift=0.75, zeta_nontrivial=True), u),
+        Field(grid32, point_images(u.values, glide)[1]),
     ]
     for img in images:
         phi_img = energy(img, pot32, table32).phi
@@ -217,9 +233,9 @@ def test_v0_invariant_under_sign_action(grid32, table32):
     # zeta only flips signs; V0 sees u^2 and cannot change
     action = rotation_zeta(2, zeta_nontrivial=True)
     u = interior_bump(grid32)
-    img = act(1, action, u)
+    img = point_images(u.values, action)[1]
     usq = Field(grid32, u.values ** 2)
-    isq = Field(grid32, img.values ** 2)
+    isq = Field(grid32, img ** 2)
     v0u = b_form(usq, usq, "B0", table32)
     v0i = b_form(isq, isq, "B0", table32)
     assert v0i == pytest.approx(v0u, rel=1e-12)

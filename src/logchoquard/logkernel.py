@@ -18,8 +18,9 @@ splitting k1 - k2 = k0 hold pointwise at every offset; the difference
 from the true cell mean of that kernel is O(h) and only affects the
 B2 form, never B0 itself.
 
-A table builds k0 and its FFT; the tau-split kernels k1, k2 are built on
-first read, since only the invariant checks and `convolve` use them.
+A table builds the FFT of k0 only. The samples of k0 and the tau-split
+kernels k1, k2 are built on first read, since only the invariant checks,
+the direct oracle and `convolve` use them.
 """
 
 from __future__ import annotations
@@ -75,12 +76,24 @@ def padded_convolve(grid: Grid, values: np.ndarray, khat: np.ndarray) -> np.ndar
     return grid.h * grid.h * out[:, :n]
 
 
+def _log_samples(grid: Grid) -> np.ndarray:
+    """log r on the doubled lattice, the origin cell replaced by its cell mean."""
+    ro = offset_lattice(grid)
+    origin = ro == 0.0
+    return np.where(origin, origin_cell_log_mean(grid.h), np.log(np.where(origin, 1.0, ro)))
+
+
 @dataclass(frozen=True)
 class KernelTable:
     grid: Grid
     tau: float
-    k0: np.ndarray
     k0_hat: np.ndarray = dc_field(repr=False)
+
+    @cached_property
+    def k0(self) -> np.ndarray:
+        # the samples k0_hat was built from; only the checks, k2's origin
+        # cell and direct_oracle read them
+        return _log_samples(self.grid)
 
     @cached_property
     def k1(self) -> np.ndarray:
@@ -106,10 +119,7 @@ class KernelTable:
 def make_kernel_table(grid: Grid, tau: float = 0.0) -> KernelTable:
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and >= 0")
-    ro = offset_lattice(grid)
-    origin = ro == 0.0
-    k0 = np.where(origin, origin_cell_log_mean(grid.h), np.log(np.where(origin, 1.0, ro)))
-    return KernelTable(grid=grid, tau=float(tau), k0=k0, k0_hat=kernel_fft(k0))
+    return KernelTable(grid=grid, tau=float(tau), k0_hat=kernel_fft(_log_samples(grid)))
 
 
 def _check_table(u: Field, table: KernelTable):

@@ -35,16 +35,22 @@ So a start that is a whole-cell translate of one already descended, under
 a shift that leaves a invariant, is skipped only when a > 0 and either a
 is constant (the edge then only moves a descent along the translates of
 its critical point) or both starts keep EDGE_CLEARANCE from the edge.
+The descents of the remaining starts are independent: with OpenBLAS
+pinned to one thread they run side by side, one thread per free core,
+and give the bytes they give one after the other.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
 
 from .barycenter import beta as barycenter_beta
+from .blas import blas_threads
 from .errors import (
     DESCENT_ERRORS,
     AdmissibilityError,
@@ -580,6 +586,50 @@ def _descends_alike(u: Field, v: Field, pot: Potential) -> bool:
     return min(_edge_clearance(u), _edge_clearance(v)) >= EDGE_CLEARANCE
 
 
+def _descend_each(starts, workers, action, pot, table, cfg) -> List[Optional[SolveResult]]:
+    """descend from every start on up to `workers` threads, the calling one
+    included; per start, its result, the result a descent error carries, or
+    None.
+
+    The threads pull start indices from one shared iterator and fill the
+    slot of each index, so the list is in start order however the descents
+    interleave. numpy releases the GIL in its FFTs, BLAS products and ufunc
+    loops, where a descent spends most of its time. Any other error stops
+    the pulling of further starts and is raised, once the running descents
+    end, for the lowest start index that raised one: the error a loop over
+    the starts would raise.
+    """
+    outcomes: List[Optional[SolveResult]] = [None] * len(starts)
+    failed = []
+    pending = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def work():
+        while not failed:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                outcomes[i] = descend(starts[i], action, pot, table, cfg)
+            except DESCENT_ERRORS as exc:
+                outcomes[i] = getattr(exc, "result", None)
+            except BaseException as exc:
+                failed.append((i, exc))
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return outcomes
+
+
 def multistart_search(
     k: int,
     action: GroupAction,
@@ -596,28 +646,36 @@ def multistart_search(
     leaves a invariant, and the box edge cannot tell the two apart. The
     earlier start's result stands for the class. A projecting action's
     point maps about the origin do not commute with translations, so there
-    every start is descended."""
+    every start is descended.
+
+    The picked starts are descended concurrently, one thread per core this
+    process may run on (_descend_each), when more than one start is picked
+    and OpenBLAS is pinned to one thread (blas.blas_threads() == 1), as
+    the command line pins it. Each descent is a function of its start
+    alone, so the results are the bytes that descending the starts one at
+    a time gives, and in the same order. Otherwise, under a multi-threaded
+    or unknown BLAS, the starts are descended one at a time."""
     ok, reason = check_admissible(action)
     if not ok and pot.ess_inf <= 0:
         raise AdmissibilityError(
             "action not admissible (%s) and ess inf a = %.3g <= 0" % (reason, pot.ess_inf)
         )
-    family = make_bump_family(k, action, pot, table, cfg)
+    starts = make_bump_family(k, action, pot, table, cfg).starts
+
+    picked: List[int] = []
+    for idx, u0 in enumerate(starts):
+        if action.has_projection or not any(_descends_alike(u0, starts[j], pot) for j in picked):
+            picked.append(idx)
+    workers = 1
+    if len(picked) > 1 and blas_threads() == 1:
+        workers = min(len(picked), len(os.sched_getaffinity(0)))
+    outcomes = _descend_each([starts[i] for i in picked], workers, action, pot, table, cfg)
 
     results: List[SolveResult] = []
-    descended: List[Field] = []
-    for idx, u0 in enumerate(family.starts):
-        if not action.has_projection and any(_descends_alike(u0, v, pot) for v in descended):
-            continue
-        descended.append(u0)
-        try:
-            res = descend(u0, action, pot, table, cfg)
-        except DESCENT_ERRORS as exc:
-            res = getattr(exc, "result", None)
-            if res is None:
-                continue
-        res.start_index = idx
-        results.append(res)
+    for idx, res in zip(picked, outcomes):
+        if res is not None:
+            res.start_index = idx
+            results.append(res)
 
     # converged copies first: a capped start that stopped within DEDUP_REL
     # of a converged orbit is a copy of it, even at a lower Phi

@@ -481,28 +481,41 @@ def test_solve_deterministic_bitwise(tmp_path):
     assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
 
 
+# a capped rot-zeta:2 solve, and a capped multistart whose two starts are
+# no translates under a period of a, descended side by side
+BLAS_INPUTS = {
+    "solve": ("box = 6\nn = 128\nsymmetry = rot-zeta:2\nmax_iters = 5\n",
+              ["manifest.json", "solution.chq", "trace.csv"]),
+    "multistart": ("box = 8\nn = 128\na = cos2d:1.0,0.5,1.0,1.0\n"
+                   "symmetry = lattice:1,0;0,1\nk = 1\nmax_iters = 5\n",
+                   ["manifest.json", "results.csv", "solution_00.chq", "solution_01.chq",
+                    "trace_00.csv", "trace_01.csv"]),
+}
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS splits its dot products and the sine-matrix products of a
-    # restricted solve by thread count, so unpinned runs of this capped
-    # rot-zeta:2 solve differ in their last bits under one and two threads
-    cfg = write_config(tmp_path, "box = 6\nn = 128\nsymmetry = rot-zeta:2\nmax_iters = 5\n")
+    # restricted solve by thread count, so unpinned runs of these capped
+    # searches differ in their last bits under one and two threads
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / ("t" + threads)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "logchoquard", "solve", "--config", cfg, "--out", str(out)],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == EXIT_NO_CONVERGENCE, proc.stderr
-        assert json.loads((out / "manifest.json").read_text())["blas_threads"] == 1
-        digests.append({
-            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())
-        })
-    assert sorted(digests[0]) == ["manifest.json", "solution.chq", "trace.csv"]
-    assert digests[0] == digests[1]
+    for command, (text, written) in BLAS_INPUTS.items():
+        cfg = write_config(tmp_path, text)
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / command / ("t" + threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "logchoquard", command, "--config", cfg, "--out", str(out)],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == EXIT_NO_CONVERGENCE, proc.stderr
+            assert json.loads((out / "manifest.json").read_text())["blas_threads"] == 1
+            digests.append({
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())
+            })
+        assert sorted(digests[0]) == written, command
+        assert digests[0] == digests[1], command
 
 
 def test_solve_start_field_grid_mismatch_exits_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from logchoquard import (
     padded_convolve,
 )
 from logchoquard.field import shift_cells
-from logchoquard.logkernel import offset_lattice
+from logchoquard.logkernel import kernel_fft, offset_lattice
 
 from conftest import confined_field
 
@@ -77,6 +77,18 @@ def test_kernel_table_values(grid32):
     assert t.k0[0, 0] == pytest.approx(origin_cell_log_mean(grid32.h), abs=1e-13)
     assert t.k1[0, 0] == pytest.approx(0.7)  # log(e^tau + 0)
     assert t.tau == 0.7
+
+
+def test_kernel_table_builds_k0_samples_on_first_read(grid32, pot32):
+    # a descent reads k0_hat alone; the samples k0_hat was transformed from
+    # are built when the checks first read them
+    from logchoquard import SolveConfig, multistart_search, trivial_action
+
+    t = make_kernel_table(grid32)
+    multistart_search(0, trivial_action(), pot32, t, SolveConfig(max_iters=5))
+    assert "k0" not in vars(t)
+    assert np.array_equal(kernel_fft(t.k0), t.k0_hat)
+    assert vars(t)["k0"] is t.k0
 
 
 def test_kernel_pointwise_splitting(grid32):

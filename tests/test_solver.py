@@ -790,12 +790,13 @@ def record_descents(monkeypatch, starts):
 
 
 def descended_starts(monkeypatch, k, action, pot, table, cfg=SolveConfig()):
-    """Indices of the family's starts that multistart_search hands to descend."""
+    """Sorted indices of the family's starts that multistart_search hands to
+    descend; concurrent descents may be handed them in any order."""
     import logchoquard.solver as solver_mod
 
     seen = record_descents(monkeypatch, make_bump_family(k, action, pot, table, cfg).starts)
     assert solver_mod.multistart_search(k, action, pot, table, cfg) == []
-    return seen
+    return sorted(seen)
 
 
 def test_multistart_descends_once_per_translation_class(monkeypatch, grid64, table64, pot64):
@@ -880,25 +881,142 @@ def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64)
     import types
 
     import logchoquard.solver as solver_mod
-    from logchoquard import LineSearchError
 
+    # under this a the two starts are no translates of each other, so both descend
+    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
+    starts = make_bump_family(1, trivial_action(), pot, table64, SolveConfig()).starts
     u = bump_field(grid64, center=(0.0, 0.0), radius=1.0)
     copies = [(u.values, 1.0, False), ((1.0 + 1e-6) * u.values, 1.1, True)]
 
     def fake(u0, action, pot, table, cfg):
-        if not copies:
-            raise LineSearchError("no result")
-        vals, phi, converged = copies.pop(0)
+        # the copy of the start handed, whatever order the starts run in
+        i = next(i for i, s in enumerate(starts) if np.array_equal(s.values, u0.values))
+        vals, phi, converged = copies[i]
         return solver_mod.SolveResult(
             u=Field(grid64, vals), breakdown=types.SimpleNamespace(phi=phi), cerami=0.0,
             nehari=None, certificate=None, iters=1, converged=converged,
         )
 
     monkeypatch.setattr(solver_mod, "descend", fake)
-    # under this a the two starts are no translates of each other, so both descend
-    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
     results = solver_mod.multistart_search(1, trivial_action(), pot, table64, SolveConfig())
     assert [(r.breakdown.phi, r.converged, r.start_index) for r in results] == [(1.1, True, 1)]
+
+
+# ------------------------------------------------- concurrent descents
+
+
+def threaded_descents(monkeypatch):
+    """Patch descend to record the thread of each descent and run the real
+    one. Returns the record."""
+    import threading
+
+    import logchoquard.solver as solver_mod
+
+    real, threads = solver_mod.descend, []
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "descend", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("cores", [None, 1], ids=["free-cores", "one-core"])
+def test_concurrent_multistart_equals_a_loop_of_descents(monkeypatch, grid64, table64, cores):
+    # two starts that are no translates under this a, capped so that one of
+    # them stops unconverged: each result has the bytes and rows of a plain
+    # descent from its start, however many threads the starts ran on
+    import os
+
+    from logchoquard.blas import blas_threads, pin_blas_threads
+
+    pin_blas_threads()
+    if blas_threads() != 1:
+        pytest.skip("no OpenBLAS thread count to pin")
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    workers = min(2, len(os.sched_getaffinity(0)))
+    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
+    cfg = SolveConfig(max_iters=30)
+    starts = make_bump_family(1, trivial_action(), pot, table64, cfg).starts
+    loop = [descend(u0, trivial_action(), pot, table64, cfg) for u0 in starts]
+    threads = threaded_descents(monkeypatch)
+    results = multistart_search(1, trivial_action(), pot, table64, cfg)
+    assert len(threads) == 2 and len(set(threads)) == workers
+    assert sorted(r.start_index for r in results) == [0, 1]
+    assert [r.converged for r in loop] == [True, False]
+    for res in results:
+        ref = loop[res.start_index]
+        assert res.u.values.tobytes() == ref.u.values.tobytes()
+        assert res.trace == ref.trace
+        assert (res.iters, res.converged, res.cerami) == (ref.iters, ref.converged, ref.cerami)
+
+
+def gated_descents(monkeypatch, grid, table, finish):
+    """Patch multistart_search to descend on two threads, and descend to
+    let start 1 end before start 0: start 0 waits until start 1 has ended.
+    finish(i, u0) ends the descent of start i. Returns the potential, the
+    starts and the order of ends."""
+    import os
+    import threading
+
+    import logchoquard.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pot = cos2d_potential(grid, 1.0, 0.5, 1.0, 1.0)
+    starts = make_bump_family(1, trivial_action(), pot, table, SolveConfig()).starts
+    second_ended, ended = threading.Event(), []
+
+    def gated(u0, action, pot, table, cfg):
+        i = next(i for i, s in enumerate(starts) if np.array_equal(s.values, u0.values))
+        if i == 0:
+            assert second_ended.wait(timeout=30), "the starts did not run side by side"
+        try:
+            return finish(i, u0)
+        finally:
+            ended.append(i)
+            second_ended.set()
+
+    monkeypatch.setattr(solver_mod, "descend", gated)
+    return pot, starts, ended
+
+
+def test_concurrent_results_keep_start_order(monkeypatch, grid64, table64):
+    # start 1 ends first, and each result still stands in its start's slot:
+    # result i is (1 + i) times start i, and with equal Phi the stable sort
+    # keeps the slot order
+    import types
+
+    import logchoquard.solver as solver_mod
+
+    def finish(i, u0):
+        return solver_mod.SolveResult(
+            u=Field(grid64, (1.0 + i) * u0.values), breakdown=types.SimpleNamespace(phi=1.0),
+            cerami=0.0, nehari=None, certificate=None, iters=1, converged=True,
+        )
+
+    pot, starts, ended = gated_descents(monkeypatch, grid64, table64, finish)
+    results = solver_mod.multistart_search(1, trivial_action(), pot, table64, SolveConfig())
+    assert ended == [1, 0]
+    assert [r.start_index for r in results] == [0, 1]
+    for i, res in enumerate(results):
+        assert np.array_equal(res.u.values, (1.0 + i) * starts[i].values)
+
+
+def test_concurrent_error_of_the_first_start_is_raised(monkeypatch, grid64, table64):
+    # both starts raise a non-descent error, start 1 first: the error raised
+    # is start 0's, the one a loop over the starts would raise
+    import logchoquard.solver as solver_mod
+
+    def finish(i, u0):
+        raise RuntimeError("start %d" % i)
+
+    pot, _, ended = gated_descents(monkeypatch, grid64, table64, finish)
+    with pytest.raises(RuntimeError, match="start 0"):
+        solver_mod.multistart_search(1, trivial_action(), pot, table64, SolveConfig())
+    assert ended == [1, 0]
 
 
 # ------------------------------------------------------------- ground state

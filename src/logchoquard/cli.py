@@ -491,7 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multistart", help="multi-start search for distinct solutions")
     common(p)
-    p.add_argument("--k", type=int, default=None, help="bump-family index (k+1 bumps)")
+    p.add_argument(
+        "--k", type=int, default=None,
+        help="bump-family index: k+1 bumps; under trivial/lattice one per kind of "
+        "critical point of a (min, max, saddle), at most k+1",
+    )
     p.set_defaults(fn=cmd_multistart)
 
     p = sub.add_parser("convolve", help="convolve a dumped field with a log kernel")

@@ -22,22 +22,14 @@ mean of the Hessian's potential a + w0, which sits far above the metric's
 mass at a solution; with that shift a Newton row is cheap enough far
 from a critical point too.
 
-Starts come from families of k+1 disjoint mollifier bumps placed and
-symmetrized according to the group action; the multistart search
-descends once per translation class of bumps. Phi is invariant under
-every translation that leaves a invariant, and the metric, recentred at
-the barycenter, is equivariant under every translation,
-<T v, T w>_{T u} = <v, w>_u; so on the plane the descent from a
-translated start is the translate of the descent. The box breaks this at
-its edge, where the zero extension cuts the Riesz gradient off, and a
-start near the edge can slide off a saddle that its translate rests on.
-So a start that is a whole-cell translate of one already descended, under
-a shift that leaves a invariant, is skipped only when a > 0 and either a
-is constant (the edge then only moves a descent along the translates of
-its critical point) or both starts keep EDGE_CLEARANCE from the edge.
-The descents of the remaining starts are independent: with OpenBLAS
-pinned to one thread they run side by side, one thread per free core,
-and give the bytes they give one after the other.
+Starts come from families of disjoint mollifier bumps placed and
+symmetrized according to the group action. Trivial and lattice bumps sit
+on the critical points of the sampled a, one per kind (minimum, maximum,
+saddle): the three lowest Ljusternik-Schnirelmann orbits of a Z^2-periodic
+a sit there, and no two such starts are translates under a period of a.
+The descents of the starts are independent: with OpenBLAS pinned to one
+thread they run side by side, one thread per free core, and give the
+bytes they give one after the other.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from .errors import (
     LineSearchError,
     StartFamilyError,
 )
-from .field import Field, bump_field, lp_norm, neg_laplacian, shift_cells
+from .field import Field, bump_field, lp_norm, neg_laplacian
 from .functionals import (
     EnergyBreakdown,
     NehariClass,
@@ -102,17 +94,12 @@ LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _gradient bo
 STEP_INIT = 1.0
 BACKTRACK_FACTOR = 0.5
 ARMIJO_C = 1e-4
-# a is invariant under a whole-cell shift when its samples at x and x + tau
-# agree within TRANSLATE_A_REL * max(1, sup |a|): a periodic a sampled one
-# period apart differs by the rounding of its argument, a few 1e-16 |x|
-# times its slope, far below this, while a shift that is no period moves
-# the samples by the order of a's own variation
-TRANSLATE_A_REL = 1e-12
-# the box edge cuts off the Riesz gradient of a start's residual; A_u >=
-# -Delta + 1, so that gradient decays at least like e^-r, and a start whose
-# support keeps this distance from the edge loses less of it than the
-# relative error LOOSE_RIESZ_TOL that every descent solve accepts
-EDGE_CLEARANCE = float(np.log(1.0 / LOOSE_RIESZ_TOL))
+# a vertex of the grid is stationary when the two halves of its 2x2 block
+# of a samples agree, across either axis, within STATIONARY_REL *
+# max(1, sup |a|): rounding moves the samples of a block that is symmetric
+# about its vertex by a few 1e-16 |a|, while a vertex one cell off a
+# critical point moves them by the order of a's own variation
+STATIONARY_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -399,47 +386,84 @@ def descend(
 # start families
 
 
-def _bump_sites(action: GroupAction, grid, k: int):
-    """Centers and radius (in length units) for k+1 disjoint bumps."""
-    h = grid.h
+KINDS = ("minimum", "maximum", "saddle")  # the order in which the kinds take starts
+
+
+def _critical_vertices(a: np.ndarray, h: float):
+    """Critical points of the sampled a at the vertices of the grid: their
+    positions, their kinds (indices into KINDS) and their stationarity.
+
+    A vertex is the corner shared by a 2x2 block of samples. The winding
+    of the centred-difference gradient of a around the block (Sunday's
+    crossing rule on the ray g2 = 0, g1 > 0) is +1 at an extremum and -1
+    at a saddle; a block with a sample of exactly zero gradient is
+    skipped. An extremum is a minimum when the mean of its block lies
+    below the mean of the 12 samples around the block. The stationarity
+    is the length of the block's difference across each axis, 0 where the
+    block is symmetric about its vertex.
+    """
+    g1 = a[2:, 1:-1] - a[:-2, 1:-1]
+    g2 = a[1:-1, 2:] - a[1:-1, :-2]
+    up = g2 > 0
+    corners = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]  # counter-clockwise
+    winding = np.zeros((a.shape[0] - 3,) * 2, dtype=np.int8)
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        cross = g1[p] * g2[q]
+        cross -= g2[p] * g1[q]
+        winding += (up[q] > up[p]) & (cross > 0)
+        winding -= (up[p] > up[q]) & (cross < 0)
+    # vertex (i, j) has the block of samples i+1, i+2 (x1) and j+1, j+2 (x2)
+    i, j = np.nonzero(winding)
+    flat = (g1 == 0) & (g2 == 0)
+    keep = ~(flat[i, j] | flat[i + 1, j] | flat[i, j + 1] | flat[i + 1, j + 1])
+    i, j = i[keep], j[keep]
+    b00, b10, b01, b11 = (a[i + 1 + di, j + 1 + dj] for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    rows = a[:-3] + a[1:-2] + a[2:-1] + a[3:]
+    box = rows[:, :-3] + rows[:, 1:-2] + rows[:, 2:-1] + rows[:, 3:]  # the 4x4 sums
+    minimum = 4.0 * (b00 + b10 + b01 + b11) < box[i, j]
+    kind = np.where(winding[i, j] < 0, 2, np.where(minimum, 0, 1))
+    stationarity = np.hypot(b10 + b11 - b00 - b01, b01 + b11 - b00 - b10)
+    x = h * (np.stack([i, j], axis=1) + 2 - 0.5 * a.shape[0])
+    return x, kind, stationarity
+
+
+def _bump_sites(action: GroupAction, pot: Potential, k: int):
+    """Centers and radius (in length units) of the trivial and lattice bumps.
+
+    One bump sits on a critical vertex of a of each of the first k+1 kinds
+    found, in the order of KINDS, and one at the origin when a has none.
+    Each kind's site is its most nearly stationary vertex, then the one
+    nearest the origin, among those at least 2 radius + 2h from the sites
+    before it: supports that far apart keep two cells between them.
+    """
+    h = pot.a.grid.h
+    scale = 1.0
     if action.kind == KIND_LATTICE:
-        b1 = np.array(action.cells1, dtype=float) * h
-        b2 = np.array(action.cells2, dtype=float) * h
-    else:
-        # free placement: widen the pattern on coarse grids so bumps resolve
-        s = max(1.0, 8.0 * h)
-        b1 = np.array([s, 0.0])
-        b2 = np.array([0.0, s])
-    # seed fractions visit inequivalent sites of the lattice (half-cell, origin,
-    # quarter-diagonal, conjugate half-cell, and a pure lattice translate)
-    fractions = [
-        (0.5, 0.0),
-        (2.0, 0.0),
-        (-1.25, 0.25),
-        (0.0, -1.5),
-        (-2.5, 0.0),
-        (1.5, 1.5),
-        (-1.5, 1.5),
-        (1.5, -1.5),
-    ]
-    if k + 1 > len(fractions):
-        raise StartFamilyError("bump catalog supports at most %d bumps" % len(fractions))
-    centers = [f1 * b1 + f2 * b2 for f1, f2 in fractions[: k + 1]]
-    sep = min(
-        float(np.hypot(*(ci - cj)))
-        for i, ci in enumerate(centers)
-        for j, cj in enumerate(centers)
-        if i < j
-    ) if k else np.inf
-    scale = min(np.hypot(*b1), np.hypot(*b2), 1.0)
-    # prefer 0.45 cell units, but grow on coarse grids up to the disjointness cap
-    radius = min(0.48 * (sep - 2 * h), max(0.45 * scale, 3.5 * h))
+        scale = min(h * np.hypot(*action.cells1), h * np.hypot(*action.cells2), 1.0)
+    radius = max(0.45 * scale, 3.5 * h)
+    x, kind, stationarity = _critical_vertices(pot.a.values, h)
+    if not len(x):
+        return [np.zeros(2)], radius
+    stationarity[stationarity <= STATIONARY_REL * max(1.0, pot.sup_norm)] = 0.0
+    order = np.lexsort((np.hypot(x[:, 0], x[:, 1]), stationarity))
+    x, kind = x[order], kind[order]
+    centers = []
+    for c in np.unique(kind)[: k + 1]:
+        clear = kind == c
+        for site in centers:
+            clear &= np.hypot(x[:, 0] - site[0], x[:, 1] - site[1]) >= 2 * radius + 2 * h
+        if not np.any(clear):
+            raise StartFamilyError(
+                "no %s of a lies 2 radius + 2h = %.3g from the %d bump sites before it"
+                % (KINDS[c], 2 * radius + 2 * h, len(centers))
+            )
+        centers.append(x[np.argmax(clear)])
     return centers, radius
 
 
-def _layout(k: int, action: GroupAction, grid):
-    """Seeds [(center, radius)] of k+1 bumps and their noun."""
-    h = grid.h
+def _layout(k: int, action: GroupAction, pot: Potential):
+    """Seeds [(center, radius)] of the bumps and their noun."""
+    h = pot.a.grid.h
     if action.kind == KIND_ROTATION:
         chord = 2.0 * np.sin(np.pi / (2 * action.m))
         ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep the rings disjoint
@@ -449,7 +473,7 @@ def _layout(k: int, action: GroupAction, grid):
     if action.kind == KIND_GLIDE:
         offset = 0.9 if action.zeta_nontrivial else 0.0
         return [(((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)], "glide bumps"
-    centers, radius = _bump_sites(action, grid, k)
+    centers, radius = _bump_sites(action, pot, k)
     return [(tuple(c), radius) for c in centers], "bumps"
 
 
@@ -460,9 +484,11 @@ def make_bump_family(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> StartFamily:
-    """k+1 invariant bumps with disjoint supports and one descent start per bump.
+    """Invariant bumps with disjoint supports and one descent start per bump.
 
-    _layout places the seed bumps of the action's kind. One build loop
+    _layout places the seed bumps of the action's kind: k+1 rotation or
+    glide bumps, and under the trivial and lattice actions one bump per
+    kind of critical point of a (_bump_sites), at most k+1. One build loop
     checks each seed against the resolution floor (radius >= 3h, for every
     kind) and the box, builds it and, under a projecting action,
     symmetrizes it; the seeds are disjoint, mirroring the disjoint-support
@@ -476,7 +502,7 @@ def make_bump_family(
     from the seed, so no error accumulates.
 
     Starts stay on their sites: without a projection (the trivial and
-    lattice families, bumps on _bump_sites) a bump starts from its unscaled
+    lattice families) a bump starts from its unscaled
     on-site self whenever that lies in O, and otherwise from its rescaled
     self. cfg is not read; it stays for callers of the five-argument form.
     """
@@ -495,13 +521,13 @@ def make_bump_family(
         bump = bump_field(grid, (s * center[0], s * center[1]), s * radius, np.exp(-t))
         return project_invariant(bump, action) if action.has_projection else bump
 
-    seeds, what = _layout(k, action, grid)
+    seeds, what = _layout(k, action, pot)
     bumps = []
     for center, radius in seeds:
         if radius < 3 * grid.h:
             raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
         if np.max(np.abs(center)) + radius > fit_limit:
-            raise StartFamilyError("%d %s do not fit the box" % (k + 1, what))
+            raise StartFamilyError("%d %s do not fit the box" % (len(seeds), what))
         bump = dilated(center, radius, 0.0)
         if action.has_projection and lp_norm(bump, 2) <= 1e-14:
             raise StartFamilyError("invariant projection annihilated one of the %s" % what)
@@ -539,51 +565,6 @@ def make_bump_family(
         scaled.append(bump)
         starts.append(seed if on_site and in_o else bump)
     return StartFamily(bumps=scaled, starts=starts)
-
-
-def _is_translate(u: Field, v: Field, pot: Potential) -> bool:
-    """True when u equals v shifted by whole cells, sample for sample, and a
-    is invariant under that shift on the overlap of the box and its shift.
-
-    The candidate shift carries the first largest |v| sample onto u's.
-    """
-    i, j = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
-    p, q = np.unravel_index(np.argmax(np.abs(v.values)), v.values.shape)
-    di, dj = int(i - p), int(j - q)
-    if not np.array_equal(shift_cells(v, di, dj).values, u.values):
-        return False
-    n, a = u.grid.n, pot.a.values
-    moved = a[max(0, di):n + min(0, di), max(0, dj):n + min(0, dj)]
-    fixed = a[max(0, -di):n - max(0, di), max(0, -dj):n - max(0, dj)]
-    return float(np.max(np.abs(moved - fixed))) <= TRANSLATE_A_REL * max(1.0, pot.sup_norm)
-
-
-def _edge_clearance(u: Field) -> float:
-    """Distance from the samples where u is nonzero to the box edge."""
-    i, j = np.nonzero(u.values)
-    n = u.grid.n
-    return (min(i.min(), j.min(), n - 1 - i.max(), n - 1 - j.max()) + 0.5) * u.grid.h
-
-
-def _descends_alike(u: Field, v: Field, pot: Potential) -> bool:
-    """True when the descent from u may stand for the translate of the one
-    from v: u is a translate of v under a shift that leaves a invariant, and
-    the box edge cannot tell them apart.
-
-    Under a positive constant a, Phi does not change along translations,
-    so the edge has no saddle to tip a descent off: it can only move it
-    along the translates of the critical point it settles into. Under any
-    other positive a, Phi changes along translations, and the edge can tip
-    a start off a saddle onto another orbit, so both starts must keep
-    EDGE_CLEARANCE from the edge. Where a <= 0 somewhere, a descent may
-    spread over the box (a vanishing iterate) and the edge decides where it
-    stops, so no start stands for another.
-    """
-    if pot.ess_inf <= 0 or not _is_translate(u, v, pot):
-        return False
-    if pot.sup_norm - pot.ess_inf <= TRANSLATE_A_REL * pot.sup_norm:
-        return True
-    return min(_edge_clearance(u), _edge_clearance(v)) >= EDGE_CLEARANCE
 
 
 def _descend_each(starts, workers, action, pot, table, cfg) -> List[Optional[SolveResult]]:
@@ -637,42 +618,29 @@ def multistart_search(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> List[SolveResult]:
-    """Descend once per translation class of starts of the bump family;
-    dedup by orbit distance, converged results first; sort by Phi.
+    """Descend from every start of the bump family; dedup by orbit
+    distance, converged results first; sort by Phi.
 
-    Without a projection (trivial and lattice actions) a start is skipped
-    when the descent of a start already descended stands for its own
-    (_descends_alike): it is that start's translate under a shift that
-    leaves a invariant, and the box edge cannot tell the two apart. The
-    earlier start's result stands for the class. A projecting action's
-    point maps about the origin do not commute with translations, so there
-    every start is descended.
-
-    The picked starts are descended concurrently, one thread per core this
-    process may run on (_descend_each), when more than one start is picked
-    and OpenBLAS is pinned to one thread (blas.blas_threads() == 1), as
-    the command line pins it. Each descent is a function of its start
-    alone, so the results are the bytes that descending the starts one at
-    a time gives, and in the same order. Otherwise, under a multi-threaded
-    or unknown BLAS, the starts are descended one at a time."""
+    The starts are descended concurrently, one thread per core this
+    process may run on (_descend_each), when there is more than one and
+    OpenBLAS is pinned to one thread (blas.blas_threads() == 1), as the
+    command line pins it. Each descent is a function of its start alone,
+    so the results are the bytes that descending the starts one at a time
+    gives, and in the same order. Otherwise, under a multi-threaded or
+    unknown BLAS, the starts are descended one at a time."""
     ok, reason = check_admissible(action)
     if not ok and pot.ess_inf <= 0:
         raise AdmissibilityError(
             "action not admissible (%s) and ess inf a = %.3g <= 0" % (reason, pot.ess_inf)
         )
     starts = make_bump_family(k, action, pot, table, cfg).starts
-
-    picked: List[int] = []
-    for idx, u0 in enumerate(starts):
-        if action.has_projection or not any(_descends_alike(u0, starts[j], pot) for j in picked):
-            picked.append(idx)
     workers = 1
-    if len(picked) > 1 and blas_threads() == 1:
-        workers = min(len(picked), len(os.sched_getaffinity(0)))
-    outcomes = _descend_each([starts[i] for i in picked], workers, action, pot, table, cfg)
+    if len(starts) > 1 and blas_threads() == 1:
+        workers = min(len(starts), len(os.sched_getaffinity(0)))
+    outcomes = _descend_each(starts, workers, action, pot, table, cfg)
 
     results: List[SolveResult] = []
-    for idx, res in zip(picked, outcomes):
+    for idx, res in enumerate(outcomes):
         if res is not None:
             res.start_index = idx
             results.append(res)

@@ -306,9 +306,9 @@ def test_multistart_descent_error_writes_every_listed_output_and_exits_3(monkeyp
 
 
 @pytest.mark.parametrize("command, text", [
-    ("solve", "n = 16\nbox = 4\nk = 0\n"),
-    ("multistart", "n = 16\nbox = 4\nk = 0\n"),
-    ("ground-state", "n = 32\nbox = 4\n"),
+    ("solve", "n = 16\nbox = 1.25\nk = 0\n"),
+    ("multistart", "n = 16\nbox = 1.25\nk = 0\n"),
+    ("ground-state", "n = 32\nbox = 1.25\n"),
 ], ids=["solve", "multistart", "ground-state"])
 def test_a_start_family_that_does_not_fit_exits_2_and_lists_no_outputs(tmp_path, capsys, command, text):
     # every solving command builds its start family after the manifest, so
@@ -481,8 +481,8 @@ def test_solve_deterministic_bitwise(tmp_path):
     assert filecmp.cmp(out1 / "trace.csv", out2 / "trace.csv", shallow=False)
 
 
-# a capped rot-zeta:2 solve, and a capped multistart whose two starts are
-# no translates under a period of a, descended side by side
+# a capped rot-zeta:2 solve, and a capped multistart whose two starts, on a
+# minimum and a maximum of a, are descended side by side
 BLAS_INPUTS = {
     "solve": ("box = 6\nn = 128\nsymmetry = rot-zeta:2\nmax_iters = 5\n",
               ["manifest.json", "solution.chq", "trace.csv"]),
@@ -693,8 +693,8 @@ def test_multistart_writes_results_csv(tmp_path, capsys):
 
 
 def test_default_multistart_returns_one_orbit(tmp_path, capsys):
-    # the default family's three bumps are whole-cell translates of one
-    # another under a constant a: one descent, one orbit, from start 0
+    # a constant a has no critical point: the default family is one bump at
+    # the origin, one descent, one orbit, from start 0
     out = tmp_path / "o"
     assert main(["multistart", "--out", str(out)]) == EXIT_OK
     header, *rows = (out / "results.csv").read_text().splitlines()

@@ -44,17 +44,17 @@ from logchoquard import (
     nehari_project,
     norm_u,
     project_invariant,
+    radial_well_potential,
     residual_field,
     riesz_gradient,
     rotation_zeta,
     solve_metric_system,
     trivial_action,
 )
-from logchoquard.field import neg_laplacian, shift_cells
+from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import (
     BACKTRACK_FACTOR,
-    EDGE_CLEARANCE,
     GRADIENT,
     LOOSE_RIESZ_TOL,
     NEWTON,
@@ -62,7 +62,6 @@ from logchoquard.solver import (
     STEP_INIT,
     TRACE_COLUMNS,
     _bump_sites,
-    _edge_clearance,
 )
 
 
@@ -110,8 +109,10 @@ def supports(bumps):
     return [b.values != 0 for b in bumps]
 
 
-def test_bump_family_trivial(grid64, table64, pot64):
-    fam = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig())
+def test_bump_family_trivial(grid64, table64):
+    # a minimum, a maximum and a saddle of a: three bumps
+    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
+    fam = make_bump_family(2, trivial_action(), pot, table64, SolveConfig())
     assert len(fam.bumps) == 3
     masks = supports(fam.bumps)
     for i in range(3):
@@ -163,9 +164,9 @@ def test_bump_family_deep_lattice_well_lies_in_O():
     g = Grid(L=8.0, n=128)
     tb = make_kernel_table(g)
     action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
-    pot = const_potential(g, -150.0)
+    pot = const_potential(g, -100.0)
     fam = make_bump_family(1, action, pot, tb, SolveConfig())
-    centers, radius = _bump_sites(action, g, 1)
+    centers, radius = _bump_sites(action, pot, 1)
     for start, center in zip(fam.starts, centers):
         bk = energy(start, pot, tb)
         assert bk.q_a > 0 > bk.v0
@@ -204,7 +205,7 @@ def test_bump_family_vertex_starts_on_site():
     pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
     action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
     fam = make_bump_family(4, action, pot, make_kernel_table(g), SolveConfig())
-    centers, _ = _bump_sites(action, g, 4)
+    centers, _ = _bump_sites(action, pot, 4)
     for start, site in zip(fam.starts, centers):
         assert np.max(np.abs(beta(start) - site)) <= 1e-9
 
@@ -212,12 +213,6 @@ def test_bump_family_vertex_starts_on_site():
 def test_bump_family_guards(grid64, table64, pot64):
     with pytest.raises(ValueError):
         make_bump_family(-1, trivial_action(), pot64, table64, SolveConfig())
-    with pytest.raises(StartFamilyError, match="at most"):
-        make_bump_family(8, trivial_action(), pot64, table64, SolveConfig())
-    # a one-cell lattice cannot host resolved disjoint bumps
-    tiny = lattice_translation(grid64, (grid64.h, 0.0), (0.0, grid64.h))
-    with pytest.raises(StartFamilyError, match="coarse"):
-        make_bump_family(2, tiny, pot64, table64, SolveConfig())
     # two sector-bump rings overrun the box
     small = Grid(L=3.0, n=64)
     with pytest.raises(StartFamilyError, match="2 sector bumps do not fit the box"):
@@ -227,6 +222,33 @@ def test_bump_family_guards(grid64, table64, pot64):
     # a deep well: no scale reaches O
     with pytest.raises(StartFamilyError, match="cannot satisfy"):
         make_bump_family(0, trivial_action(), const_potential(grid64, -5000.0), table64, SolveConfig())
+
+
+def test_bump_sites_are_one_minimum_maximum_and_saddle_of_a():
+    # cos(2 pi x1) cos(2 pi x2) is -1 at a minimum of a, +1 at a maximum and
+    # 0 at a saddle; the sites keep 2 radius + 2h apart, so the bumps are disjoint
+    g = Grid(L=8.0, n=128)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+    centers, radius = _bump_sites(action, pot, 4)
+    wave = [np.cos(2 * np.pi * c[0]) * np.cos(2 * np.pi * c[1]) for c in centers]
+    assert wave == pytest.approx([-1.0, 1.0, 0.0], abs=1e-12)
+    for c, d in itertools.combinations(centers, 2):
+        assert np.hypot(*(c - d)) >= 2 * radius + 2 * g.h
+    # k caps the kinds used, in the order minimum, maximum, saddle
+    assert [len(_bump_sites(action, pot, k)[0]) for k in (0, 1, 2)] == [1, 2, 3]
+    assert np.array_equal(_bump_sites(action, pot, 1)[0], centers[:2])
+
+
+def test_bump_sites_without_a_critical_vertex_or_with_one_well():
+    # a constant a has no critical vertex, whatever k: one bump at the
+    # origin. A radial well has one, its centre
+    g = Grid(L=8.0, n=64)
+    for k in (0, 1, 4):
+        centers, _ = _bump_sites(trivial_action(), const_potential(g), k)
+        assert np.array_equal(centers, [[0.0, 0.0]])
+        centers, _ = _bump_sites(trivial_action(), radial_well_potential(g, 0.5, 1.5), k)
+        assert np.array_equal(centers, [[0.0, 0.0]])
 
 
 # --------------------------------------------------------------- descent
@@ -554,7 +576,8 @@ def benchmark_descents(name):
         cfg = SolveConfig(max_iters=400)
     table = make_kernel_table(g)
     starts = make_bump_family(k, action, pot, table, cfg).starts
-    assert len(starts) == k + 1
+    # ground's constant a has no critical point: one bump, at the origin
+    assert len(starts) == {"signchange": 1, "ground": 1, "periodic": 2}[name]
     return [descend(u0, action, pot, table, cfg) for u0 in starts]
 
 
@@ -655,15 +678,15 @@ def test_periodic_drift_tail_converges_in_few_steps():
 
 
 def test_a_loose_converged_value_takes_no_step():
-    # the k=2 family's start at (2, 0) on L = 6, n = 128 sits in a sliding
-    # valley: a Newton step from a point a loose solve already shows to be
-    # converged sets off a slide of about 200 rows. The row whose certified
-    # Cerami value shows it ends the descent instead
+    # a bump at (2, 0) on L = 6, n = 128 sits in a sliding valley: a Newton
+    # step from a point a loose solve already shows to be converged sets off
+    # a slide of about 200 rows. The row whose certified Cerami value shows
+    # it ends the descent instead
     g = Grid(L=6.0, n=128)
     pot = const_potential(g)
     table = make_kernel_table(g)
     cfg = SolveConfig()
-    u0 = make_bump_family(2, trivial_action(), pot, table, cfg).starts[1]
+    u0 = bump_field(g, (2.0, 0.0), 0.45)
     res = descend(u0, trivial_action(), pot, table, cfg)
     assert res.converged and len(res.trace) <= 12
     assert all(row[5] > cfg.cerami_tol for row in res.trace[:-1])
@@ -742,14 +765,40 @@ def test_multistart_rotation_bumps_reach_one_orbit():
 
 
 def test_multistart_results_sorted_by_energy():
-    # L = 10 so the two-bump catalog sites clear the rescaling margin
+    # a minimum and a maximum of a: two starts, two orbits
     g = Grid(L=10.0, n=64)
-    pot = const_potential(g)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
     tb = make_kernel_table(g)
     results = multistart_search(1, trivial_action(), pot, tb, SolveConfig(max_iters=300))
-    assert results
+    assert len(results) == 2
     phis = [r.breakdown.phi for r in results]
     assert phis == sorted(phis)
+
+
+def test_multistart_reports_the_saddle_orbit_of_a_coarse_free_grid():
+    # trivial action, L=8, n=64: one start each on a minimum, a maximum and a
+    # saddle of a gives three orbits, each in a few rows
+    g = Grid(L=8.0, n=64)
+    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    results = multistart_search(4, trivial_action(), pot, make_kernel_table(g), SolveConfig())
+    assert [r.converged for r in results] == [True, True, True]
+    assert [r.breakdown.phi for r in results] == pytest.approx(
+        [7.38333110, 7.38788068, 7.39243414], rel=1e-8
+    )
+    assert all(len(r.trace) <= 8 for r in results)
+
+
+def test_multistart_off_grid_period_starts_on_symmetric_vertices():
+    # L=6, n=128: a period is 10.67 cells, so most extrema of a fall between
+    # vertices; a start on a vertex about which the grid is symmetric stays
+    # on its orbit
+    g = Grid(L=6.0, n=128)
+    pot = cos2d_potential(g, 1.0, -0.5, 1.0, 1.0)
+    results = multistart_search(2, trivial_action(), pot, make_kernel_table(g), SolveConfig())
+    assert [r.converged for r in results] == [True, True, True]
+    assert [r.breakdown.phi for r in results] == pytest.approx(
+        [7.46091939, 7.46476051, 7.468604798], rel=1e-8
+    )
 
 
 def test_multistart_requires_admissible_or_coercive(grid64, table64):
@@ -773,12 +822,14 @@ def test_multistart_survives_failing_starts(monkeypatch, grid64, table64, pot64)
     assert results == []
 
 
-def record_descents(monkeypatch, starts):
-    """Patch descend to record the index in starts of each start it is
-    handed, and to raise, so no descent runs. Returns the record."""
+def descended_starts(monkeypatch, k, action, pot, table, cfg=SolveConfig()):
+    """Sorted indices of the family's starts that multistart_search hands to
+    descend; concurrent descents may be handed them in any order. descend
+    is patched to raise, so no descent runs."""
     import logchoquard.solver as solver_mod
     from logchoquard import LineSearchError
 
+    starts = make_bump_family(k, action, pot, table, cfg).starts
     seen = []
 
     def counted(u0, action, pot, table, cfg):
@@ -786,87 +837,8 @@ def record_descents(monkeypatch, starts):
         raise LineSearchError("counted only")
 
     monkeypatch.setattr(solver_mod, "descend", counted)
-    return seen
-
-
-def descended_starts(monkeypatch, k, action, pot, table, cfg=SolveConfig()):
-    """Sorted indices of the family's starts that multistart_search hands to
-    descend; concurrent descents may be handed them in any order."""
-    import logchoquard.solver as solver_mod
-
-    seen = record_descents(monkeypatch, make_bump_family(k, action, pot, table, cfg).starts)
     assert solver_mod.multistart_search(k, action, pot, table, cfg) == []
     return sorted(seen)
-
-
-def test_multistart_descends_once_per_translation_class(monkeypatch, grid64, table64, pot64):
-    import logchoquard.solver as solver_mod
-
-    # a constant a is invariant under every shift, and the three trivial
-    # bumps are whole-cell translates of one another (by 12 and (-14, 2)
-    # cells); under a positive constant a they are skipped even nearer the
-    # edge than EDGE_CLEARANCE
-    starts = make_bump_family(2, trivial_action(), pot64, table64, SolveConfig()).starts
-    assert np.array_equal(shift_cells(starts[0], 12, 0).values, starts[1].values)
-    assert np.array_equal(shift_cells(starts[0], -14, 2).values, starts[2].values)
-    assert _edge_clearance(starts[1]) < EDGE_CLEARANCE
-    for k in (0, 2):
-        assert descended_starts(monkeypatch, k, trivial_action(), pot64, table64) == [0]
-    # the ground state has no start of its own: one descent for the k=2 family
-    seen = record_descents(monkeypatch, starts)
-    with pytest.raises(GroundStateError, match="no start converged"):
-        solver_mod.ground_state(trivial_action(), pot64, table64, SolveConfig())
-    assert seen == [0]
-
-
-def test_translation_classes_of_the_periodic_family(monkeypatch):
-    # the periodic benchmark lattice: starts 3 and 4 are start 0 moved by
-    # (-1/2, -3/2) and (-3, 0), under which cos(2 pi x1) cos(2 pi x2) is
-    # invariant; start 1 is moved by (3/2, 0) and start 2 by (-7/4, 1/4), which
-    # are no periods of a
-    g = Grid(L=8.0, n=128)
-    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
-    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
-    table = make_kernel_table(g)
-    cfg = SolveConfig(max_iters=400)
-    starts = make_bump_family(4, action, pot, table, cfg).starts
-    assert np.array_equal(shift_cells(starts[0], -4, -12).values, starts[3].values)
-    assert np.array_equal(shift_cells(starts[0], -24, 0).values, starts[4].values)
-    assert descended_starts(monkeypatch, 1, action, pot, table, cfg) == [0, 1]
-    assert descended_starts(monkeypatch, 4, action, pot, table, cfg) == [0, 1, 2]
-
-
-def test_translates_under_no_period_of_a_are_all_descended(monkeypatch, grid64, table64):
-    # the trivial family's starts are exact translates (by 12 cells = 2.25 and
-    # by (-14, 2) cells), but no shift of them is a period of a
-    pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
-    starts = make_bump_family(2, trivial_action(), pot, table64, SolveConfig()).starts
-    assert np.array_equal(shift_cells(starts[0], 12, 0).values, starts[1].values)
-    assert descended_starts(monkeypatch, 2, trivial_action(), pot, table64) == [0, 1, 2]
-
-
-def test_translates_near_the_edge_or_under_a_nonpositive_a_descend(monkeypatch):
-    # trivial family, L=8, n=64: starts 1 to 4 are start 0 at (1, 0), on a
-    # maximum of a, moved by periods of a. Start 2 keeps EDGE_CLEARANCE from
-    # the edge and is skipped; start 4 at (-5, 0) does not, and descends (on
-    # its own it slides off the saddle that start 0 rests on, to a lower orbit)
-    g = Grid(L=8.0, n=64)
-    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
-    table = make_kernel_table(g)
-    starts = make_bump_family(4, trivial_action(), pot, table, SolveConfig()).starts
-    assert np.array_equal(shift_cells(starts[0], -24, 0).values, starts[4].values)
-    assert _edge_clearance(starts[4]) < EDGE_CLEARANCE
-    assert min(_edge_clearance(starts[0]), _edge_clearance(starts[2])) >= EDGE_CLEARANCE
-    assert descended_starts(monkeypatch, 4, trivial_action(), pot, table) == [0, 1, 3, 4]
-    # where a <= 0 no translate is skipped, however far from the edge: every
-    # start of this lattice family keeps EDGE_CLEARANCE
-    g = Grid(L=8.0, n=128)
-    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
-    table = make_kernel_table(g)
-    pot = const_potential(g, -5.0)
-    starts = make_bump_family(2, action, pot, table, SolveConfig()).starts
-    assert min(_edge_clearance(s) for s in starts) >= EDGE_CLEARANCE
-    assert descended_starts(monkeypatch, 2, action, pot, table) == [0, 1, 2]
 
 
 def test_projecting_actions_descend_every_start(monkeypatch):
@@ -882,7 +854,7 @@ def test_multistart_dedup_keeps_the_converged_copy(monkeypatch, grid64, table64)
 
     import logchoquard.solver as solver_mod
 
-    # under this a the two starts are no translates of each other, so both descend
+    # a minimum and a maximum of a: two starts
     pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
     starts = make_bump_family(1, trivial_action(), pot, table64, SolveConfig()).starts
     u = bump_field(grid64, center=(0.0, 0.0), radius=1.0)
@@ -924,9 +896,9 @@ def threaded_descents(monkeypatch):
 
 @pytest.mark.parametrize("cores", [None, 1], ids=["free-cores", "one-core"])
 def test_concurrent_multistart_equals_a_loop_of_descents(monkeypatch, grid64, table64, cores):
-    # two starts that are no translates under this a, capped so that one of
-    # them stops unconverged: each result has the bytes and rows of a plain
-    # descent from its start, however many threads the starts ran on
+    # a minimum and a maximum of a, capped so that the second stops
+    # unconverged: each result has the bytes and rows of a plain descent
+    # from its start, however many threads the starts ran on
     import os
 
     from logchoquard.blas import blas_threads, pin_blas_threads
@@ -938,7 +910,7 @@ def test_concurrent_multistart_equals_a_loop_of_descents(monkeypatch, grid64, ta
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     workers = min(2, len(os.sched_getaffinity(0)))
     pot = cos2d_potential(grid64, 1.0, 0.5, 1.0, 1.0)
-    cfg = SolveConfig(max_iters=30)
+    cfg = SolveConfig(max_iters=6)
     starts = make_bump_family(1, trivial_action(), pot, table64, cfg).starts
     loop = [descend(u0, trivial_action(), pot, table64, cfg) for u0 in starts]
     threads = threaded_descents(monkeypatch)

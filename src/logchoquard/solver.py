@@ -27,6 +27,9 @@ symmetrized according to the group action. Trivial and lattice bumps sit
 on the critical points of the sampled a, one per kind (minimum, maximum,
 saddle): the three lowest Ljusternik-Schnirelmann orbits of a Z^2-periodic
 a sit there, and no two such starts are translates under a period of a.
+Every seed dilates into O about the point its symmetry fixes (the origin
+under a projecting action, its own site otherwise), so starts keep their
+sites.
 The descents of the starts are independent: with OpenBLAS pinned to one
 thread they run side by side, one thread per free core, and give the
 bytes they give one after the other.
@@ -132,8 +135,8 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class StartFamily:
-    bumps: List[Field]
-    starts: List[Field]  # the descent start of each bump
+    bumps: List[Field]  # the seeds as placed
+    starts: List[Field]  # the T_t image of each seed that starts a descent
 
 
 # alpha: the accepted step; backtracks: how often it was halved; direction:
@@ -484,7 +487,7 @@ def make_bump_family(
     table: KernelTable,
     cfg: SolveConfig,
 ) -> StartFamily:
-    """Invariant bumps with disjoint supports and one descent start per bump.
+    """Invariant seed bumps with disjoint supports and one descent start per seed.
 
     _layout places the seed bumps of the action's kind: k+1 rotation or
     glide bumps, and under the trivial and lattice actions one bump per
@@ -492,34 +495,37 @@ def make_bump_family(
     checks each seed against the resolution floor (radius >= 3h, for every
     kind) and the box, builds it and, under a projecting action,
     symmetrizes it; the seeds are disjoint, mirroring the disjoint-support
-    start construction of the multiplicity argument. Each bump is then
-    moved on its own along T_t u(x) = e^-t u(e^-t x), t < 0, until it
-    satisfies q_a > 0 and V0 < 0, and onward while its own projected
-    energy Phi(sigma(b)) improves: each bump gives a start of its own.
-    T_t is evaluated exactly: T_t of the bump of radius rho about c is the
-    bump of radius e^t rho about e^t c, of height e^-t, and the action's
-    point maps are linear, so they commute with T_t. Every step is built
-    from the seed, so no error accumulates.
+    start construction of the multiplicity argument. bumps are the seeds
+    as placed; starts their T_t images, one per seed, by one rule.
 
-    Starts stay on their sites: without a projection (the trivial and
-    lattice families) a bump starts from its unscaled
-    on-site self whenever that lies in O, and otherwise from its rescaled
-    self. cfg is not read; it stays for callers of the five-argument form.
+    T_t dilates a seed about the point its symmetry fixes: the origin under
+    a projecting action, its own site otherwise. T_t of the bump of radius
+    rho about c is the bump of radius e^t rho about p + e^t (c - p), p that
+    point, of height e^-t, so it is evaluated exactly; the action's point
+    maps are linear, so they commute with T_t about the origin. Steps of
+    t = -1/4, each built from the seed, move it into O = {q_a > 0, V0 < 0}
+    and onward while its own Psi = Phi(sigma(b)) improves. cfg is not
+    read; it stays for callers of the five-argument form.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     grid = pot.a.grid
     # keep each seed's support clear of the box edge, where the zero
     # extension cuts an iterate that spreads: by one length unit, and on
-    # boxes with L > 4.5 by L (1 - e^-1/4), so that even the expansion
-    # T_1/4 of a seed stays inside the box
+    # boxes with L > 4.5 by L (1 - e^-1/4). Without the second term a
+    # glide:1 family at L=8, n=128, k=8 builds, and under const:1 the
+    # descents from its two outer starts, 1.1 from the edge, take 386 and
+    # 400 (capped) steps where the seven inner ones take 7
     fit_limit = grid.L - max(1.0, grid.L * (1.0 - np.exp(-0.25)))
 
     def dilated(center, radius, t):
-        """T_t of the seed bump (center, radius), projected under a projecting action."""
+        """T_t of the seed bump (center, radius) about its own site, or, under a
+        projecting action, about the origin and projected."""
         s = np.exp(t)
+        if not action.has_projection:
+            return bump_field(grid, center, s * radius, np.exp(-t))
         bump = bump_field(grid, (s * center[0], s * center[1]), s * radius, np.exp(-t))
-        return project_invariant(bump, action) if action.has_projection else bump
+        return project_invariant(bump, action)
 
     seeds, what = _layout(k, action, pot)
     bumps = []
@@ -538,19 +544,13 @@ def make_bump_family(
         qa, v0 = nehari_terms(b, pot, table)[:2]
         return -qa * qa / (4.0 * v0) if qa > 0 and v0 < 0 else np.inf
 
-    # T_t is a dilation about the origin: it pulls the bumps of a site family
-    # off their sites and shrinks them, and their descents then fall to the
-    # ground orbit. A bump therefore starts unscaled, on its site, whenever
-    # it already lies in O.
-    on_site = not action.has_projection
-    scaled, starts = [], []
+    starts = []
     for (center, radius), seed in zip(seeds, bumps):
         # T_t steps of -1/4 down to t = -2: into O, then onward while
         # Phi(sigma) still improves. Stopping at the first O-entry leaves V0
         # barely negative, and sigma-projection catapults such starts to
         # enormous energies whose transients dominate the descent.
         bump, phi = seed, sigma_phi(seed)
-        in_o = np.isfinite(phi)
         for j in range(1, 9):
             deeper = dilated(center, radius, -0.25 * j)
             phi_deeper = sigma_phi(deeper)
@@ -562,9 +562,8 @@ def make_bump_family(
                 "cannot satisfy q_a > 0 and V0 < 0 along T_t down to t = -2; "
                 "refine the grid so the shrinking bumps stay resolved"
             )
-        scaled.append(bump)
-        starts.append(seed if on_site and in_o else bump)
-    return StartFamily(bumps=scaled, starts=starts)
+        starts.append(bump)
+    return StartFamily(bumps=bumps, starts=starts)
 
 
 def _descend_each(starts, workers, action, pot, table, cfg) -> List[Optional[SolveResult]]:

@@ -311,7 +311,7 @@ def test_sign_changing_symmetric(report):
     table = make_kernel_table(grid)
     action = rotation_zeta(2)
     family = make_bump_family(0, action, pot, table, SolveConfig())
-    res = descend(family.bumps[0], action, pot, table, SolveConfig())
+    res = descend(family.starts[0], action, pot, table, SolveConfig())
 
     cert = is_invariant(res.u, action)
     ground = descend(

@@ -176,6 +176,8 @@ def test_symmetry_kinds():
         parse_config("symmetry = rot-zeta:0\n")
     with pytest.raises(ConfigError, match="bad symmetry spec"):
         parse_config("symmetry = lattice:1,0\n")
+    with pytest.raises(ConfigError, match="need b1x,b1y;b2x,b2y"):
+        parse_config("symmetry = lattice:1,0,0;0,1\n")
 
 
 def test_config_hash_deterministic_and_sensitive():

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from logchoquard import (
     DESCENT_ERRORS,
@@ -127,6 +127,15 @@ def test_bump_family_samples_lie_in_O(grid64, table64, pot64):
     for start in fam.starts:
         bk = energy(start, pot64, table64)
         assert bk.q_a > 0 > bk.v0
+    # at h = 0.5 the seed already lies in O and T_t still lowers its
+    # Psi = -q_a^2 / (4 V0): the start is a T_t image, on the seed's site
+    g = Grid(L=8.0, n=32)
+    pot, tb = const_potential(g), make_kernel_table(g)
+    fam = make_bump_family(0, trivial_action(), pot, tb, SolveConfig())
+    seed, start = energy(fam.bumps[0], pot, tb), energy(fam.starts[0], pot, tb)
+    assert seed.q_a > 0 > seed.v0
+    assert -start.q_a ** 2 / start.v0 < -seed.q_a ** 2 / seed.v0
+    assert np.max(np.abs(beta(fam.starts[0]))) <= 1e-9
 
 
 def test_bump_family_deterministic(grid64, table64, pot64):
@@ -199,15 +208,26 @@ def test_bump_family_glide_needs_resolved_bumps(grid32, table32, pot32):
 
 
 def test_bump_family_vertex_starts_on_site():
-    # the rescale dilates about the origin; the starts must still sit
-    # on the inequivalent lattice sites their bumps were placed on
+    # each seed dilates about its own site, so every start sits on the
+    # inequivalent lattice site its bump was placed on: in a shallow a,
+    # and in a deep well where every seed lies outside O and needs T_t
     g = Grid(L=4.0, n=64)
-    pot = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
-    action = lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
-    fam = make_bump_family(4, action, pot, make_kernel_table(g), SolveConfig())
-    centers, _ = _bump_sites(action, pot, 4)
-    for start, site in zip(fam.starts, centers):
-        assert np.max(np.abs(beta(start) - site)) <= 1e-9
+    shallow = cos2d_potential(g, 1.0, 0.5, 1.0, 1.0)
+    deep_g = Grid(L=8.0, n=128)
+    deep = cos2d_potential(deep_g, -60.0, 10.0, 1.0, 1.0)
+    for pot, k in ((shallow, 4), (deep, 2)):
+        grid = pot.a.grid
+        tb = make_kernel_table(grid)
+        action = lattice_translation(grid, (1.0, 0.0), (0.0, 1.0))
+        fam = make_bump_family(k, action, pot, tb, SolveConfig())
+        centers, _ = _bump_sites(action, pot, k)
+        assert len(fam.starts) == len(centers) == 3
+        for start, site in zip(fam.starts, centers):
+            assert np.max(np.abs(beta(start) - site)) <= 1e-9
+        if pot is deep:
+            for seed in fam.bumps:
+                bk = energy(seed, pot, tb)
+                assert not bk.q_a > 0 > bk.v0
 
 
 def test_bump_family_guards(grid64, table64, pot64):
@@ -222,6 +242,15 @@ def test_bump_family_guards(grid64, table64, pot64):
     # a deep well: no scale reaches O
     with pytest.raises(StartFamilyError, match="cannot satisfy"):
         make_bump_family(0, trivial_action(), const_potential(grid64, -5000.0), table64, SolveConfig())
+    # a of period 4 on a box of half-width 3: its four saddle vertices lie
+    # 1.33 from the maximum site at the origin, nearer than 2 radius + 2h
+    coarse = Grid(L=3.0, n=32)
+    too_near = r"no saddle of a lies 2 radius \+ 2h = 1.69 from the 2 bump sites"
+    with pytest.raises(StartFamilyError, match=too_near):
+        make_bump_family(
+            2, trivial_action(), cos2d_potential(coarse, 1.0, 0.5, 0.25, 0.25),
+            make_kernel_table(coarse), SolveConfig(),
+        )
 
 
 def test_bump_sites_are_one_minimum_maximum_and_saddle_of_a():
@@ -799,6 +828,40 @@ def test_multistart_off_grid_period_starts_on_symmetric_vertices():
     assert [r.breakdown.phi for r in results] == pytest.approx(
         [7.46091939, 7.46476051, 7.468604798], rel=1e-8
     )
+
+
+def test_constant_potentials_are_one_problem_up_to_dilation():
+    # v(x) = s^-2 u(x/s) maps a solution for a = A of mass M = |u|_2^2 to one
+    # for a = c(s) = (A - M log s) / s^2, with Phi_c(v) = s^-4 (Phi_A(u) -
+    # (M^2/4) log s), since log * v^2 = s^-2 ((log * u^2)(x/s) + M log s).
+    # Grid(sL, n) carries the covariance exactly (the stencil scales as
+    # h^-2, the sums as h^2, k0 by log s), so no discrete Phi is pinned.
+    # The lattice snaps to other cells on a scaled grid: compare Phi and
+    # the mass, not samples
+    def lowest(L, c, action_of):
+        g = Grid(L=L, n=128)
+        results = multistart_search(
+            0, action_of(g), const_potential(g, c), make_kernel_table(g), SolveConfig()
+        )
+        best = min((r for r in results if r.converged), key=lambda r: r.breakdown.phi)
+        return best.breakdown.phi, lp_norm(best.u, 2) ** 2
+
+    def check(phi1, mass, s, phi, m):
+        predicted = s ** -4 * (phi1 - 0.25 * mass * mass * np.log(s))
+        assert phi == pytest.approx(predicted, rel=1e-10)
+        assert m == pytest.approx(mass / s ** 2, rel=1e-6)
+
+    def unit_lattice(g):
+        return lattice_translation(g, (1.0, 0.0), (0.0, 1.0))
+
+    phi1, mass = lowest(8.0, 1.0, unit_lattice)
+    # c runs from 0.11 through 0 (s = e^(1/M)) to -1.09 on the ground branch
+    for s in (1.1, np.exp(1.0 / mass), 1.3, 1.42):
+        check(phi1, mass, s, *lowest(8.0 * s, (1.0 - mass * np.log(s)) / s ** 2, unit_lattice))
+    # the sign-changing branch at c = -5, an indefinite a
+    phi1, mass = lowest(6.0, 1.0, lambda g: rotation_zeta(2))
+    s = brentq(lambda s: (1.0 - mass * np.log(s)) / s ** 2 + 5.0, 1.0, 1.2)
+    check(phi1, mass, s, *lowest(6.0 * s, -5.0, lambda g: rotation_zeta(2)))
 
 
 def test_multistart_requires_admissible_or_coercive(grid64, table64):

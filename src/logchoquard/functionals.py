@@ -118,19 +118,27 @@ def residual_field(u: Field, pot: Potential, table: KernelTable) -> Field:
 
 
 def hessian_product(
-    u: Field, v: Field, pot: Potential, table: KernelTable, w0: Field | None = None
+    u: Field,
+    v: Field,
+    pot: Potential,
+    table: KernelTable,
+    w0: Field | None = None,
+    uv: np.ndarray | None = None,
 ) -> Field:
     """Second variation Phi''(u)v = -Delta v + (a + w0) v + 2u (log * (u v)).
 
-    w0 = log * u^2 is computed when not given, so a caller that holds it
-    pays one k0 convolution per product. Symmetric: h^2 <w, Phi''(u)v> =
-    h^2 <v, Phi''(u)w>, and Phi''(u)u = r + 2 w0 u with r = residual_field(u).
+    w0 = log * u^2 and the samples uv of log * (u v) are computed when not
+    given, so a caller that holds w0 pays one k0 convolution per product,
+    and one that forms log * (u v) itself, to keep it, pays none.
+    Symmetric: h^2 <w, Phi''(u)v> = h^2 <v, Phi''(u)w>, and
+    Phi''(u)u = r + 2 w0 u with r = residual_field(u).
     """
     grid = same_grid(u, v)
     same_grid(u, pot.a)
     if w0 is None:
         w0 = log_potential(Field(grid, u.values * u.values), table)
-    uv = padded_convolve(grid, u.values * v.values, table.k0_hat)
+    if uv is None:
+        uv = padded_convolve(grid, u.values * v.values, table.k0_hat)
     vals = neg_laplacian(v.values, grid.h) + (pot.a.values + w0.values) * v.values
     vals += 2.0 * u.values * uv
     return Field(grid, vals)

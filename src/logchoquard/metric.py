@@ -125,7 +125,7 @@ def _norm(vals: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(vals, vals)))
 
 
-def pcg(apply, precondition, r, x, stop, max_iter, callback=None) -> int:
+def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None) -> int:
     """Preconditioned CG from x with residual r = rhs - apply(x); returns the apply calls.
 
     x and r are updated in place. The loop stops once |r| <= stop (tested
@@ -135,6 +135,11 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None) -> int:
     along p, in which case x keeps the iterate so far (Steihaug, SIAM J.
     Numer. Anal. 20, 1983). callback(x), if given, runs after each update,
     as in scipy.sparse.linalg.cg.
+
+    image, if given, is a second linear image L x of x, updated in place
+    next to it: apply(p) then returns (A p, L p), and each step adds
+    alpha L p to image as it adds alpha p to x. A caller whose apply forms
+    L p anyway (the Newton solve's log * (u p)) gets L x for no extra work.
     """
     if _norm(r) <= stop:
         return 0
@@ -144,6 +149,8 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None) -> int:
     calls = 0
     while calls < max_iter and rz > 0.0:
         ap = apply(p)
+        if image is not None:
+            ap, lp = ap
         calls += 1
         pap = float(np.vdot(p, ap))
         if not pap > 0.0:
@@ -151,6 +158,10 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None) -> int:
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
+        if image is not None:
+            lp *= alpha
+            image += lp
+            del lp
         if callback is not None:
             callback(x)
         if _norm(r) <= stop:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -61,7 +61,6 @@ from .functionals import (
     Potential,
     cerami_weight,
     classify,
-    energy,
     hessian_product,
     in_nzero,
     nehari_scale,
@@ -159,7 +158,8 @@ class _Iterate:
     r = -Delta u + (a + w0) u all come from u and w0, so an iterate is a
     function of its state alone. The rescale along the ray is exact
     (q_a ~ t^2, V0 ~ t^4, w0 ~ t^2), and Phi = q_a/2 + V0/4. Only the start
-    passes no w0 and pays its convolution; _line_search updates w0 exactly.
+    passes no w0 and pays its convolution; _line_search updates w0 exactly,
+    and _finish reads the result's energy off the last iterate.
     """
 
     def __init__(self, u: np.ndarray, w0: Optional[np.ndarray], pot: Potential, table: KernelTable):
@@ -182,12 +182,15 @@ class _Iterate:
 
 
 def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, action, pot, table):
-    """Truncated PCG on H d = st.r; returns d, its slope Psi'(u) d, its kind and the H products.
+    """Truncated PCG on H d = st.r; returns d, its slope Psi'(u) d, its kind,
+    the H products and log * (u d), or None for the gradient fallback.
 
     H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
     costs no convolution: H is symmetric, H u = 0, and at a critical point
     it is the Hessian of Psi, so the ray drops out and Newton's quadratic
-    tail is Psi's. Each product is one convolution. metric.pcg
+    tail is Psi's. Each product is one convolution, log * (u p), and
+    metric.pcg sums those images as it sums x = sum alpha_k p_k, so the
+    solve also gives log * (u d) for _line_search. metric.pcg
     (Steihaug's truncated CG) is preconditioned by the fast Poisson solve
     whose mass is the box mean of H's potential a + w0
     (metric.preconditioner), and stops at relative residual eta (the
@@ -196,7 +199,10 @@ def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, ac
     iterate so far, or g if that is still zero or no descent direction.
     Under a projecting action H and the preconditioner commute with the
     action, so x is invariant and is projected once, against rounding,
-    before its slope is taken.
+    before its slope is taken. u d is then invariant without the sign
+    character, and the index maps commute with the k0 convolution, so the
+    summed image is projected by the untwisted group average: left
+    unprojected, its rounding enters w0 and grows row by row.
     """
     grid = st.grid
     h2 = grid.h * grid.h
@@ -207,33 +213,40 @@ def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, ac
     ub = float(np.vdot(st.u, b))
 
     def hess(vals):
-        out = hessian_product(u, Field(grid, vals), pot, table, w0).values
+        uv = padded_convolve(grid, st.u * vals, table.k0_hat)
+        out = hessian_product(u, Field(grid, vals), pot, table, w0, uv).values
         out -= (float(np.vdot(b, vals)) / ub) * b
-        return out
+        return out, uv
 
     res = r.copy()
     stop = eta * float(np.sqrt(np.vdot(res, res)))
     x = np.zeros_like(res)
-    products = pcg(hess, precondition, res, x, stop, grid.n)
+    kcross = np.zeros_like(res)
+    products = pcg(hess, precondition, res, x, stop, grid.n, image=kcross)
     d = Field(grid, x)
     if action.has_projection:
         d = project_invariant(d, action)
+        untwisted = replace(action, zeta_nontrivial=False)
+        kcross = project_invariant(Field(grid, kcross), untwisted).values
     slope = h2 * float(np.vdot(r, d.values))
     if slope > 0.0:
-        return d, slope, NEWTON, products
-    return g, h2 * float(np.vdot(r, g.values)), GRADIENT, products
+        return d, slope, NEWTON, products, kcross
+    return g, h2 * float(np.vdot(r, g.values)), GRADIENT, products, None
 
 
-def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
+def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross=None):
     """Armijo backtracking on Psi along u - alpha*d from alpha = STEP_INIT.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
     decrease from these exact coefficients avoids the large-scale
     cancellation that floors a direct re-evaluation of Phi. The two
-    convolutions behind them also update w0 exactly:
+    images behind them also update w0 exactly:
     log * (u - alpha d)^2 = w0 - 2 alpha log * (u d) + alpha^2 log * d^2.
-    Returns the _Iterate of the accepted point, alpha and the number of
-    halvings before it was accepted; st is not changed.
+    kcross = log * (u d) comes from the Newton solve (_newton_direction) and
+    is convolved here only when not given, for the gradient fallback, so
+    a Newton row pays one convolution, log * d^2. Returns the _Iterate of
+    the accepted point, alpha and the number of halvings before it was
+    accepted; st is not changed.
     """
     grid = st.grid
     h2 = grid.h * grid.h
@@ -241,7 +254,8 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
     c2 = q_a_bilinear(d, d, pot)
     cross = st.u * d.values
     wsq = d.values * d.values
-    kcross = padded_convolve(grid, cross, table.k0_hat)
+    if kcross is None:
+        kcross = padded_convolve(grid, cross, table.k0_hat)
     kwsq = padded_convolve(grid, wsq, table.k0_hat)
     b0c = h2 * float(np.sum(cross * st.w0))
     b0w = h2 * float(np.sum(wsq * st.w0))
@@ -271,9 +285,11 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table):
     raise LineSearchError("Armijo backtracking exhausted after 60 halvings")
 
 
-def _finish(u_vals, pot, table, action, cerami, iters, converged, trace) -> SolveResult:
-    u = Field(pot.a.grid, u_vals.copy())
-    breakdown = energy(u, pot, table)
+def _finish(st: _Iterate, action, cerami, iters, converged, trace) -> SolveResult:
+    """The SolveResult at the iterate st: its energy is the iterate's own
+    q_a, V0 and Phi, the last trace row's, with no convolution."""
+    u = Field(st.grid, st.u.copy())
+    breakdown = EnergyBreakdown(q_a=st.qa, v0=st.v0, phi=st.phi, nehari_j=st.qa + st.v0)
     return SolveResult(
         u=u,
         breakdown=breakdown,
@@ -369,20 +385,21 @@ def descend(
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
-                return _finish(st.u, pot, table, action, cerami, accepted, True, trace)
+                return _finish(st, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
-            d, slope, kind, hess = _newton_direction(st, ctx, g, eta, action, pot, table)
+            d, slope, kind, hess, kcross = _newton_direction(st, ctx, g, eta, action, pot, table)
             trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
-            st, alpha, backtracks = _line_search(st, d, slope, pot, table)
+            st, alpha, backtracks = _line_search(st, d, slope, pot, table, kcross)
+            del kcross  # one summed image alive at a time: the next solve sums its own
             trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
             accepted += 1
     except DESCENT_ERRORS as err:
-        err.result = _finish(st.u, pot, table, action, cerami, accepted, False, trace)
+        err.result = _finish(st, action, cerami, accepted, False, trace)
         raise
-    return _finish(st.u, pot, table, action, cerami, accepted, False, trace)
+    return _finish(st, action, cerami, accepted, False, trace)
 
 
 # ---------------------------------------------------------------------------

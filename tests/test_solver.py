@@ -583,15 +583,16 @@ def test_newton_direction_is_invariant(which):
     ctx = metric_context_at(g, beta(Field(g, st.u)))
     vals, _ = solve_metric_system(ctx, st.r, 1e-10, strict=True)
     grad = project_invariant(Field(g, vals), action)
-    d, slope, kind, products = solver_mod._newton_direction(
+    d, slope, kind, products, _ = solver_mod._newton_direction(
         st, ctx, grad, NEWTON_CG_TOL, action, pot, table
     )
     assert kind == NEWTON and slope > 0.0 and products > 0
     assert is_invariant(d, action).defect <= 1e-14
 
 
-def benchmark_descents(name):
-    """The descents of a benchmark config, one per start of its bump family."""
+def benchmark_case(name):
+    """(starts, action, pot, table, cfg) of a benchmark config, one start per
+    bump of its family."""
     if name == "signchange":
         g = Grid(L=6.0, n=128)
         pot, action, k, cfg = const_potential(g), rotation_zeta(2), 0, SolveConfig()
@@ -607,24 +608,54 @@ def benchmark_descents(name):
     starts = make_bump_family(k, action, pot, table, cfg).starts
     # ground's constant a has no critical point: one bump, at the origin
     assert len(starts) == {"signchange": 1, "ground": 1, "periodic": 2}[name]
+    return starts, action, pot, table, cfg
+
+
+def benchmark_descents(name):
+    """The descents of a benchmark config, one per start of its bump family."""
+    starts, action, pot, table, cfg = benchmark_case(name)
     return [descend(u0, action, pot, table, cfg) for u0 in starts]
 
 
 @pytest.mark.parametrize(
-    "name, rows, products",
-    [("signchange", 10, 35), ("ground", 8, 20), ("periodic", 9, 21)],
+    "name, rows, products, convolutions",
+    [("signchange", 10, 35, 34), ("ground", 8, 20, 23), ("periodic", 9, 21, 25)],
     ids=["signchange", "ground", "periodic"],
 )
-def test_benchmark_operation_budget(name, rows, products):
+def test_benchmark_operation_budget(monkeypatch, name, rows, products, convolutions):
     # the benchmark configs, one descent per start: counts are deterministic,
     # so a regression in the Newton preconditioner shows without timing noise
-    # (measured rows and Hessian products per descent: signchange 8 and 26,
-    # ground 6 and 17, periodic 7 and 17-18)
-    for res in benchmark_descents(name):
+    # (measured rows, Hessian products and convolutions per descent:
+    # signchange 8, 26 and 34, ground 6, 17 and 23, periodic 7, 18 and 25).
+    # A descent convolves once for its start's w0, once per Hessian product
+    # and once per step for log * d^2; a gradient-fallback step also pays
+    # log * (u d), which a Newton step takes from its solve
+    import logchoquard.functionals as functionals_mod
+    import logchoquard.logkernel as logkernel_mod
+    import logchoquard.solver as solver_mod
+
+    starts, action, pot, table, cfg = benchmark_case(name)
+    padded_convolve, calls = logkernel_mod.padded_convolve, []
+
+    def counted(*args):
+        calls.append(None)
+        return padded_convolve(*args)
+
+    # every module that calls it by name: log_potential, hessian_product, _newton_direction
+    for mod in (logkernel_mod, functionals_mod, solver_mod):
+        monkeypatch.setattr(mod, "padded_convolve", counted)
+    for u0 in starts:
+        calls.clear()
+        res = descend(u0, action, pot, table, cfg)
         assert res.converged
         assert res.certificate.sign_changing == (name == "signchange")
         assert len(res.trace) <= rows
-        assert sum(row[11] for row in res.trace) <= products
+        hess = sum(row[11] for row in res.trace)
+        assert hess <= products
+        steps = sum(row[7] > 0 for row in res.trace)
+        fallbacks = sum(row[7] > 0 and row[9] == GRADIENT for row in res.trace)
+        assert len(calls) == 1 + hess + steps + fallbacks
+        assert len(calls) <= convolutions
 
 
 @pytest.mark.parametrize("name", ["ground", "signchange"])
@@ -649,9 +680,9 @@ def test_newton_pcg_stops_at_the_forcing_term(monkeypatch, which):
     real_pcg = solver_mod.pcg
     calls = []
 
-    def pcg(apply, precondition, r, x, stop, max_iter, callback=None):
+    def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None):
         calls.append((stop, float(np.sqrt(np.vdot(r, r)))))
-        return real_pcg(apply, precondition, r, x, stop, max_iter, callback)
+        return real_pcg(apply, precondition, r, x, stop, max_iter, callback, image)
 
     monkeypatch.setattr(solver_mod, "pcg", pcg)
     u0, action, pot, table = descent_case(which)
@@ -672,7 +703,7 @@ def test_newton_falls_back_to_the_gradient(monkeypatch):
     # no descent direction, so every row steps along the metric gradient
     import logchoquard.solver as solver_mod
 
-    def pcg(apply, precondition, r, x, stop, max_iter, callback=None):
+    def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None):
         return 1
 
     monkeypatch.setattr(solver_mod, "pcg", pcg)
@@ -684,6 +715,56 @@ def test_newton_falls_back_to_the_gradient(monkeypatch):
     phis = [row[1] for row in res.trace] + [res.breakdown.phi]
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("which", ["trivial", "rot-zeta:2", "glide"])
+def test_newton_solve_carries_the_log_image_of_u_d(monkeypatch, which):
+    # each Hessian product forms log * (u p_k) and d = sum alpha_k p_k, so
+    # the Newton solve sums log * (u d) next to d; on every Newton row it is
+    # the direct convolution to rounding, under the sign character too
+    import logchoquard.solver as solver_mod
+    from logchoquard.logkernel import padded_convolve
+
+    u0, action, pot, table = descent_case(which)
+    grid = pot.a.grid
+    real_newton = solver_mod._newton_direction
+    errs = []
+
+    def newton_direction(st, *args):
+        out = real_newton(st, *args)
+        d, _, kind, _, kcross = out
+        if kind == NEWTON:
+            direct = padded_convolve(grid, st.u * d.values, table.k0_hat)
+            errs.append(np.max(np.abs(kcross - direct)) / np.max(np.abs(direct)))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_newton_direction", newton_direction)
+    res = descend(u0, action, pot, table, SolveConfig())
+    assert res.converged and len(errs) == len(res.trace) - 1
+    assert max(errs) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["signchange", "gradient-fallback"])
+def test_result_energy_is_the_last_iterate(monkeypatch, case):
+    # the result's q_a, V0 and Phi are the last iterate's, with no
+    # convolution of their own: Phi is the last row's exactly, and a fresh
+    # evaluation at the returned u agrees to rounding
+    import logchoquard.solver as solver_mod
+
+    if case == "signchange":
+        starts, action, pot, table, cfg = benchmark_case(case)
+    else:
+        monkeypatch.setattr(solver_mod, "pcg", lambda *args, **kwargs: 1)
+        u0, action, pot, table = descent_case("trivial")
+        starts, cfg = [u0], SolveConfig()
+    for u0 in starts:
+        res = descend(u0, action, pot, table, cfg)
+        assert res.converged
+        if case == "gradient-fallback":
+            assert all(row[9] == GRADIENT for row in res.trace)
+        assert res.breakdown.phi == res.trace[-1][1]
+        fresh = energy(res.u, pot, table)
+        assert abs(res.breakdown.phi - fresh.phi) <= 1e-12 * abs(fresh.phi)
 
 
 def test_periodic_drift_tail_converges_in_few_steps():

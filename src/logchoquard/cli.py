@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .barycenter import MAX_H as BARYCENTER_MAX_H, beta as barycenter_beta
-from .blas import blas_threads, pin_blas_threads
+from .blas import blas_threads, keep_freed_memory, pin_blas_threads
 from .checks import battery
 from .errors import (
     ChoquardError,
@@ -516,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     pin_blas_threads()  # OpenBLAS sums round by its thread split
+    keep_freed_memory()  # reuse freed temporaries without faulting them in again
     try:
         return args.fn(args)
     except ChoquardError as exc:

@@ -9,7 +9,10 @@ zeros and three quarters of the output are discarded, so the transform is
 pruned (Markel, IEEE Trans. Audio Electroacoust. 19, 1971): the row
 transforms run on the n input rows only and the inverse row transforms on
 the n kept rows only; the result is bit-identical to the full 2n x 2n
-transform pair.
+transform pair. The transforms run in one complex (2n, n+1) workspace per
+thread, so a call allocates only its result: the inverse row transforms
+write into the spare half of that workspace, whose column transforms are
+done by then.
 
 The singular origin cell of log r is replaced by its exact cell mean,
 the closed form log h - (1/2) log 2 + pi/4 - 3/2. The origin cell of
@@ -25,6 +28,7 @@ the direct oracle and `convolve` use them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -64,16 +68,42 @@ def padded_convolve(grid: Grid, values: np.ndarray, khat: np.ndarray) -> np.ndar
     values is zero-padded to 2n x 2n by the transform lengths: the last
     axis is transformed on the n input rows, the first axis on all 2n
     frequency rows; the inverse keeps only the first n rows before the last
-    axis is transformed back.
+    axis is transformed back. The transforms run in the calling thread's
+    workspace (_workspace): the row transforms fill its first n rows and
+    the other n are zeroed, the column transforms and the product with
+    khat work in place, and the inverse row transforms write the kept rows
+    into the spare second half, viewed as float. The arithmetic is that of
+    the freshly allocated transform pair, so the result is bit-identical
+    to it; only the returned array is new.
     """
     n = grid.n
     if values.shape != (n, n):
         raise GridMismatchError("values shape %s does not match grid n=%d" % (values.shape, n))
-    spec = np.fft.fft(np.fft.rfft(values, n=2 * n, axis=-1), n=2 * n, axis=-2)
+    spec = _workspace(n)
+    np.fft.rfft(values, n=2 * n, axis=-1, out=spec[:n])
+    spec[n:] = 0.0
+    np.fft.fft(spec, axis=-2, out=spec)
     spec *= khat
-    rows = np.fft.ifft(spec, axis=-2, out=spec)[:n]
-    out = np.fft.irfft(rows, n=2 * n, axis=-1)
+    np.fft.ifft(spec, axis=-2, out=spec)
+    out = spec[n:].view(np.float64)[:, : 2 * n]
+    np.fft.irfft(spec[:n], n=2 * n, axis=-1, out=out)
     return grid.h * grid.h * out[:, :n]
+
+
+_local = threading.local()
+
+
+def _workspace(n: int) -> np.ndarray:
+    """This thread's complex (2n, n+1) transform buffer, rebuilt when n changes.
+
+    One buffer per thread, since the descents of a multistart convolve
+    side by side; reusing it spares each call the allocation, and the page
+    faults, of its half-megabyte (at n=128) of spectra.
+    """
+    spec = getattr(_local, "spec", None)
+    if spec is None or spec.shape[0] != 2 * n:
+        spec = _local.spec = np.empty((2 * n, n + 1), dtype=np.complex128)
+    return spec
 
 
 def _log_samples(grid: Grid) -> np.ndarray:

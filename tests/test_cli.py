@@ -1,6 +1,7 @@
 """Config grammar, exit codes, manifest-first output discipline, determinism."""
 
 import contextlib
+import ctypes
 import filecmp
 import hashlib
 import io
@@ -28,6 +29,7 @@ from logchoquard import (
     padded_convolve,
     save_field,
 )
+from logchoquard.blas import keep_freed_memory
 from logchoquard.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -518,6 +520,46 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             })
         assert sorted(digests[0]) == written, command
         assert digests[0] == digests[1], command
+
+
+HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not HAS_MALLOPT, reason="libc has no mallopt")
+def test_keep_freed_memory_sets_both_thresholds_and_can_be_called_again():
+    assert keep_freed_memory() is True
+    assert keep_freed_memory() is True
+
+
+WARM_RUN = """
+import contextlib, io, resource, sys
+from logchoquard.cli import main
+cfg, out = sys.argv[1:]
+faults = []
+for run in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ground-state", "--config", cfg, "--out", out + str(run)]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+@pytest.mark.skipif(not HAS_MALLOPT, reason="libc has no mallopt")
+def test_a_warm_cli_run_does_not_refault_memory(tmp_path):
+    # the CLI keeps freed heap memory and convolves in a reused workspace,
+    # so a second run in the same process finds its pages already mapped
+    # (under glibc's default heap policy it faults about 1900 pages in again)
+    cfg = write_config(tmp_path, "box = 12\nn = 128\na = const:1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_RUN, cfg, str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200
 
 
 def test_solve_start_field_grid_mismatch_exits_2(tmp_path, capsys):

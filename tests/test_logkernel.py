@@ -6,6 +6,10 @@ sum, and the continuum log-energy of a Gaussian computed by nested polar
 quadrature.
 """
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
@@ -168,6 +172,57 @@ def test_pruned_convolve_is_bit_identical_to_full_padding(n):
         padded[:n, :n] = vals
         full = np.fft.irfft2(np.fft.rfft2(padded) * khat, s=(2 * n, 2 * n))
         assert np.array_equal(padded_convolve(g, vals, khat), g.h * g.h * full[:n, :n])
+
+
+def test_padded_convolve_allocates_only_its_result():
+    # the transforms run in this thread's workspace, so a warm call
+    # allocates its n x n result and little else (the spectra of a freshly
+    # allocated transform pair take about 966 KB at n=128)
+    n = 128
+    g = Grid(L=12.0, n=n)
+    khat = make_kernel_table(g).k0_hat
+    vals = np.random.default_rng(n).standard_normal((n, n))
+    padded_convolve(g, vals, khat)  # builds the workspace
+    tracemalloc.start()
+    try:
+        padded_convolve(g, vals, khat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n
+
+
+def test_padded_convolve_is_thread_safe():
+    # the descents of a multistart convolve side by side, so each thread
+    # needs its own workspace; thread 0 also switches n, which rebuilds its
+    # workspace while the others keep theirs
+    grids = {n: Grid(L=6.0, n=n) for n in (32, 64)}
+    khats = {n: make_kernel_table(g).k0_hat for n, g in grids.items()}
+    rng = np.random.default_rng(11)
+    inputs = {n: [rng.standard_normal((n, n)) for _ in range(4)] for n in grids}
+    want = {n: [padded_convolve(grids[n], v, khats[n]) for v in inputs[n]] for n in grids}
+    sizes = [[(32, 64, 32)[call % 3] if i == 0 else 32 for call in range(50)] for i in range(4)]
+    barrier = threading.Barrier(4)
+    matched = [0] * 4
+
+    def calls(i):
+        barrier.wait(timeout=60)
+        for n in sizes[i]:
+            got = padded_convolve(grids[n], inputs[n][i], khats[n])
+            matched[i] += np.array_equal(got, want[n][i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert matched == [50] * 4
 
 
 def test_b_form_symmetry_and_bilinearity(grid32, table32):

@@ -10,8 +10,8 @@ A_u g = r,  A_u = -Delta + 1 + log(1+|x-beta(u)|),  r = residual_field(u),
 by conjugate gradients preconditioned with a fast Poisson solver: the exact
 inverse of -Delta + 1 + c, c the mean log weight, which the sine transform
 (DST-I) diagonalises (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
-The descent's Newton solve reuses it with the mass shifted to the mean of
-its own potential (preconditioner), and both run the one CG loop, pcg.
+The descent's Newton solve reuses it with a mass of its own
+(preconditioner(grid, mass)), and both run the one CG loop, pcg.
 
 A_u is the 5-point stencil of field.neg_laplacian with the diagonal
 4/h^2 + 1 + weight cached in the context. The inner product is
@@ -52,24 +52,19 @@ def metric_context(u: Field) -> MetricContext:
     return metric_context_at(u.grid, barycenter_beta(u))
 
 
-def lower_u(ctx: MetricContext, vals: np.ndarray) -> np.ndarray:
-    """h^2 A_u vals, the flat covector of vals: <v, w>_u = v . lower_u(ctx, w).
+def inner_u(ctx: MetricContext, v: Field, w: Field) -> float:
+    """h^2 <v, A_u w>.
 
     The stencil of apply_metric_operator written out: the solve counts its
     CG iterations by calls of apply_metric_operator, so the inner product
     does not call it.
     """
-    h = ctx.grid.h
-    out = ctx.diag * vals
-    out *= h * h
-    out -= neighbour_sum(vals)
-    return out
-
-
-def inner_u(ctx: MetricContext, v: Field, w: Field) -> float:
-    """h^2 <v, A_u w>."""
     same_grid(v, w)
-    return float(np.vdot(v.values, lower_u(ctx, w.values)))
+    h = ctx.grid.h
+    aw = ctx.diag * w.values
+    aw *= h * h
+    aw -= neighbour_sum(w.values)
+    return float(np.vdot(v.values, aw))
 
 
 def norm_u(ctx: MetricContext, v: Field) -> float:
@@ -94,23 +89,19 @@ def _sine_basis(m: int):
     return s, lam
 
 
-def preconditioner(ctx: MetricContext, potential: np.ndarray | None = None):
-    """r -> z = (-Delta + mu)^-1 r, the fast Poisson solve; mu = 1 + c, c the mean weight.
+def preconditioner(grid: Grid, mass: float):
+    """r -> z = (-Delta + mass)^-1 r, the fast Poisson solve on grid.
 
-    The preconditioner of solve_metric_system (no potential). The descent's
-    Newton solve passes the potential a + w0 of its Hessian: mu is then its
-    mean, floored at 1 + c, the mean-coefficient inverse of
-    -Delta + potential (Concus & Golub), positive definite however
-    indefinite the potential is, and far above the metric's mass at a
-    solution. Exact for the 5-point Laplacian with zero extension, whose
+    The mean-coefficient inverse of -Delta + potential takes the mean of
+    the potential as its mass (Concus & Golub): solve_metric_system passes
+    1 + c, c the mean weight, and the descent's Newton solve the mean of
+    its Hessian's potential a + w0, floored at 1 (solver._newton_direction).
+    Exact for the 5-point Laplacian with zero extension, whose
     eigenvectors are products of sines; dense sine matrices beat an FFT DST
     at these sizes (2n+2 = 258 has the factor 43).
     """
-    s, lam = _sine_basis(ctx.grid.n)
-    h2 = ctx.grid.h * ctx.grid.h
-    mass = 1.0 + float(np.mean(ctx.weight.values))
-    if potential is not None:
-        mass = max(mass, float(np.mean(potential)))
+    s, lam = _sine_basis(grid.n)
+    h2 = grid.h * grid.h
     inv = 1.0 / ((lam[:, None] + lam[None, :]) / h2 + mass)
 
     def apply(r):
@@ -207,7 +198,8 @@ def solve_metric_system(
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0.0
-    pcg(apply, preconditioner(ctx), r, x, tol * rhs_norm, max_iter, callback)
+    precondition = preconditioner(grid, 1.0 + float(np.mean(ctx.weight.values)))
+    pcg(apply, precondition, r, x, tol * rhs_norm, max_iter, callback)
     rel = _norm(rhs - apply(x)) / rhs_norm
     if strict and rel > tol:
         raise RieszSolveError(

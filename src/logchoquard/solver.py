@@ -20,7 +20,8 @@ residual of the order of the row's Cerami value, so the tail is
 quadratic. It is preconditioned by a fast Poisson solve whose mass is the
 mean of the Hessian's potential a + w0, which sits far above the metric's
 mass at a solution; with that shift a Newton row is cheap enough far
-from a critical point too.
+from a critical point too. The u-metric enters the descent in _gradient
+alone, for the Cerami value and the gradient fallback.
 
 Starts come from families of disjoint mollifier bumps placed and
 symmetrized according to the group action. Trivial and lattice bumps sit
@@ -68,14 +69,7 @@ from .functionals import (
     q_a_bilinear,
 )
 from .logkernel import KernelTable, log_potential, padded_convolve
-from .metric import (
-    MetricContext,
-    lower_u,
-    metric_context_at,
-    pcg,
-    preconditioner,
-    solve_metric_system,
-)
+from .metric import metric_context_at, norm_u, pcg, preconditioner, solve_metric_system
 from .symmetry import (
     GroupAction,
     InvarianceCertificate,
@@ -181,9 +175,9 @@ class _Iterate:
             )
 
 
-def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, action, pot, table):
-    """Truncated PCG on H d = st.r; returns d, its slope Psi'(u) d, its kind,
-    the H products and log * (u d), or None for the gradient fallback.
+def _newton_direction(st: _Iterate, eta: float, action, pot, table):
+    """Truncated PCG on H d = st.r; returns d, its slope Psi'(u) d, the H
+    products and log * (u d).
 
     H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
     costs no convolution: H is symmetric, H u = 0, and at a critical point
@@ -192,11 +186,12 @@ def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, ac
     metric.pcg sums those images as it sums x = sum alpha_k p_k, so the
     solve also gives log * (u d) for _line_search. metric.pcg
     (Steihaug's truncated CG) is preconditioned by the fast Poisson solve
-    whose mass is the box mean of H's potential a + w0
-    (metric.preconditioner), and stops at relative residual eta (the
-    row's forcing term, see descend), at the first p.Hp <= 0, or after n
-    products. It never steps along negative curvature: it returns the
-    iterate so far, or g if that is still zero or no descent direction.
+    whose mass is the box mean of H's potential a + w0, floored at 1, the
+    mass of M0 = -Delta_h + 1, which A_u dominates (metric.preconditioner).
+    It stops at relative residual eta (the row's forcing term, see
+    descend), at the first p.Hp <= 0, or after n products, and never
+    steps along negative curvature: d is the iterate so far, and descend
+    falls back to g when its slope is not positive.
     Under a projecting action H and the preconditioner commute with the
     action, so x is invariant and is projected once, against rounding,
     before its slope is taken. u d is then invariant without the sign
@@ -208,7 +203,7 @@ def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, ac
     h2 = grid.h * grid.h
     u, w0 = Field(grid, st.u), Field(grid, st.w0)
     r = st.r
-    precondition = preconditioner(ctx, pot.a.values + st.w0)
+    precondition = preconditioner(grid, max(1.0, float(np.mean(pot.a.values + st.w0))))
     b = r + 2.0 * st.w0 * st.u
     ub = float(np.vdot(st.u, b))
 
@@ -228,10 +223,7 @@ def _newton_direction(st: _Iterate, ctx: MetricContext, g: Field, eta: float, ac
         d = project_invariant(d, action)
         untwisted = replace(action, zeta_nontrivial=False)
         kcross = project_invariant(Field(grid, kcross), untwisted).values
-    slope = h2 * float(np.vdot(r, d.values))
-    if slope > 0.0:
-        return d, slope, NEWTON, products, kcross
-    return g, h2 * float(np.vdot(r, g.values)), GRADIENT, products, None
+    return d, h2 * float(np.vdot(r, d.values)), products, kcross
 
 
 def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross=None):
@@ -302,9 +294,11 @@ def _finish(st: _Iterate, action, cerami, iters, converged, trace) -> SolveResul
     )
 
 
-def _gradient(st: _Iterate, ctx: MetricContext, action, steps):
+def _gradient(st: _Iterate, action, steps):
     """The metric gradient at st.u, solved to relative residual LOOSE_RIESZ_TOL.
 
+    The one place the descent reads the u-metric: the context recentered at
+    the barycenter beta(u), the solve, and ||g||_u (metric.norm_u).
     Returns g (projected under a projecting action) and the certified
     Cerami value C = (||g||_u + h rel |r|_2)(1 + |u|_2) >= the exact one,
     rel the solve's true relative residual; the CG iterations are appended
@@ -317,13 +311,14 @@ def _gradient(st: _Iterate, ctx: MetricContext, action, steps):
     ||g* - P x||_u <= ||g* - x||_u and ||g*||_u <= ||g||_u + h rel |r|_2.
     """
     grid, r = st.grid, st.r
+    u = Field(grid, st.u)
+    ctx = metric_context_at(grid, barycenter_beta(u))
     g_vals, rel = solve_metric_system(ctx, r, LOOSE_RIESZ_TOL, strict=True, callback=steps.append)
     g = Field(grid, g_vals)
     if action.has_projection:
         g = project_invariant(g, action)
-    lg = lower_u(ctx, g.values)
-    bound = np.sqrt(np.vdot(g.values, lg)) + grid.h * rel * np.sqrt(np.vdot(r, r))
-    return g, cerami_weight(Field(grid, st.u), bound)
+    bound = norm_u(ctx, g) + grid.h * rel * np.sqrt(np.vdot(r, r))
+    return g, cerami_weight(u, bound)
 
 
 def descend(
@@ -352,12 +347,13 @@ def descend(
     Steihaug, SIAM J. Numer. Anal. 19, 1982), and the floor keeps the last
     row from solving past what ends the descent (Kelley, Iterative Methods
     for Linear and Nonlinear Equations, SIAM 1995, 6.3). g serves only the
-    Cerami value and the fallback when that solve meets negative curvature
-    at once. A row that converges takes no step, so the descent never
-    steps away from a point its bound shows to be converged. A CG solve
-    from zero keeps r.g = g.A_u g > 0 (Galerkin), so a direction without a
-    positive slope means g = 0 and raises LineSearchError. Every line
-    search starts at STEP_INIT.
+    Cerami value and the fallback: a row whose Newton direction has no
+    positive slope steps along g (Steihaug, SIAM J. Numer. Anal. 20, 1983).
+    A row that converges takes no step, so the descent never steps away
+    from a point its bound shows to be converged. A CG solve from zero
+    keeps r.g = g.A_u g > 0 (Galerkin), so a g without a positive slope
+    means g = 0 and raises LineSearchError. Every line search starts at
+    STEP_INIT.
 
     Under a projecting action A_u commutes with the action (every point
     action is an index map of the whole cell-centred box), so the group
@@ -378,9 +374,8 @@ def descend(
     cerami, accepted = np.inf, 0
     try:
         for it in range(cfg.max_iters):
-            ctx = metric_context_at(grid, barycenter_beta(Field(grid, st.u)))
             steps = []
-            g, cerami = _gradient(st, ctx, action, steps)
+            g, cerami = _gradient(st, action, steps)
             res_l2 = float(np.sqrt(np.sum(st.r * st.r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
             trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
@@ -388,7 +383,11 @@ def descend(
                 return _finish(st, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
-            d, slope, kind, hess, kcross = _newton_direction(st, ctx, g, eta, action, pot, table)
+            d, slope, hess, kcross = _newton_direction(st, eta, action, pot, table)
+            kind = NEWTON
+            if not slope > 0.0:  # the gradient fallback
+                d, kind, kcross = g, GRADIENT, None
+                slope = grid.h * grid.h * float(np.vdot(st.r, g.values))
             trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)

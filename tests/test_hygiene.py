@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every definition is read, and no CLI run loads scipy."""
+every definition is read, the solver reads the u-metric in _gradient only,
+and no CLI run loads scipy."""
 
 import ast
 import json
@@ -87,6 +88,20 @@ def test_no_unreferenced_definitions():
             if not others and name not in reads(trees[path], skip=node):
                 unread.append("%s %s" % (path.relative_to(ROOT), name))
     assert not unread, "definitions read nowhere: " + ", ".join(unread)
+
+
+# the descent reads the u-metric (barycenter, context, solve and norm) in
+# one function, so a change of the Cerami certificate changes that body alone
+METRIC_NAMES = {"barycenter_beta", "metric_context_at", "solve_metric_system", "norm_u"}
+
+
+def test_solver_reads_the_metric_in_gradient_only():
+    path = ROOT / "src" / "logchoquard" / "solver.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    gradient = definitions(tree)["_gradient"]
+    assert METRIC_NAMES <= reads(gradient)
+    outside = METRIC_NAMES & reads(tree, skip=gradient)
+    assert not outside, "solver.py reads outside _gradient: " + ", ".join(sorted(outside))
 
 
 # importing scipy costs start-up time and resident memory on every CLI call,

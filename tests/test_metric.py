@@ -280,14 +280,13 @@ def laplacian_matrix(n, h):
 
 @pytest.mark.parametrize("n", [24], ids=["full"])
 def test_shifted_preconditioner_inverts_the_mean_potential_operator(n):
-    # with a potential, the fast Poisson mass is its mean, floored at the
-    # metric's 1 + mean(weight): the exact inverse of -Delta_h + mu
+    # the Newton solve's fast Poisson mass is the mean of its potential,
+    # floored at 1: the exact inverse of -Delta_h + mu
     g = Grid(L=4.0, n=n)
-    ctx = metric_context_at(g, (0.5, -0.3))
     potential = 6.0 + 3.0 * np.cos(g.x1) * np.sin(2.0 * g.x2)
-    mu = max(1.0 + np.mean(ctx.weight.values), np.mean(potential))
-    assert mu > 1.0 + np.mean(ctx.weight.values)
-    apply = metric.preconditioner(ctx, potential)
+    mu = max(1.0, np.mean(potential))
+    assert mu > 1.0
+    apply = metric.preconditioner(g, mu)
     rng = np.random.default_rng(12)
     r, s = rng.standard_normal((2, g.n, g.n))
     z = apply(r)
@@ -298,14 +297,20 @@ def test_shifted_preconditioner_inverts_the_mean_potential_operator(n):
 
 @pytest.mark.parametrize("n", [24], ids=["full"])
 def test_a_potential_below_the_metric_mass_leaves_the_preconditioner_unchanged(n):
-    # an indefinite a (mean near 0) floors at 1 + mean(weight): the same
-    # SPD preconditioner as the metric solve's, bit for bit
+    # an indefinite a (mean near 0) floors at mass 1: the preconditioner is
+    # the exact inverse of M0 = -Delta_h + 1, and A_u >= M0 at every center
+    # gives r.M0^-1 r >= r.A_u^-1 r
     g = Grid(L=4.0, n=n)
-    ctx = metric_context_at(g, (0.5, -0.3))
     potential = cos2d_potential(g, 0.0, 0.5, 1.0, 1.0).a.values
+    mu = max(1.0, np.mean(potential))
+    assert mu == 1.0
     r = confined_field(g, np.random.default_rng(14))
-    z = metric.preconditioner(ctx, potential)(r)
-    assert np.array_equal(z, metric.preconditioner(ctx)(r))
+    z = metric.preconditioner(g, mu)(r)
+    m0 = laplacian_matrix(g.n, g.h) + np.eye(g.n * g.n)
+    assert np.linalg.norm(m0 @ z.ravel() - r.ravel()) <= 1e-12 * np.linalg.norm(r)
+    for center in ((0.5, -0.3), (0.0, 0.0)):
+        a_u = m0 + np.diag(metric_context_at(g, center).weight.values.ravel())
+        assert np.vdot(r, z) >= np.vdot(r.ravel(), np.linalg.solve(a_u, r.ravel()))
 
 
 # ------------------------------------------------------------ Riesz gradient

@@ -39,7 +39,6 @@ from logchoquard import (
     make_bump_family,
     make_kernel_table,
     metric_context,
-    metric_context_at,
     multistart_search,
     nehari_project,
     norm_u,
@@ -481,8 +480,7 @@ def test_gradient_bounds_the_tight_cerami_value(which):
     grid = pot.a.grid
     st = solver_mod._Iterate(project_invariant(u0, action).values, None, pot, table)
     u = Field(grid, st.u)
-    ctx = metric_context_at(grid, beta(u))
-    _, bound = solver_mod._gradient(st, ctx, action, [])
+    _, bound = solver_mod._gradient(st, action, [])
     _, gn = riesz_gradient(u, pot, table, tol=1e-10)
     assert cerami_weight(u, gn) <= bound
 
@@ -578,16 +576,36 @@ def test_newton_direction_is_invariant(which):
     import logchoquard.solver as solver_mod
 
     u0, action, pot, table = descent_case(which)
-    g = pot.a.grid
     st = solver_mod._Iterate(u0.values, None, pot, table)
-    ctx = metric_context_at(g, beta(Field(g, st.u)))
-    vals, _ = solve_metric_system(ctx, st.r, 1e-10, strict=True)
-    grad = project_invariant(Field(g, vals), action)
-    d, slope, kind, products, _ = solver_mod._newton_direction(
-        st, ctx, grad, NEWTON_CG_TOL, action, pot, table
-    )
-    assert kind == NEWTON and slope > 0.0 and products > 0
+    d, slope, products, _ = solver_mod._newton_direction(st, NEWTON_CG_TOL, action, pot, table)
+    assert slope > 0.0 and products > 0
     assert is_invariant(d, action).defect <= 1e-14
+
+
+def test_newton_row_below_the_unit_mass_steps(monkeypatch):
+    # in a negative-constant well the Hessian's potential a + w0 has a mean
+    # below 1, so the fast Poisson mass floors at 1, the mass of
+    # M0 = -Delta_h + 1, and the row still steps: along d when its slope is
+    # positive, along the gradient fallback otherwise
+    import logchoquard.solver as solver_mod
+
+    g = Grid(L=6.0, n=32)
+    action, pot, table = trivial_action(), const_potential(g, -5.0), make_kernel_table(g)
+    u0 = make_bump_family(0, action, pot, table, SolveConfig()).starts[0]
+    st = solver_mod._Iterate(u0.values, None, pot, table)
+    assert np.mean(pot.a.values + st.w0) < 1.0
+    real, masses = solver_mod.preconditioner, []
+
+    def preconditioner(grid, mass):
+        masses.append(mass)
+        return real(grid, mass)
+
+    monkeypatch.setattr(solver_mod, "preconditioner", preconditioner)
+    _, slope, products, _ = solver_mod._newton_direction(st, NEWTON_CG_TOL, action, pot, table)
+    assert masses == [1.0] and products > 0
+    row = descend(u0, action, pot, table, SolveConfig(max_iters=1)).trace[0]
+    assert masses == [1.0, 1.0]
+    assert row[7] > 0 and row[9] == (NEWTON if slope > 0.0 else GRADIENT)
 
 
 def benchmark_case(name):
@@ -732,8 +750,8 @@ def test_newton_solve_carries_the_log_image_of_u_d(monkeypatch, which):
 
     def newton_direction(st, *args):
         out = real_newton(st, *args)
-        d, _, kind, _, kcross = out
-        if kind == NEWTON:
+        d, slope, _, kcross = out
+        if slope > 0.0:
             direct = padded_convolve(grid, st.u * d.values, table.k0_hat)
             errs.append(np.max(np.abs(kcross - direct)) / np.max(np.abs(direct)))
         return out

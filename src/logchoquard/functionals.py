@@ -55,6 +55,8 @@ def cos2d_potential(grid: Grid, base: float, amp: float, k1: float, k2: float) -
 
 def radial_well_potential(grid: Grid, depth: float, radius: float) -> Potential:
     """a = 1 everywhere except a smooth well of the given depth inside |x| < radius."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radial-well radius must be finite and > 0, got %r" % radius)
     return make_potential(Field(grid, 1.0 - mollifier((grid.r / radius) ** 2, depth)))
 
 

@@ -121,11 +121,13 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None) ->
 
     x and r are updated in place. The loop stops once |r| <= stop (tested
     before the preconditioner, whose z would go unread), after max_iter
-    calls of apply, or when r.z or p.Ap is no longer positive: an exactly
-    zero residual, rounding, or an operator that is not positive definite
-    along p, in which case x keeps the iterate so far (Steihaug, SIAM J.
-    Numer. Anal. 20, 1983). callback(x), if given, runs after each update,
-    as in scipy.sparse.linalg.cg.
+    calls of apply, when r.z is no longer positive (a zero residual, or
+    rounding), or when p.Ap is not, where the operator is not positive
+    definite along p: at the first product x then steps by p = M^-1 r
+    itself, a descent direction whenever r != 0 (Steihaug, SIAM J. Numer.
+    Anal. 20, 1983; Nocedal & Wright, Alg. 7.1), and later keeps the
+    iterate so far. callback(x), if given, runs after each update, as in
+    scipy.sparse.linalg.cg.
 
     image, if given, is a second linear image L x of x, updated in place
     next to it: apply(p) then returns (A p, L p), and each step adds
@@ -144,9 +146,9 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None) ->
             ap, lp = ap
         calls += 1
         pap = float(np.vdot(p, ap))
-        if not pap > 0.0:
+        if not pap > 0.0 and calls > 1:
             break
-        alpha = rz / pap
+        alpha = rz / pap if pap > 0.0 else 1.0  # 1: Steihaug's exit along p = M^-1 r
         x += alpha * p
         r -= alpha * ap
         if image is not None:
@@ -155,7 +157,7 @@ def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None) ->
             del lp
         if callback is not None:
             callback(x)
-        if _norm(r) <= stop:
+        if not pap > 0.0 or _norm(r) <= stop:
             break
         z = precondition(r)
         rz_new = float(np.vdot(r, z))

@@ -3,15 +3,13 @@
 The descent minimizes Phi on the constraint {J = q_a + V0 = 0, V0 < 0}
 through the reduced energy Psi(x) = Phi(sigma(x)) = -q_a(x)^2 / (4 V0(x)),
 sigma the rescaling along the ray onto the manifold (exact by homogeneity:
-q_a -> t^2 q_a, V0 -> t^4 V0). On the manifold Psi'(u) = Phi'(u), so the
-metric (Riesz) gradient of Phi at an iterate is already the metric gradient
-of Psi (Szulkin & Weth, The method of Nehari manifold, 2010): each
-iteration solves one metric system, takes an Armijo-backtracked step on Psi
-and lands on the manifold again. That solve is loose: A_u >= I bounds its
-error by its own residual, so the row's Cerami value is a certified upper
-bound, and it alone can end the descent as converged. The Armijo slope is
-the exact Phi'(u) d = h^2 r.d rather than the metric pairing of an
-inexact gradient.
+q_a -> t^2 q_a, V0 -> t^4 V0). On the manifold Psi'(u) = Phi'(u) (Szulkin
+& Weth, The method of Nehari manifold, 2010), so the metric (Riesz)
+gradient of Phi at an iterate is Psi's. Each iteration solves one metric
+system for its Cerami value, loosely: A_u >= I bounds the error by the
+solve's own residual, so the value is a certified upper bound, and it
+alone can end the descent as converged. It then takes an Armijo step on
+Psi, with the exact slope Phi'(u) d = h^2 r.d, onto the manifold again.
 
 Every row, the first included, steps along a truncated Newton-CG solve
 of H d = r, H the second variation of Phi corrected along the ray (the
@@ -20,8 +18,9 @@ residual of the order of the row's Cerami value, so the tail is
 quadratic. It is preconditioned by a fast Poisson solve whose mass is the
 mean of the Hessian's potential a + w0, which sits far above the metric's
 mass at a solution; with that shift a Newton row is cheap enough far
-from a critical point too. The u-metric enters the descent in _gradient
-alone, for the Cerami value and the gradient fallback.
+from a critical point too, and its exit at negative curvature leaves it
+a descent direction. The u-metric enters the descent in _cerami alone,
+for the Cerami value.
 
 Starts come from families of disjoint mollifier bumps placed and
 symmetrized according to the group action. Trivial and lattice bumps sit
@@ -84,7 +83,7 @@ from .symmetry import (
 
 DEDUP_REL = 1e-4  # orbit_distance <= DEDUP_REL * |u|_2 collapses two results
 NEWTON_CG_TOL = 0.1  # cap on the forcing term (relative residual) of the Newton PCG
-LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _gradient bounds its error
+LOOSE_RIESZ_TOL = 1e-2  # relative residual of every descent solve; _cerami bounds its error
 # Armijo backtracking: the first and largest step, its halving factor and the
 # sufficient-decrease constant c1 (Nocedal & Wright, Numerical Optimization, 2006)
 STEP_INIT = 1.0
@@ -133,16 +132,15 @@ class StartFamily:
 
 
 # alpha: the accepted step; backtracks: how often it was halved; direction:
-# GRADIENT or NEWTON (code 1, an L-BFGS direction in older traces, is not
-# written). A row that takes no step (the last one of a converged descent,
-# or one whose line search fails) records 0, 0, 0 there.
+# NEWTON on every row that steps. A row that takes no step (the last one of
+# a converged descent, or one whose line search fails) records 0, 0, 0 there.
 # cg: the CG iterations of the row's one metric solve; hess: the Hessian
 # products of its Newton solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
     "alpha", "backtracks", "direction", "cg", "hess",
 )
-GRADIENT, NEWTON = 0, 2
+NEWTON = 2
 
 
 class _Iterate:
@@ -182,16 +180,18 @@ def _newton_direction(st: _Iterate, eta: float, action, pot, table):
     H = Phi''(u) - b b^T / <u, b> with b = Phi''(u) u = r + 2 w0 u, which
     costs no convolution: H is symmetric, H u = 0, and at a critical point
     it is the Hessian of Psi, so the ray drops out and Newton's quadratic
-    tail is Psi's. Each product is one convolution, log * (u p), and
-    metric.pcg sums those images as it sums x = sum alpha_k p_k, so the
-    solve also gives log * (u d) for _line_search. metric.pcg
-    (Steihaug's truncated CG) is preconditioned by the fast Poisson solve
-    whose mass is the box mean of H's potential a + w0, floored at 1, the
-    mass of M0 = -Delta_h + 1, which A_u dominates (metric.preconditioner).
-    It stops at relative residual eta (the row's forcing term, see
-    descend), at the first p.Hp <= 0, or after n products, and never
-    steps along negative curvature: d is the iterate so far, and descend
-    falls back to g when its slope is not positive.
+    tail is Psi's. <u, b> = 2 V0 < 0 on {J = 0}; where rounding leaves it
+    >= 0 (a vanishing iterate) DegenerateNehariError is raised. Each
+    product is one convolution, log * (u p), and metric.pcg sums those
+    images as it sums x = sum alpha_k p_k, so the solve also gives
+    log * (u d) for _line_search. metric.pcg (Steihaug's truncated CG) is
+    preconditioned by the fast Poisson solve M^-1 whose mass is the box
+    mean of H's potential a + w0, floored at 1, the mass of
+    M0 = -Delta_h + 1, which A_u dominates (metric.preconditioner). It
+    stops at relative residual eta (the row's forcing term, see descend),
+    at the first p.Hp <= 0, or after n products, and never steps along
+    negative curvature: d is the iterate so far, or p = M^-1 r at the
+    first product, whose slope h^2 r.M^-1 r is positive whenever r != 0.
     Under a projecting action H and the preconditioner commute with the
     action, so x is invariant and is projected once, against rounding,
     before its slope is taken. u d is then invariant without the sign
@@ -206,6 +206,8 @@ def _newton_direction(st: _Iterate, eta: float, action, pot, table):
     precondition = preconditioner(grid, max(1.0, float(np.mean(pot.a.values + st.w0))))
     b = r + 2.0 * st.w0 * st.u
     ub = float(np.vdot(st.u, b))
+    if not ub < 0.0:
+        raise DegenerateNehariError("degenerate Nehari direction: u.b = %.3g is not negative" % ub)
 
     def hess(vals):
         uv = padded_convolve(grid, st.u * vals, table.k0_hat)
@@ -226,7 +228,7 @@ def _newton_direction(st: _Iterate, eta: float, action, pot, table):
     return d, h2 * float(np.vdot(r, d.values)), products, kcross
 
 
-def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross=None):
+def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross):
     """Armijo backtracking on Psi along u - alpha*d from alpha = STEP_INIT.
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
@@ -234,10 +236,9 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross=None):
     cancellation that floors a direct re-evaluation of Phi. The two
     images behind them also update w0 exactly:
     log * (u - alpha d)^2 = w0 - 2 alpha log * (u d) + alpha^2 log * d^2.
-    kcross = log * (u d) comes from the Newton solve (_newton_direction) and
-    is convolved here only when not given, for the gradient fallback, so
-    a Newton row pays one convolution, log * d^2. Returns the _Iterate of
-    the accepted point, alpha and the number of halvings before it was
+    kcross = log * (u d) comes from the Newton solve (_newton_direction),
+    so a step pays one convolution, log * d^2. Returns the _Iterate of the
+    accepted point, alpha and the number of halvings before it was
     accepted; st is not changed.
     """
     grid = st.grid
@@ -246,8 +247,6 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross=None):
     c2 = q_a_bilinear(d, d, pot)
     cross = st.u * d.values
     wsq = d.values * d.values
-    if kcross is None:
-        kcross = padded_convolve(grid, cross, table.k0_hat)
     kwsq = padded_convolve(grid, wsq, table.k0_hat)
     b0c = h2 * float(np.sum(cross * st.w0))
     b0w = h2 * float(np.sum(wsq * st.w0))
@@ -294,17 +293,17 @@ def _finish(st: _Iterate, action, cerami, iters, converged, trace) -> SolveResul
     )
 
 
-def _gradient(st: _Iterate, action, steps):
-    """The metric gradient at st.u, solved to relative residual LOOSE_RIESZ_TOL.
+def _cerami(st: _Iterate, action):
+    """The certified Cerami value at st.u and the CG iterations behind it.
 
     The one place the descent reads the u-metric: the context recentered at
-    the barycenter beta(u), the solve, and ||g||_u (metric.norm_u).
-    Returns g (projected under a projecting action) and the certified
-    Cerami value C = (||g||_u + h rel |r|_2)(1 + |u|_2) >= the exact one,
-    rel the solve's true relative residual; the CG iterations are appended
-    to steps. The bound (an a-posteriori CG error bound as in Arioli,
-    Numer. Math. 97, 2004), with g* the exact gradient and x the solve:
-    A_u (g* - x) = r - A_u x = res and A_u >= I give
+    the barycenter beta(u), the metric gradient g solved to relative
+    residual LOOSE_RIESZ_TOL, and ||g||_u (metric.norm_u), projected under
+    a projecting action. C = (||g||_u + h rel |r|_2)(1 + |u|_2) >= the
+    exact value, rel the solve's true relative residual. The bound (an
+    a-posteriori CG error bound as in Arioli, Numer. Math. 97, 2004), with
+    g* the exact gradient and x the solve: A_u (g* - x) = r - A_u x = res
+    and A_u >= I give
     ||g* - x||_u^2 = h^2 res.A_u^-1 res <= h^2 |res|_2^2 = (h rel |r|_2)^2.
     The group average P commutes with A_u and is orthogonal, hence
     A_u-orthogonal, and P g* = g* (r is invariant), so
@@ -313,12 +312,13 @@ def _gradient(st: _Iterate, action, steps):
     grid, r = st.grid, st.r
     u = Field(grid, st.u)
     ctx = metric_context_at(grid, barycenter_beta(u))
+    steps = []
     g_vals, rel = solve_metric_system(ctx, r, LOOSE_RIESZ_TOL, strict=True, callback=steps.append)
     g = Field(grid, g_vals)
     if action.has_projection:
         g = project_invariant(g, action)
     bound = norm_u(ctx, g) + grid.h * rel * np.sqrt(np.vdot(r, r))
-    return g, cerami_weight(u, bound)
+    return cerami_weight(u, bound), len(steps)
 
 
 def descend(
@@ -331,14 +331,14 @@ def descend(
     """Descent of Psi = Phi o sigma from u0; see module docstring for the iteration.
 
     Each row depends on its own iterate (u, w0) only (_Iterate: q_a, V0,
-    Phi and the residual field r on {J = 0}): the gradient g and its
-    Cerami value (_gradient), the convergence test, a direction d with the
-    exact slope Psi'(u) d = h^2 r.d, and an exact-ray Armijo line search
+    Phi and the residual field r on {J = 0}): its Cerami value (_cerami),
+    the convergence test, the Newton direction d with the exact slope
+    Psi'(u) d = h^2 r.d, and an exact-ray Armijo line search
     (_line_search) that returns the next iterate. An error raised after
     the start carries .result with the last iterate.
 
     Every row solves one metric system to relative residual
-    LOOSE_RIESZ_TOL, whose certified Cerami value C (_gradient) bounds the
+    LOOSE_RIESZ_TOL, whose certified Cerami value C (_cerami) bounds the
     exact one from above; C <= cfg.cerami_tol returns converged, with no
     step. Otherwise the row steps along the truncated PCG solve of
     _newton_direction, stopped at relative residual
@@ -346,21 +346,18 @@ def descend(
     Cerami value: eta = O(C) makes the tail quadratic (Dembo, Eisenstat &
     Steihaug, SIAM J. Numer. Anal. 19, 1982), and the floor keeps the last
     row from solving past what ends the descent (Kelley, Iterative Methods
-    for Linear and Nonlinear Equations, SIAM 1995, 6.3). g serves only the
-    Cerami value and the fallback: a row whose Newton direction has no
-    positive slope steps along g (Steihaug, SIAM J. Numer. Anal. 20, 1983).
-    A row that converges takes no step, so the descent never steps away
-    from a point its bound shows to be converged. A CG solve from zero
-    keeps r.g = g.A_u g > 0 (Galerkin), so a g without a positive slope
-    means g = 0 and raises LineSearchError. Every line search starts at
-    STEP_INIT.
+    for Linear and Nonlinear Equations, SIAM 1995, 6.3). Its exit at
+    negative curvature keeps the slope positive whenever r != 0; a d
+    without one raises LineSearchError. A row that converges takes no
+    step, so the descent never steps away from a point its bound shows to
+    be converged. Every line search starts at STEP_INIT.
 
     Under a projecting action A_u commutes with the action (every point
     action is an index map of the whole cell-centred box), so the group
     average of the solution is the Riesz gradient of Phi restricted to
-    invariant fields, and every direction built from it is invariant. By
-    symmetric criticality (Palais) a critical point found this way is
-    critical for the full problem, on the grid as on the continuum.
+    invariant fields, whose Cerami value C certifies. By symmetric
+    criticality (Palais) a critical point found this way is critical for
+    the full problem, on the grid as on the continuum.
     """
     grid = pot.a.grid
     u = u0.values
@@ -374,26 +371,21 @@ def descend(
     cerami, accepted = np.inf, 0
     try:
         for it in range(cfg.max_iters):
-            steps = []
-            g, cerami = _gradient(st, action, steps)
+            cerami, cg = _cerami(st, action)
             res_l2 = float(np.sqrt(np.sum(st.r * st.r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
-            trace.append(row + (0.0, 0, GRADIENT, len(steps), 0))  # until a step is accepted
+            trace.append(row + (0.0, 0, 0, cg, 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
                 return _finish(st, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
             d, slope, hess, kcross = _newton_direction(st, eta, action, pot, table)
-            kind = NEWTON
-            if not slope > 0.0:  # the gradient fallback
-                d, kind, kcross = g, GRADIENT, None
-                slope = grid.h * grid.h * float(np.vdot(st.r, g.values))
-            trace[-1] = row + (0.0, 0, GRADIENT, len(steps), hess)
+            trace[-1] = row + (0.0, 0, 0, cg, hess)
             if not slope > 0.0:
-                raise LineSearchError("no descent direction: Phi'(u) g = %.3g" % slope)
+                raise LineSearchError("no descent direction: Phi'(u) d = %.3g" % slope)
             st, alpha, backtracks = _line_search(st, d, slope, pot, table, kcross)
             del kcross  # one summed image alive at a time: the next solve sums its own
-            trace[-1] = row + (alpha, backtracks, kind, len(steps), hess)
+            trace[-1] = row + (alpha, backtracks, NEWTON, cg, hess)
             accepted += 1
     except DESCENT_ERRORS as err:
         err.result = _finish(st, action, cerami, accepted, False, trace)
@@ -481,19 +473,20 @@ def _bump_sites(action: GroupAction, pot: Potential, k: int):
 
 
 def _layout(k: int, action: GroupAction, pot: Potential):
-    """Seeds [(center, radius)] of the bumps and their noun."""
+    """The number of seed bumps, their (center, radius) made one at a time
+    (a huge k costs nothing past the first misfit), and their noun."""
     h = pot.a.grid.h
     if action.kind == KIND_ROTATION:
         chord = 2.0 * np.sin(np.pi / (2 * action.m))
         ring_cap = 0.45 * (0.9 - 2 * h) if k >= 1 else np.inf  # keep the rings disjoint
-        rings = [1.2 + 0.9 * j for j in range(k + 1)]
-        seeds = [((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings]
-        return seeds, "sector bumps"
+        rings = (1.2 + 0.9 * j for j in range(k + 1))
+        seeds = (((R, 0.0), min(0.4, 0.45 * (R * chord - 2 * h), ring_cap)) for R in rings)
+        return k + 1, seeds, "sector bumps"
     if action.kind == KIND_GLIDE:
         offset = 0.9 if action.zeta_nontrivial else 0.0
-        return [(((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)], "glide bumps"
+        return k + 1, ((((j - 0.5 * k) * 1.6, offset), 0.5) for j in range(k + 1)), "glide bumps"
     centers, radius = _bump_sites(action, pot, k)
-    return [(tuple(c), radius) for c in centers], "bumps"
+    return len(centers), ((tuple(c), radius) for c in centers), "bumps"
 
 
 def make_bump_family(
@@ -543,16 +536,17 @@ def make_bump_family(
         bump = bump_field(grid, (s * center[0], s * center[1]), s * radius, np.exp(-t))
         return project_invariant(bump, action)
 
-    seeds, what = _layout(k, action, pot)
-    bumps = []
-    for center, radius in seeds:
+    count, layout, what = _layout(k, action, pot)
+    seeds, bumps = [], []
+    for center, radius in layout:
         if radius < 3 * grid.h:
             raise StartFamilyError("grid too coarse for disjoint %s (radius %.3g)" % (what, radius))
         if np.max(np.abs(center)) + radius > fit_limit:
-            raise StartFamilyError("%d %s do not fit the box" % (len(seeds), what))
+            raise StartFamilyError("%d %s do not fit the box" % (count, what))
         bump = dilated(center, radius, 0.0)
         if action.has_projection and lp_norm(bump, 2) <= 1e-14:
             raise StartFamilyError("invariant projection annihilated one of the %s" % what)
+        seeds.append((center, radius))
         bumps.append(bump)
 
     def sigma_phi(b):

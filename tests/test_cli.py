@@ -624,12 +624,16 @@ def test_a_chq1_potential_dump_exits_2(tmp_path, capsys):
     ("multistart", "n = 32\nbox = 9\n"),
     ("solve", "n = 32\nsymmetry = lattice:1e300,0;0,1\n"),
     ("solve", "n = 32\nsymmetry = glide:nan\n"),
+    ("info", "a = radial-well:2,-0.5\n"),
+    ("info", "a = radial-well:2,0\n"),
+    ("info", "a = radial-well:2,inf\n"),
 ], ids=["info-nan", "info-1e400", "solve-box-1e200", "solve-box-9e153", "ground-state-h", "multistart-h",
-        "solve-lattice-1e300", "solve-glide-nan"])
+        "solve-lattice-1e300", "solve-glide-nan", "info-radius-negative", "info-radius-0", "info-radius-inf"])
 def test_configs_without_a_usable_grid_or_potential_exit_2(tmp_path, capsys, command, text):
-    # non-finite potential samples, and h > barycenter.MAX_H (box 9 at n = 32
-    # gives h = 0.5625), and symmetry vectors that are not finite or span n
-    # cells or more, are refused before anything is written
+    # non-finite potential samples, a radial-well radius that is not finite
+    # and > 0, h > barycenter.MAX_H (box 9 at n = 32 gives h = 0.5625), and
+    # symmetry vectors that are not finite or span n cells or more, are
+    # refused before anything is written
     out = tmp_path / "o"
     argv = [command, "--config", write_config(tmp_path, text)]
     if command != "info":

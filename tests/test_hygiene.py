@@ -1,5 +1,5 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every definition is read, the solver reads the u-metric in _gradient only,
+every definition is read, the solver reads the u-metric in _cerami only,
 and no CLI run loads scipy."""
 
 import ast
@@ -95,13 +95,13 @@ def test_no_unreferenced_definitions():
 METRIC_NAMES = {"barycenter_beta", "metric_context_at", "solve_metric_system", "norm_u"}
 
 
-def test_solver_reads_the_metric_in_gradient_only():
+def test_solver_reads_the_metric_in_cerami_only():
     path = ROOT / "src" / "logchoquard" / "solver.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    gradient = definitions(tree)["_gradient"]
-    assert METRIC_NAMES <= reads(gradient)
-    outside = METRIC_NAMES & reads(tree, skip=gradient)
-    assert not outside, "solver.py reads outside _gradient: " + ", ".join(sorted(outside))
+    cerami = definitions(tree)["_cerami"]
+    assert METRIC_NAMES <= reads(cerami)
+    outside = METRIC_NAMES & reads(tree, skip=cerami)
+    assert not outside, "solver.py reads outside _cerami: " + ", ".join(sorted(outside))
 
 
 # importing scipy costs start-up time and resident memory on every CLI call,

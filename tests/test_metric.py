@@ -196,6 +196,22 @@ def test_pcg_stops_at_the_first_non_positive_curvature():
     # a residual already at the stop needs no operator call
     assert metric.pcg(apply, np.copy, rhs.copy(), np.zeros(6), 10.0, 50) == 0
     assert len(curvatures) == 2
+    # negative curvature at the first product is Steihaug's exit: x steps by
+    # the first direction p = M^-1 r itself and image gains its L p, after
+    # one operator call
+    m = np.array([2.0, 1.0, 4.0, 1.0, 2.0, 1.0])
+    lmap = np.arange(1.0, 7.0)
+
+    def indefinite(p):
+        curvatures.append(float(np.vdot(p, -d * p)))
+        return -d * p, lmap * p
+
+    x, r, image = np.zeros(6), rhs.copy(), np.zeros(6)
+    assert metric.pcg(indefinite, lambda v: v / m, r, x, 1e-12, 50, image=image) == 1
+    assert curvatures[-1] <= 0.0
+    assert np.array_equal(x, rhs / m)
+    assert np.array_equal(image, lmap * rhs / m)
+    assert np.vdot(rhs, x) > 0.0
 
 
 def dense_metric_matrix(ctx):

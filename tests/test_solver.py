@@ -16,6 +16,7 @@ from scipy.optimize import brentq, minimize
 
 from logchoquard import (
     DESCENT_ERRORS,
+    DegenerateNehariError,
     Field,
     Grid,
     GroundStateError,
@@ -54,7 +55,6 @@ from logchoquard.field import neg_laplacian
 from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import (
     BACKTRACK_FACTOR,
-    GRADIENT,
     LOOSE_RIESZ_TOL,
     NEWTON,
     NEWTON_CG_TOL,
@@ -252,6 +252,35 @@ def test_bump_family_guards(grid64, table64, pot64):
         )
 
 
+def test_bump_family_refuses_a_huge_k_at_its_first_misfit():
+    # the seeds are laid out one at a time, so 10^6 rotation or glide bumps
+    # are refused by the first that does not fit, with the error a small k
+    # gives, and without a list of the rest: at n = 64 the first is too
+    # coarse, at n = 128 the outer rings and the first glide bump overrun
+    # the box, and the count is k + 1
+    import tracemalloc
+
+    for n in (64, 128):
+        g = Grid(L=6.0, n=n)
+        pot, table = const_potential(g), make_kernel_table(g)
+        for action, what in ((rotation_zeta(2), "sector"), (glide_reflection(g, 1.0, True), "glide")):
+            with pytest.raises(StartFamilyError) as small:
+                make_bump_family(50, action, pot, table, SolveConfig())
+            tracemalloc.start()
+            try:
+                with pytest.raises(StartFamilyError) as huge:
+                    make_bump_family(10 ** 6, action, pot, table, SolveConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if n == 64:
+                assert str(huge.value) == str(small.value)
+                assert "coarse" in str(huge.value) and peak < 2 ** 20
+            else:
+                assert str(small.value) == "51 %s bumps do not fit the box" % what
+                assert str(huge.value) == "1000001 %s bumps do not fit the box" % what
+
+
 def test_bump_sites_are_one_minimum_maximum_and_saddle_of_a():
     # cos(2 pi x1) cos(2 pi x2) is -1 at a minimum of a, +1 at a maximum and
     # 0 at a saddle; the sites keep 2 radius + 2h apart, so the bumps are disjoint
@@ -372,16 +401,14 @@ def test_descend_trace_monotone_and_consistent(ground64):
         it, phi, qa, v0, nj, cw, res = row[:7]
         assert phi == pytest.approx(0.5 * qa + 0.25 * v0, rel=1e-10)
         assert nj == pytest.approx(qa + v0, abs=1e-8 * max(qa, -v0))
-    # every row but the last took a step along a Newton solve (or the
-    # gradient where that solve gives no descent), the first row included,
-    # and every line search starts at STEP_INIT
+    # every row but the last took a step along a Newton solve, the first
+    # row included, and every line search starts at STEP_INIT
     for row in trace[:-1]:
         alpha, backtracks, direction, _, hess = row[7:12]
-        assert alpha > 0 and backtracks >= 0 and direction in (GRADIENT, NEWTON)
+        assert alpha > 0 and backtracks >= 0 and direction == NEWTON
         assert alpha == STEP_INIT * BACKTRACK_FACTOR ** backtracks
         assert hess > 0
-    assert NEWTON in [row[9] for row in trace]
-    assert trace[-1][7:10] == (0.0, 0, GRADIENT) and trace[-1][11] == 0
+    assert trace[-1][7:10] == (0.0, 0, 0) and trace[-1][11] == 0
 
 
 def test_descend_stays_on_the_manifold_below_its_resolution():
@@ -448,20 +475,20 @@ def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
     # certified Cerami value of that solve
     import logchoquard.solver as solver_mod
 
-    real_solve, real_gradient = solver_mod.solve_metric_system, solver_mod._gradient
+    real_solve, real_cerami = solver_mod.solve_metric_system, solver_mod._cerami
     tols, values = [], []
 
     def counted(ctx, rhs, tol, **kwargs):
         tols.append(tol)
         return real_solve(ctx, rhs, tol, **kwargs)
 
-    def gradient(*args):
-        out = real_gradient(*args)
-        values.append(out[1])
+    def cerami(*args):
+        out = real_cerami(*args)
+        values.append(out[0])
         return out
 
     monkeypatch.setattr(solver_mod, "solve_metric_system", counted)
-    monkeypatch.setattr(solver_mod, "_gradient", gradient)
+    monkeypatch.setattr(solver_mod, "_cerami", cerami)
     u0, action, pot, table = descent_case(which)
     res = descend(u0, action, pot, table, SolveConfig())
     assert res.converged and len(res.trace) >= 3
@@ -473,14 +500,14 @@ def test_descend_solves_one_metric_system_per_trace_row(monkeypatch, which):
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2", "glide"])
 def test_gradient_bounds_the_tight_cerami_value(which):
     # at the start, where the loose solve's error weighs most, the
-    # certified value of _gradient still sits above the tight one
+    # certified value of _cerami still sits above the tight one
     import logchoquard.solver as solver_mod
 
     u0, action, pot, table = descent_case(which)
     grid = pot.a.grid
     st = solver_mod._Iterate(project_invariant(u0, action).values, None, pot, table)
     u = Field(grid, st.u)
-    _, bound = solver_mod._gradient(st, action, [])
+    bound, _ = solver_mod._cerami(st, action)
     _, gn = riesz_gradient(u, pot, table, tol=1e-10)
     assert cerami_weight(u, gn) <= bound
 
@@ -534,10 +561,9 @@ def test_converged_descent_is_certified_by_a_tight_solve(which):
 
 @pytest.mark.parametrize("which", ["trivial", "rot-zeta:2"])
 def test_loose_iterations_step_with_the_exact_slope(monkeypatch, which):
-    # a loose g is only used for the Cerami value and the gradient
-    # fallback; the Armijo slope of every direction, the Newton ones
-    # included, is Phi'(u) d = h^2 r.d with r the residual of the iterate
-    # (w0 its tracked log * u^2)
+    # a loose g is only used for the Cerami value; the Armijo slope of
+    # every Newton direction is Phi'(u) d = h^2 r.d with r the residual of
+    # the iterate (w0 its tracked log * u^2)
     import logchoquard.solver as solver_mod
 
     u0, action, pot, table = descent_case(which)
@@ -582,11 +608,24 @@ def test_newton_direction_is_invariant(which):
     assert is_invariant(d, action).defect <= 1e-14
 
 
+def test_newton_solve_refuses_an_iterate_without_a_ray_curvature():
+    # the ray correction divides by u.b, b = Phi''(u) u, which is 2 V0 / h^2
+    # < 0 on the Nehari set; where rounding leaves it at 0 (a vanishing
+    # iterate) the solve raises the typed degenerate-Nehari error
+    import logchoquard.solver as solver_mod
+
+    u0, action, pot, table = descent_case("trivial")
+    st = solver_mod._Iterate(u0.values, None, pot, table)
+    st.r = -2.0 * st.w0 * st.u  # b = r + 2 w0 u = 0 exactly
+    with pytest.raises(DegenerateNehariError, match="not negative"):
+        solver_mod._newton_direction(st, NEWTON_CG_TOL, action, pot, table)
+    assert DegenerateNehariError in DESCENT_ERRORS
+
+
 def test_newton_row_below_the_unit_mass_steps(monkeypatch):
     # in a negative-constant well the Hessian's potential a + w0 has a mean
     # below 1, so the fast Poisson mass floors at 1, the mass of
-    # M0 = -Delta_h + 1, and the row still steps: along d when its slope is
-    # positive, along the gradient fallback otherwise
+    # M0 = -Delta_h + 1, and the row still steps along d
     import logchoquard.solver as solver_mod
 
     g = Grid(L=6.0, n=32)
@@ -602,10 +641,10 @@ def test_newton_row_below_the_unit_mass_steps(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "preconditioner", preconditioner)
     _, slope, products, _ = solver_mod._newton_direction(st, NEWTON_CG_TOL, action, pot, table)
-    assert masses == [1.0] and products > 0
+    assert masses == [1.0] and products > 0 and slope > 0.0
     row = descend(u0, action, pot, table, SolveConfig(max_iters=1)).trace[0]
     assert masses == [1.0, 1.0]
-    assert row[7] > 0 and row[9] == (NEWTON if slope > 0.0 else GRADIENT)
+    assert row[7] > 0 and row[9] == NEWTON
 
 
 def benchmark_case(name):
@@ -646,8 +685,8 @@ def test_benchmark_operation_budget(monkeypatch, name, rows, products, convoluti
     # (measured rows, Hessian products and convolutions per descent:
     # signchange 8, 26 and 34, ground 6, 17 and 23, periodic 7, 18 and 25).
     # A descent convolves once for its start's w0, once per Hessian product
-    # and once per step for log * d^2; a gradient-fallback step also pays
-    # log * (u d), which a Newton step takes from its solve
+    # and once per step for log * d^2; a step takes log * (u d) from its
+    # Newton solve
     import logchoquard.functionals as functionals_mod
     import logchoquard.logkernel as logkernel_mod
     import logchoquard.solver as solver_mod
@@ -671,8 +710,7 @@ def test_benchmark_operation_budget(monkeypatch, name, rows, products, convoluti
         hess = sum(row[11] for row in res.trace)
         assert hess <= products
         steps = sum(row[7] > 0 for row in res.trace)
-        fallbacks = sum(row[7] > 0 and row[9] == GRADIENT for row in res.trace)
-        assert len(calls) == 1 + hess + steps + fallbacks
+        assert len(calls) == 1 + hess + steps
         assert len(calls) <= convolutions
 
 
@@ -716,20 +754,30 @@ def test_newton_pcg_stops_at_the_forcing_term(monkeypatch, which):
     assert regimes == {"cap", "C", "floor"}
 
 
-def test_newton_falls_back_to_the_gradient(monkeypatch):
-    # a Newton PCG that meets p.Hp <= 0 at its first product leaves x = 0:
-    # no descent direction, so every row steps along the metric gradient
+def negated_hessian(monkeypatch):
+    """Negate the second variation the Newton solve reads, so its first
+    product meets p.Hp <= 0 and it takes Steihaug's exit."""
     import logchoquard.solver as solver_mod
 
-    def pcg(apply, precondition, r, x, stop, max_iter, callback=None, image=None):
-        return 1
+    real = solver_mod.hessian_product
 
-    monkeypatch.setattr(solver_mod, "pcg", pcg)
+    def negated(*args):
+        out = real(*args)
+        return Field(out.grid, -out.values)
+
+    monkeypatch.setattr(solver_mod, "hessian_product", negated)
+
+
+def test_newton_steps_along_its_first_direction_at_negative_curvature(monkeypatch):
+    # a Newton PCG that meets p.Hp <= 0 at its first product steps along
+    # p = M^-1 r, whose slope is positive: every row is a Newton row of one
+    # product, and Phi still falls
+    negated_hessian(monkeypatch)
     u0, action, pot, table = descent_case("trivial")
     res = descend(u0, action, pot, table, SolveConfig(max_iters=4))
     assert not res.converged and len(res.trace) == 4
     for row in res.trace:
-        assert row[7] > 0 and row[9] == GRADIENT and row[11] == 1
+        assert row[7] > 0 and row[9] == NEWTON and row[11] == 1
     phis = [row[1] for row in res.trace] + [res.breakdown.phi]
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -762,24 +810,22 @@ def test_newton_solve_carries_the_log_image_of_u_d(monkeypatch, which):
     assert max(errs) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["signchange", "gradient-fallback"])
+@pytest.mark.parametrize("case", ["signchange", "negative-curvature"])
 def test_result_energy_is_the_last_iterate(monkeypatch, case):
     # the result's q_a, V0 and Phi are the last iterate's, with no
     # convolution of their own: Phi is the last row's exactly, and a fresh
     # evaluation at the returned u agrees to rounding
-    import logchoquard.solver as solver_mod
-
     if case == "signchange":
         starts, action, pot, table, cfg = benchmark_case(case)
     else:
-        monkeypatch.setattr(solver_mod, "pcg", lambda *args, **kwargs: 1)
+        negated_hessian(monkeypatch)
         u0, action, pot, table = descent_case("trivial")
         starts, cfg = [u0], SolveConfig()
     for u0 in starts:
         res = descend(u0, action, pot, table, cfg)
         assert res.converged
-        if case == "gradient-fallback":
-            assert all(row[9] == GRADIENT for row in res.trace)
+        if case == "negative-curvature":
+            assert all(row[11] == 1 for row in res.trace[:-1])
         assert res.breakdown.phi == res.trace[-1][1]
         fresh = energy(res.u, pot, table)
         assert abs(res.breakdown.phi - fresh.phi) <= 1e-12 * abs(fresh.phi)

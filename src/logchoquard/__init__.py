@@ -52,7 +52,6 @@ from .functionals import (
     make_potential,
     nehari_project,
     nehari_scale,
-    nehari_terms,
     phi_prime,
     q_a_bilinear,
     radial_well_potential,

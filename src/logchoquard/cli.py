@@ -167,7 +167,7 @@ def parse_config(text: str):
     pairs = _parse_lines(text)
     try:
         grid = Grid(L=float(pairs["box"]), n=int(pairs["n"]))
-    except (ValueError, ChoquardError) as exc:
+    except (ValueError, MemoryError, ChoquardError) as exc:  # numpy refuses a huge n
         raise ConfigError("bad grid: %s" % exc)
     pot = _build_potential(grid, pairs["a"])
     action = _build_action(grid, pairs["symmetry"])
@@ -194,8 +194,8 @@ def config_hash(pairs: dict) -> str:
     return hashlib.sha256(serialize_config(pairs).encode("utf-8")).hexdigest()
 
 
-def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) -> str:
-    """Write manifest.json first; returns its path."""
+def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) -> None:
+    """Write manifest.json, before any other output of the run."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "config_hash": config_hash(pairs),
@@ -214,7 +214,6 @@ def write_manifest(out_dir: str, command: str, pairs: dict, outputs: List[str]) 
     os.replace(path + ".tmp", path)  # a rewrite never leaves a partial manifest
     if os.environ.get("LOGCHOQUARD_CRASH_AFTER_MANIFEST"):
         raise SystemExit(70)  # crash hook: manifest exists, outputs do not
-    return path
 
 
 def write_trace(path: str, res: SolveResult) -> None:

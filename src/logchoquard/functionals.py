@@ -85,18 +85,12 @@ def q_a_bilinear(u: Field, v: Field, pot: Potential) -> float:
     return float(grid.h * grid.h * np.vdot(u.values, av))
 
 
-def nehari_terms(u: Field, pot: Potential, table: KernelTable):
-    """(q_a, V0, w0 = log * u^2): the terms of Phi and J from one k0 convolution."""
+def energy(u: Field, pot: Potential, table: KernelTable) -> EnergyBreakdown:
+    """Phi and J from q_a and V0 = h^2 sum u^2 (log * u^2): one k0 convolution."""
     grid = same_grid(u, pot.a)
     u_sq = Field(grid, u.values * u.values)
-    w0 = log_potential(u_sq, table)
-    v0 = float(grid.h * grid.h * np.sum(u_sq.values * w0.values))
-    return q_a_bilinear(u, u, pot), v0, w0
-
-
-def energy(u: Field, pot: Potential, table: KernelTable) -> EnergyBreakdown:
-    """Phi and J from nehari_terms: one k0 convolution."""
-    qa, v0, _ = nehari_terms(u, pot, table)
+    v0 = float(grid.h * grid.h * np.sum(u_sq.values * log_potential(u_sq, table).values))
+    qa = q_a_bilinear(u, u, pot)
     return EnergyBreakdown(q_a=qa, v0=v0, phi=0.5 * qa + 0.25 * v0, nehari_j=qa + v0)
 
 

@@ -121,19 +121,22 @@ class KernelTable:
 
     @cached_property
     def k0(self) -> np.ndarray:
-        # the samples k0_hat was built from; only the checks, k2's origin
-        # cell and direct_oracle read them
+        # the samples k0_hat was built from; only the checks, k1, k2 and
+        # direct_oracle read them
         return _log_samples(self.grid)
 
     @cached_property
     def k1(self) -> np.ndarray:
-        # smooth; sample directly, k1(0) = tau
-        return np.log(np.exp(self.tau) + offset_lattice(self.grid))
+        # log(e^tau + r) as logaddexp(tau, log r), log r being k0 off the
+        # origin cell: e^tau itself overflows from tau = 710. Smooth, k1(0) = tau
+        k1 = np.logaddexp(self.tau, self.k0)
+        k1[0, 0] = self.tau
+        return k1
 
     @cached_property
     def k2(self) -> np.ndarray:
-        ro = offset_lattice(self.grid)
-        k2 = np.log1p(np.exp(self.tau) / np.where(ro == 0.0, 1.0, ro))
+        # log(1 + e^tau / r) as logaddexp(0, tau - log r), likewise
+        k2 = np.logaddexp(0.0, self.tau - self.k0)
         k2[0, 0] = self.tau - self.k0[0, 0]  # k1 - k2 = k0 at the origin cell
         return k2
 

@@ -61,10 +61,10 @@ from .functionals import (
     Potential,
     cerami_weight,
     classify,
+    energy,
     hessian_product,
     in_nzero,
     nehari_scale,
-    nehari_terms,
     q_a_bilinear,
 )
 from .logkernel import KernelTable, log_potential, padded_convolve
@@ -131,16 +131,15 @@ class StartFamily:
     starts: List[Field]  # the T_t image of each seed that starts a descent
 
 
-# alpha: the accepted step; backtracks: how often it was halved; direction:
-# NEWTON on every row that steps. A row that takes no step (the last one of
-# a converged descent, or one whose line search fails) records 0, 0, 0 there.
-# cg: the CG iterations of the row's one metric solve; hess: the Hessian
-# products of its Newton solve.
+# alpha: the accepted step along the row's Newton direction; backtracks: how
+# often it was halved. A row that takes no step (the last one of a converged
+# descent, or one whose line search fails) records 0, 0 there. cg: the CG
+# iterations of the row's one metric solve; hess: the Hessian products of its
+# Newton solve.
 TRACE_COLUMNS = (
     "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
-    "alpha", "backtracks", "direction", "cg", "hess",
+    "alpha", "backtracks", "cg", "hess",
 )
-NEWTON = 2
 
 
 class _Iterate:
@@ -233,8 +232,9 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross):
 
     q_a is quadratic and V0 quartic in alpha; evaluating the on-manifold
     decrease from these exact coefficients avoids the large-scale
-    cancellation that floors a direct re-evaluation of Phi. The two
-    images behind them also update w0 exactly:
+    cancellation that floors a direct re-evaluation of Phi. q_a's, h^2 u.L_a d
+    and h^2 d.L_a d, share one stencil product L_a d = -Delta_h d + a d;
+    the two images behind V0's also update w0 exactly:
     log * (u - alpha d)^2 = w0 - 2 alpha log * (u d) + alpha^2 log * d^2.
     kcross = log * (u d) comes from the Newton solve (_newton_direction),
     so a step pays one convolution, log * d^2. Returns the _Iterate of the
@@ -243,8 +243,9 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross):
     """
     grid = st.grid
     h2 = grid.h * grid.h
-    c1 = q_a_bilinear(Field(grid, st.u), d, pot)
-    c2 = q_a_bilinear(d, d, pot)
+    ad = neg_laplacian(d.values, grid.h) + pot.a.values * d.values
+    c1 = float(h2 * np.vdot(st.u, ad))
+    c2 = float(h2 * np.vdot(d.values, ad))
     cross = st.u * d.values
     wsq = d.values * d.values
     kwsq = padded_convolve(grid, wsq, table.k0_hat)
@@ -253,7 +254,7 @@ def _line_search(st: _Iterate, d: Field, slope: float, pot, table, kcross):
     bcc = h2 * float(np.sum(cross * kcross))
     bcw = h2 * float(np.sum(wsq * kcross))
     bww = h2 * float(np.sum(wsq * kwsq))
-    del cross, wsq  # only kcross and kwsq build the next iterate
+    del ad, cross, wsq  # only kcross and kwsq build the next iterate
     qa, v0 = st.qa, st.v0
     alpha = STEP_INIT
     for backtracks in range(60):
@@ -374,18 +375,18 @@ def descend(
             cerami, cg = _cerami(st, action)
             res_l2 = float(np.sqrt(np.sum(st.r * st.r)) * grid.h)
             row = (it, st.phi, st.qa, st.v0, st.qa + st.v0, cerami, res_l2)
-            trace.append(row + (0.0, 0, 0, cg, 0))  # until a step is accepted
+            trace.append(row + (0.0, 0, cg, 0))  # until a step is accepted
             if cerami <= cfg.cerami_tol:
                 return _finish(st, action, cerami, accepted, True, trace)
 
             eta = min(NEWTON_CG_TOL, max(cerami, 0.5 * cfg.cerami_tol / cerami))
             d, slope, hess, kcross = _newton_direction(st, eta, action, pot, table)
-            trace[-1] = row + (0.0, 0, 0, cg, hess)
+            trace[-1] = row + (0.0, 0, cg, hess)
             if not slope > 0.0:
                 raise LineSearchError("no descent direction: Phi'(u) d = %.3g" % slope)
             st, alpha, backtracks = _line_search(st, d, slope, pot, table, kcross)
             del kcross  # one summed image alive at a time: the next solve sums its own
-            trace[-1] = row + (alpha, backtracks, NEWTON, cg, hess)
+            trace[-1] = row + (alpha, backtracks, cg, hess)
             accepted += 1
     except DESCENT_ERRORS as err:
         err.result = _finish(st, action, cerami, accepted, False, trace)
@@ -551,8 +552,8 @@ def make_bump_family(
 
     def sigma_phi(b):
         """Phi(sigma(b)) = -q_a^2 / (4 V0); inf outside O = {q_a > 0, V0 < 0}."""
-        qa, v0 = nehari_terms(b, pot, table)[:2]
-        return -qa * qa / (4.0 * v0) if qa > 0 and v0 < 0 else np.inf
+        bk = energy(b, pot, table)
+        return -bk.q_a * bk.q_a / (4.0 * bk.v0) if bk.q_a > 0 and bk.v0 < 0 else np.inf
 
     starts = []
     for (center, radius), seed in zip(seeds, bumps):

@@ -151,7 +151,6 @@ def project_invariant(u: Field, action: GroupAction) -> Field:
 
 @dataclass(frozen=True)
 class InvarianceCertificate:
-    action: GroupAction
     defect: float
     sign_changing: bool
 
@@ -176,7 +175,7 @@ def is_invariant(u: Field, action: GroupAction) -> InvarianceCertificate:
         and np.min(u.values) < -SIGN_CHANGE_REL * amax
         and np.max(u.values) > SIGN_CHANGE_REL * amax
     )
-    return InvarianceCertificate(action=action, defect=defect, sign_changing=sign_changing)
+    return InvarianceCertificate(defect=defect, sign_changing=sign_changing)
 
 
 def orbit_distance(u: Field, v: Field) -> float:

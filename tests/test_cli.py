@@ -643,6 +643,18 @@ def test_configs_without_a_usable_grid_or_potential_exit_2(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["info", "solve"])
+def test_a_grid_that_cannot_be_allocated_exits_2(tmp_path, capsys, command):
+    # numpy refuses the 8 TB coordinate arrays of n = 10^6 before touching
+    # memory; the grid is built before any output, so nothing is written
+    out = tmp_path / "o"
+    argv = [command, "--n", "1000000"] + ([] if command == "info" else ["--out", str(out)])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "E-CONFIG" in captured.err
+    assert not out.exists()
+
+
 def _spec(kind, arity):
     number = st.sampled_from(["0", "1", "-1", "0.5", "2.5", "1e-3", "1e400", "nan", "inf", "x"])
     return st.lists(number, min_size=arity, max_size=arity).map(lambda v: kind + ":" + ",".join(v))
@@ -797,6 +809,26 @@ def test_convolve_matches_library(tmp_path, capsys):
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "convolve"
     assert "convolved" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tau_split_past_the_exponent_range(tmp_path, capsys):
+    # e^800 overflows float64; the split kernels never form it, so the
+    # battery passes and convolve writes the library's finite field
+    assert main(["check", "--config", write_config(tmp_path, "n = 32\ntau_split = 800\n")]) == EXIT_OK
+    assert "all invariant checks passed" in capsys.readouterr().out
+    grid = Grid(L=6.0, n=32)
+    u = gaussian_field(grid, width=0.7, amplitude=1.2)
+    src = tmp_path / "u.chq"
+    save_field(str(src), u)
+    table = make_kernel_table(grid, 800.0)
+    for kernel in ("k1", "k2"):
+        out = tmp_path / kernel
+        rc = main(["convolve", "--in", str(src), "--out", str(out), "--kernel", kernel, "--tau", "800"])
+        assert rc == EXIT_OK
+        w = load_field(str(out / "convolved.chq")).values
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(w, padded_convolve(grid, u.values, getattr(table, kernel + "_hat")))
 
 
 def test_convolve_negative_tau_exits_2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every definition is read, the solver reads the u-metric in _cerami only,
-and no CLI run loads scipy."""
+every definition and every class field is read, the solver reads the
+u-metric in _cerami only, and no CLI run loads scipy."""
 
 import ast
 import json
@@ -53,17 +53,19 @@ def definitions(tree: ast.Module):
     return found
 
 
-def reads(tree: ast.AST, skip: ast.AST = None):
-    """Names read in tree outside skip: loaded names, attributes, and bare
-    identifier strings (the benchmark tracer looks its layers up by name)."""
+def reads(tree: ast.AST, skip: ast.AST = None, bare: bool = True):
+    """Names read in tree outside skip: loaded attributes, bare identifier
+    strings (the benchmark tracer looks its layers up by name) and, with
+    bare, loaded names."""
     inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
     out = set()
     for node in ast.walk(tree):
         if id(node) in inside:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+            if bare:
+                out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
@@ -71,15 +73,21 @@ def reads(tree: ast.AST, skip: ast.AST = None):
     return out
 
 
-def test_no_unreferenced_definitions():
-    # a definition counts as used when the package (re-exports in
-    # __init__.py aside), the tests or the benchmark read it somewhere
-    # other than inside its own definition
+def package_trees():
+    """The package's modules (__init__.py aside) and the parsed trees of
+    those modules, the tests and the benchmark: everything that reads it."""
     package = ROOT / "src" / "logchoquard"
     modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     readers = modules + sorted((ROOT / "tests").glob("*.py"))
     readers += sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in readers}
+    return modules, {p: ast.parse(p.read_text(), filename=str(p)) for p in readers}
+
+
+def test_no_unreferenced_definitions():
+    # a definition counts as used when the package (re-exports in
+    # __init__.py aside), the tests or the benchmark read it somewhere
+    # other than inside its own definition
+    modules, trees = package_trees()
     elsewhere = {p: reads(tree) for p, tree in trees.items()}
     unread = []
     for path in modules:
@@ -88,6 +96,28 @@ def test_no_unreferenced_definitions():
             if not others and name not in reads(trees[path], skip=node):
                 unread.append("%s %s" % (path.relative_to(ROOT), name))
     assert not unread, "definitions read nowhere: " + ", ".join(unread)
+
+
+def test_no_unread_class_fields():
+    # an annotated field of a package class counts as read when an attribute
+    # or an identifier string names it outside its own class body; bare
+    # names do not count, since fields share their names with locals
+    modules, trees = package_trees()
+    unread = []
+    for path in modules:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            seen = set()
+            for p, tree in trees.items():
+                seen |= reads(tree, skip=cls if p == path else None, bare=False)
+            unread += [
+                "%s %s.%s" % (path.relative_to(ROOT), cls.name, stmt.target.id)
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in seen
+            ]
+    assert not unread, "class fields read nowhere: " + ", ".join(unread)
 
 
 # the descent reads the u-metric (barycenter, context, solve and norm) in

@@ -56,7 +56,6 @@ from logchoquard.functionals import NEHARI_REL_TOL
 from logchoquard.solver import (
     BACKTRACK_FACTOR,
     LOOSE_RIESZ_TOL,
-    NEWTON,
     NEWTON_CG_TOL,
     STEP_INIT,
     TRACE_COLUMNS,
@@ -92,7 +91,7 @@ def test_solve_config_validation():
 def test_trace_columns():
     assert TRACE_COLUMNS == (
         "iter", "phi", "q_a", "v0", "nehari_j", "cerami_weight", "residual_l2",
-        "alpha", "backtracks", "direction", "cg", "hess",
+        "alpha", "backtracks", "cg", "hess",
     )
     u0, action, pot, table = descent_case("trivial")
     res = descend(u0, action, pot, table, SolveConfig(max_iters=5))
@@ -404,11 +403,11 @@ def test_descend_trace_monotone_and_consistent(ground64):
     # every row but the last took a step along a Newton solve, the first
     # row included, and every line search starts at STEP_INIT
     for row in trace[:-1]:
-        alpha, backtracks, direction, _, hess = row[7:12]
-        assert alpha > 0 and backtracks >= 0 and direction == NEWTON
+        alpha, backtracks, _, hess = row[7:11]
+        assert alpha > 0 and backtracks >= 0
         assert alpha == STEP_INIT * BACKTRACK_FACTOR ** backtracks
         assert hess > 0
-    assert trace[-1][7:10] == (0.0, 0, 0) and trace[-1][11] == 0
+    assert trace[-1][7:9] == (0.0, 0) and trace[-1][10] == 0
 
 
 def test_descend_stays_on_the_manifold_below_its_resolution():
@@ -644,7 +643,7 @@ def test_newton_row_below_the_unit_mass_steps(monkeypatch):
     assert masses == [1.0] and products > 0 and slope > 0.0
     row = descend(u0, action, pot, table, SolveConfig(max_iters=1)).trace[0]
     assert masses == [1.0, 1.0]
-    assert row[7] > 0 and row[9] == NEWTON
+    assert row[7] > 0
 
 
 def benchmark_case(name):
@@ -686,32 +685,45 @@ def test_benchmark_operation_budget(monkeypatch, name, rows, products, convoluti
     # signchange 8, 26 and 34, ground 6, 17 and 23, periodic 7, 18 and 25).
     # A descent convolves once for its start's w0, once per Hessian product
     # and once per step for log * d^2; a step takes log * (u d) from its
-    # Newton solve
+    # Newton solve. It applies the stencil -Delta_h twice per iterate (q_a
+    # and the residual), once per Hessian product and once per step, for
+    # the line search's L_a d (signchange 49, ground 34, periodic 38 and 38)
+    import logchoquard.field as field_mod
     import logchoquard.functionals as functionals_mod
     import logchoquard.logkernel as logkernel_mod
     import logchoquard.solver as solver_mod
 
     starts, action, pot, table, cfg = benchmark_case(name)
-    padded_convolve, calls = logkernel_mod.padded_convolve, []
+    calls = {"padded_convolve": [], "neg_laplacian": []}
 
-    def counted(*args):
-        calls.append(None)
-        return padded_convolve(*args)
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__].append(None)
+            return fn(*args)
+        return wrapper
 
-    # every module that calls it by name: log_potential, hessian_product, _newton_direction
-    for mod in (logkernel_mod, functionals_mod, solver_mod):
-        monkeypatch.setattr(mod, "padded_convolve", counted)
+    # every module that calls them by name: log_potential, hessian_product,
+    # _newton_direction and _line_search; q_a_bilinear and _Iterate
+    for mods, fn in (
+        ((logkernel_mod, functionals_mod, solver_mod), logkernel_mod.padded_convolve),
+        ((field_mod, functionals_mod, solver_mod), field_mod.neg_laplacian),
+    ):
+        wrapped = counted(fn)
+        for mod in mods:
+            monkeypatch.setattr(mod, fn.__name__, wrapped)
     for u0 in starts:
-        calls.clear()
+        for c in calls.values():
+            c.clear()
         res = descend(u0, action, pot, table, cfg)
         assert res.converged
         assert res.certificate.sign_changing == (name == "signchange")
         assert len(res.trace) <= rows
-        hess = sum(row[11] for row in res.trace)
+        hess = sum(row[10] for row in res.trace)
         assert hess <= products
         steps = sum(row[7] > 0 for row in res.trace)
-        assert len(calls) == 1 + hess + steps
-        assert len(calls) <= convolutions
+        assert len(calls["padded_convolve"]) == 1 + hess + steps
+        assert len(calls["padded_convolve"]) <= convolutions
+        assert len(calls["neg_laplacian"]) == 2 * len(res.trace) + steps + hess
 
 
 @pytest.mark.parametrize("name", ["ground", "signchange"])
@@ -777,7 +789,7 @@ def test_newton_steps_along_its_first_direction_at_negative_curvature(monkeypatc
     res = descend(u0, action, pot, table, SolveConfig(max_iters=4))
     assert not res.converged and len(res.trace) == 4
     for row in res.trace:
-        assert row[7] > 0 and row[9] == NEWTON and row[11] == 1
+        assert row[7] > 0 and row[10] == 1
     phis = [row[1] for row in res.trace] + [res.breakdown.phi]
     for a, b in zip(phis, phis[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -825,7 +837,7 @@ def test_result_energy_is_the_last_iterate(monkeypatch, case):
         res = descend(u0, action, pot, table, cfg)
         assert res.converged
         if case == "negative-curvature":
-            assert all(row[11] == 1 for row in res.trace[:-1])
+            assert all(row[10] == 1 for row in res.trace[:-1])
         assert res.breakdown.phi == res.trace[-1][1]
         fresh = energy(res.u, pot, table)
         assert abs(res.breakdown.phi - fresh.phi) <= 1e-12 * abs(fresh.phi)
